@@ -22,13 +22,19 @@ A Gram-matrix family (minimal-norm biorthogonal on the span of the first N
 exponentials) is provided as an independent oracle.  Its linear algebra is
 exponentially ill-conditioned in lambda_N T, so it is carried in mpmath at
 a self-chosen precision and validated by residual.
+
+Every signal is s(t) = Re sum_k c_k e^{z_k (t - origin)} on its exact
+window, held as blocks: :class:`GridBlock` (float coefficients on a uniform
+frequency grid) or :class:`MpBlock` (mpmath coefficients).  Flip, shift,
+sum and the canonical rescale are coefficient maps, and one closed-form
+integral against e^{w t} gives moments and Duhamel weights alike.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -42,8 +48,9 @@ from .spectral import HeatState, SpectralBasis
 __all__ = [
     "ControlSignal",
     "BiorthogonalFamily",
-    "FourierRep",
-    "ExpSumRep",
+    "GridBlock",
+    "MpBlock",
+    "combine",
     "invert_to_time",
     "build_multiplier_family",
     "gram_minimal_family",
@@ -56,78 +63,165 @@ _LOG_BUDGET = 600.0  # ln-magnitude ceiling before linear float work is refused
 
 
 # ---------------------------------------------------------------------------
-# signal representations
+# signal blocks
+
+
+def _atom_integrals(lo_val, hi_val, s, length):
+    """int e^{s x} over an interval of `length`, per atom, from its end values.
+
+    (hi - lo) / s, except where |s length| < 1/2 would cancel (the s = 0
+    limit included): there lo * length * expm1(x) / x with x = s length.
+    Works in place on hi_val.
+    """
+    near = np.flatnonzero(np.abs(s) * length < 0.5)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hi_val -= lo_val
+        hi_val /= s
+    if len(near):
+        x = s[near] * length
+        tiny = np.abs(x) < 1e-8  # expm1(x) / x = 1 + x/2 to roundoff
+        safe = np.where(tiny, 1.0, x)
+        hi_val[near] = lo_val[near] * length * np.where(tiny, 1.0 + x / 2, np.expm1(safe) / safe)
+    return hi_val
+
+
+def _mp_atom_integral(lo_val, hi_val, s, length):
+    """The mp scalar form of _atom_integrals."""
+    x = s * length
+    if abs(x) < 0.5:
+        return lo_val * length * (mp.expm1(x) / x if x else 1)
+    return (hi_val - lo_val) / s
 
 
 @dataclass(frozen=True)
-class FourierRep:
-    """Uniform-grid frequency representation of a real windowed signal.
+class GridBlock:
+    """Float atoms on a uniform frequency grid (the multiplier family).
 
-    signal(t) = (h / 2 pi) * (Re V[0] + 2 sum_{i>=1} Re(V[i] e^{-i x_i t}))
-    with x_i = i h.  Exact on the window by the band-limit argument above.
+    s(t) = gain (omega/pi) e^{rate u} (Re V_0 / 2 + sum_{k>=1} Re V_k e^{-i k omega u})
+    with u = t - origin: atoms z_k = rate - i k omega.  Exact on the window by
+    the band-limit argument above; with rate = 0 the Parseval norm over one
+    period 2 pi / omega is the norm on any window holding the support.
     """
 
-    h: float
-    values: np.ndarray  # complex, index i <-> frequency i*h
+    values: np.ndarray  # complex V_k
+    omega: float
+    gain: float = 1.0
+    rate: float = 0.0
+    origin: float = 0.0
+
+    def key(self):
+        return ("grid", self.omega, self.gain, self.rate, self.origin, len(self.values))
 
     def eval(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.full(ts.shape, 0.5 * np.real(self.values[0]))
-        xs = self.h * np.arange(len(self.values))
-        for lo in range(1, len(self.values), 512):
-            blk = slice(lo, min(lo + 512, len(self.values)))
-            out += np.real(self.values[blk][None, :]
-                           * np.exp(-1j * ts[:, None] * xs[blk][None, :])).sum(axis=1)
-        return (self.h / math.pi) * out
+        """Exact direct sum at the points ts."""
+        u = np.atleast_1d(np.asarray(ts, dtype=float)) - self.origin
+        V = self.values
+        out = np.full(u.shape, 0.5 * np.real(V[0]))
+        xs = self.omega * np.arange(len(V))
+        for lo in range(1, len(V), 512):
+            blk = slice(lo, min(lo + 512, len(V)))
+            out += np.real(V[blk][None, :]
+                           * np.exp(-1j * u[:, None] * xs[blk][None, :])).sum(axis=1)
+        return (self.omega / math.pi) * out * self.gain * np.exp(self.rate * u)
 
-    def norm_l2(self) -> float:
-        # alias-free Parseval over one period = over the support
-        s = 0.5 * abs(self.values[0]) ** 2 + np.sum(np.abs(self.values[1:]) ** 2)
-        return math.sqrt(self.h / math.pi * s)
+    def eval_dense(self, ts) -> np.ndarray:
+        """eval for large monotone grids through one FFT.
+
+        The FFT output is 4x oversampled and interpolated, which keeps the
+        error at the 1e-9 level of the representation itself while avoiding
+        the O(n_t * n_freq) direct sum.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if len(ts) <= 512:
+            return self.eval(ts)
+        t0, t1 = float(ts[0]), float(ts[-1])
+        span = max(t1 - t0, 1e-9)
+        tf, vf = self.fft_samples(t0 - 0.02 * span, t1 + 0.02 * span, 4 * len(ts))
+        return np.interp(ts, tf, vf)
 
     def fft_samples(self, t0: float, t1: float, n_target: int):
-        """(times, values) on a uniform grid of ~n_target points covering [t0, t1]."""
+        """(times, values) on a uniform grid of ~n_target points from t0.
+
+        The grid step divides the FFT period, so the last sample can fall
+        short of t1 by up to one step.
+        """
         span = t1 - t0
+        u0 = t0 - self.origin
         dt_target = span / max(n_target - 1, 1)
+        V = self.values
         m = 1 << int(math.ceil(math.log2(max(
-            len(self.values), 2.0 * math.pi / (self.h * dt_target), 2))))
+            len(V), 2.0 * math.pi / (self.omega * dt_target), 2))))
         buf = np.zeros(m, dtype=complex)
-        xs = self.h * np.arange(len(self.values))
-        buf[: len(self.values)] = self.values * np.exp(-1j * xs * t0)
+        xs = self.omega * np.arange(len(V))
+        buf[: len(V)] = V * np.exp(-1j * xs * u0)
         spec = np.fft.fft(buf)  # spec_k = sum_i buf_i e^{-2 pi i ik/m}
-        dt = 2.0 * math.pi / (self.h * m)
+        dt = 2.0 * math.pi / (self.omega * m)
         stride = max(1, int(dt_target / dt))
         n_out = int(span / (stride * dt)) + 1
         idx = stride * np.arange(n_out)
-        ts = t0 + dt * idx
-        vals = (self.h / math.pi) * (np.real(spec[idx]) - 0.5 * np.real(self.values[0]))
-        return ts, vals
+        us = u0 + dt * idx
+        vals = (self.omega / math.pi) * (np.real(spec[idx]) - 0.5 * np.real(V[0]))
+        return us + self.origin, vals * self.gain * np.exp(self.rate * us)
 
-    def duhamel_weights(self, lam: float, T: float) -> float:
-        """int_0^T e^{-lam (T - u)} signal(u - T/2) du, exactly per frequency.
+    def integral(self, ws, lo: float, hi: float, ref: float) -> np.ndarray:
+        """int_lo^hi s(t) e^{w (t - ref)} dt for each w in ws.
 
-        int_0^T e^{-lam(T-u)} e^{-i x (u - T/2)} du
-            = e^{i x T/2} (e^{-i x T} - e^{-lam T}) / (lam - i x).
+        The per-atom factors e^{z (lo - origin)}, e^{z (hi - origin)} are
+        formed once; each w then costs O(n_freq) and no n_w x n_freq array
+        is built.
         """
-        xs = self.h * np.arange(len(self.values))
-        ker = np.exp(1j * xs * T / 2.0) * (np.exp(-1j * xs * T) - math.exp(-lam * T)) / (lam - 1j * xs)
-        total = 0.5 * np.real(self.values[0]) * np.real(ker[0]) \
-            + np.sum(np.real(self.values[1:] * ker[1:]))
-        return (self.h / math.pi) * total
+        V = self.values
+        z = self.rate - 1j * self.omega * np.arange(len(V))
+        e_lo = np.exp(z * (lo - self.origin))
+        e_hi = np.exp(z * (hi - self.origin))
+        out = np.empty(len(ws))
+        for i, w in enumerate(ws):
+            ker = _atom_integrals(e_lo * math.exp(w * (lo - ref)),
+                                  e_hi * math.exp(w * (hi - ref)), z + w, hi - lo)
+            # the k = 0 atom carries Re V_0 / 2, and its kernel is real
+            out[i] = np.sum(np.real(V * ker)) - 0.5 * V[0].real * ker[0].real
+        return (self.omega / math.pi) * self.gain * out
+
+    def norm(self, lo: float, hi: float) -> float:
+        if self.rate == 0.0:
+            s = 0.5 * np.real(self.values[0]) ** 2 + np.sum(np.abs(self.values[1:]) ** 2)
+            return math.sqrt(self.omega / math.pi * s) * abs(self.gain)
+        # a growing weight breaks Parseval: fine trapezoid on the window
+        ts = np.linspace(lo, hi, 8193)
+        return math.sqrt(float(np.trapezoid(self.eval_dense(ts) ** 2, ts)))
+
+    def mapped(self, p: float, q: float, lam: float) -> "GridBlock":
+        """Block of e^{lam t} s(p t + q); p < 0 conjugates onto the positive grid."""
+        origin = (self.origin - q) / p
+        return GridBlock(values=np.conj(self.values) if p < 0 else self.values,
+                         omega=abs(p) * self.omega,
+                         gain=self.gain * math.exp(lam * origin) / abs(p),
+                         rate=p * self.rate + lam, origin=origin)
+
+    @staticmethod
+    def summed(terms) -> "GridBlock":
+        """sum_i w_i b_i for blocks b_i that share one key."""
+        acc = np.zeros_like(terms[0][1].values)
+        for w, b in terms:
+            acc = acc + w * b.values
+        return replace(terms[0][1], values=acc)
 
 
 @dataclass(frozen=True)
-class ExpSumRep:
-    """Exponential-sum representation  sum_k c_k e^{-lam_k (t + T/2)}  in mpmath.
+class MpBlock:
+    """Real atoms sum_k c_k e^{z_k (t - origin)} with c_k, z_k in mpmath.
 
     Kept in mp because the coefficients cancel catastrophically in float;
-    every consumer extracts what it needs through exact antiderivatives.
+    integrals and norms are exact antiderivatives at the block's precision.
     """
 
-    lambdas: tuple
     coeffs: tuple  # mp.mpf
-    T: float
+    rates: tuple   # mp.mpf z_k
+    origin: float
     dps: int
+
+    def key(self):
+        return ("mp", self.rates, self.origin, self.dps)
 
     def eval(self, ts) -> np.ndarray:
         """Pointwise values; a float path is used when the coefficients fit.
@@ -137,110 +231,154 @@ class ExpSumRep:
         in mp regardless.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        cf = self._float_coeffs()
-        if cf is not None:
-            u = ts[:, None] + self.T / 2.0
-            lam = np.asarray(self.lambdas)
-            return (np.exp(-u * lam[None, :]) * cf[None, :]).sum(axis=1)
-        out = np.empty(ts.shape)
+        u = ts - self.origin
         with mp.workdps(self.dps):
-            for i, t in enumerate(ts):
-                u = mp.mpf(float(t)) + mp.mpf(self.T) / 2
-                out[i] = float(mp.fsum(c * mp.e ** (-l * u)
-                                       for c, l in zip(self.coeffs, self.lambdas)))
+            fits = all(abs(c) < mp.mpf("1e290") for c in self.coeffs)
+            if fits:
+                cf = np.array([float(c) for c in self.coeffs])
+                z = np.array([float(r) for r in self.rates])
+                return (np.exp(u[:, None] * z[None, :]) * cf[None, :]).sum(axis=1)
+            org = mp.mpf(self.origin)
+            return np.array([float(mp.fsum(c * mp.exp(r * (mp.mpf(float(t)) - org))
+                                           for c, r in zip(self.coeffs, self.rates)))
+                             for t in ts])
+
+    eval_dense = eval
+
+    def _ends(self, lo, hi):
+        """(lo, hi, e^{z (lo - origin)}, e^{z (hi - origin)}) in mp."""
+        lo_, hi_, org = mp.mpf(lo), mp.mpf(hi), mp.mpf(self.origin)
+        return (lo_, hi_, [mp.exp(z * (lo_ - org)) for z in self.rates],
+                [mp.exp(z * (hi_ - org)) for z in self.rates])
+
+    def integral(self, ws, lo: float, hi: float, ref: float) -> np.ndarray:
+        """int_lo^hi s(t) e^{w (t - ref)} dt for each w in ws, exact in mp."""
+        out = np.empty(len(ws))
+        with mp.workdps(self.dps):
+            lo_, hi_, e_lo, e_hi = self._ends(lo, hi)
+            ref_ = mp.mpf(ref)
+            for i, w in enumerate(ws):
+                w_ = mp.mpf(float(w))
+                a, b = mp.exp(w_ * (lo_ - ref_)), mp.exp(w_ * (hi_ - ref_))
+                out[i] = float(mp.fsum(
+                    c * _mp_atom_integral(el * a, eh * b, z + w_, hi_ - lo_)
+                    for c, z, el, eh in zip(self.coeffs, self.rates, e_lo, e_hi)))
         return out
 
-    def _float_coeffs(self):
+    def norm(self, lo: float, hi: float) -> float:
         with mp.workdps(self.dps):
-            if all(abs(c) < mp.mpf("1e290") for c in self.coeffs):
-                return np.array([float(c) for c in self.coeffs])
-        return None
-
-    def moment(self, lam_k: float) -> float:
-        """int_{-T/2}^{T/2} signal(t) e^{-lam_k t} dt, exact in mp."""
-        with mp.workdps(self.dps):
-            T = mp.mpf(self.T)
-            lk = mp.mpf(lam_k)
-            total = mp.mpf(0)
-            for c, l in zip(self.coeffs, self.lambdas):
-                s = l + lk
-                piece = (1 - mp.e ** (-s * T)) / s if s != 0 else T
-                total += c * mp.e ** (lk * T / 2) * piece
-            return float(total)
-
-    def norm_l2(self) -> float:
-        with mp.workdps(self.dps):
-            T = mp.mpf(self.T)
-            total = mp.mpf(0)
-            for cj, lj in zip(self.coeffs, self.lambdas):
-                for ck, lk in zip(self.coeffs, self.lambdas):
-                    s = lj + lk
-                    piece = (1 - mp.e ** (-s * T)) / s if s != 0 else T
-                    total += cj * ck * piece
+            lo_, hi_, e_lo, e_hi = self._ends(lo, hi)
+            atoms = list(zip(self.coeffs, self.rates, e_lo, e_hi))
+            total = mp.fsum(cj * ck * _mp_atom_integral(lj * lk, hj * hk, zj + zk, hi_ - lo_)
+                            for cj, zj, lj, hj in atoms for ck, zk, lk, hk in atoms)
             # the quadratic form can round to a tiny negative for a zero signal
             return float(mp.sqrt(max(total, mp.mpf(0))))
 
-    def duhamel_weights(self, lam: float, T: float) -> float:
-        """int_0^T e^{-lam (T-u)} signal(u - T/2) du, exact in mp."""
+    def mapped(self, p: float, q: float, lam: float) -> "MpBlock":
+        """Block of e^{lam t} s(p t + q)."""
+        origin = (self.origin - q) / p
         with mp.workdps(self.dps):
-            lam_ = mp.mpf(lam)
-            T_ = mp.mpf(T)
-            total = mp.mpf(0)
-            for c, l in zip(self.coeffs, self.lambdas):
-                if abs(lam_ - l) > mp.mpf("1e-30"):
-                    piece = (mp.e ** (-l * T_) - mp.e ** (-lam_ * T_)) / (lam_ - l)
-                else:
-                    piece = T_ * mp.e ** (-lam_ * T_)
-                total += c * piece
-            return float(total)
+            f = mp.exp(mp.mpf(lam) * mp.mpf(origin))
+            return MpBlock(coeffs=tuple(c * f for c in self.coeffs),
+                           rates=tuple(mp.mpf(p) * z + lam for z in self.rates),
+                           origin=origin, dps=self.dps)
+
+    @staticmethod
+    def summed(terms) -> "MpBlock":
+        first = terms[0][1]
+        with mp.workdps(first.dps):
+            acc = [mp.mpf(0)] * len(first.coeffs)
+            for w, b in terms:
+                for k, c in enumerate(b.coeffs):
+                    acc[k] += mp.mpf(w) * c
+        return replace(first, coeffs=tuple(acc))
+
+
+def combine(terms) -> list:
+    """Blocks of sum_i w_i b_i: blocks with one key add coefficients."""
+    groups: dict = {}
+    for w, b in terms:
+        groups.setdefault(b.key(), []).append((w, b))
+    return [g[0][1].summed(g) for g in groups.values()]
 
 
 @dataclass
 class ControlSignal:
-    """A sampled scalar control on a window, with its defining representation."""
+    """A scalar control on its exact window, sampled, with its blocks.
+
+    ``samples`` lie on the uniform grid from t0 to t1, which for FFT-sampled
+    signals ends up to one step short of the window.  ``blocks`` None marks a
+    signal known only by its samples; the empty list is the zero control.
+    """
 
     t0: float
     t1: float
     samples: np.ndarray
-    rep: object = None  # FourierRep | ExpSumRep | None
+    blocks: Optional[list] = None
     norm_cache: Optional[float] = None
     meta: dict = field(default_factory=dict)
+    window: Optional[tuple] = None
 
-    @property
-    def window(self):
-        return (self.t0, self.t1)
+    def __post_init__(self):
+        if self.window is None:
+            self.window = (self.t0, self.t1)
+
+    @classmethod
+    def from_blocks(cls, blocks, window, n: int, meta=None) -> "ControlSignal":
+        """Signal of `blocks` sampled at n uniform points of `window`."""
+        lo, hi = window
+        sig = cls(t0=lo, t1=hi, samples=np.zeros(n), blocks=blocks,
+                  meta=meta or {}, window=window)
+        sig.samples = sig.eval_dense(np.linspace(lo, hi, n))
+        return sig
 
     @property
     def dt(self) -> float:
         return (self.t1 - self.t0) / max(len(self.samples) - 1, 1)
 
-    def eval(self, ts) -> np.ndarray:
-        if self.rep is not None:
-            return self.rep.eval(ts)
+    def _sum(self, ts, per_block):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        grid = np.linspace(self.t0, self.t1, len(self.samples))
-        return np.interp(ts, grid, self.samples)
+        vals = [per_block(b) for b in self.blocks]
+        return sum(vals[1:], vals[0]) if vals else np.zeros(ts.shape)
+
+    def eval(self, ts) -> np.ndarray:
+        if self.blocks is None:
+            ts = np.atleast_1d(np.asarray(ts, dtype=float))
+            grid = np.linspace(self.t0, self.t1, len(self.samples))
+            return np.interp(ts, grid, self.samples)
+        return self._sum(ts, lambda b: b.eval(ts))
 
     def eval_dense(self, ts) -> np.ndarray:
-        """eval for large monotone grids; Fourier reps go through one FFT.
+        """eval for large monotone grids (grid blocks go through one FFT)."""
+        if self.blocks is None:
+            return self.eval(ts)
+        return self._sum(ts, lambda b: b.eval_dense(ts))
 
-        The FFT output is 4x oversampled and interpolated, which keeps the
-        error at the 1e-9 level of the representation itself while avoiding
-        the O(n_t * n_freq) direct sum.
+    def integral(self, ws, ref: float = 0.0) -> np.ndarray:
+        """I(w) = int_window s(t) e^{w (t - ref)} dt for each w in ws.
+
+        w = -lambda_k with ref 0 is an exponential moment; w = lambda with
+        ref at the window's end is the Duhamel weight e^{-lambda t1} I(lambda).
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if isinstance(self.rep, FourierRep) and len(ts) > 512:
-            t0, t1 = float(ts[0]), float(ts[-1])
-            span = max(t1 - t0, 1e-9)
-            tf, vf = self.rep.fft_samples(t0 - 0.02 * span, t1 + 0.02 * span,
-                                          4 * len(ts))
-            return np.interp(ts, tf, vf)
-        return self.eval(ts)
+        lo, hi = self.window
+        return self._sum(ws, lambda b: b.integral(ws, lo, hi, ref))
+
+    def duhamel(self, lams) -> np.ndarray:
+        """int_0^T e^{-lam (T - u)} g(u) du with u measured from the window start."""
+        return self.integral(np.asarray(lams, dtype=float), ref=self.window[1])
+
+    def mapped(self, p: float, q: float, lam: float, window) -> "ControlSignal":
+        """The signal e^{lam t} s(p t + q) on `window`."""
+        return ControlSignal.from_blocks([b.mapped(p, q, lam) for b in self.blocks],
+                                         window, max(len(self.samples), 257),
+                                         meta=dict(self.meta))
 
     def norm(self) -> float:
+        """L^2 norm on the window: closed form for one block, else from the samples."""
         if self.norm_cache is None:
-            if self.rep is not None and hasattr(self.rep, "norm_l2"):
-                self.norm_cache = float(self.rep.norm_l2())
+            if self.blocks is not None and len(self.blocks) <= 1:
+                self.norm_cache = (self.blocks[0].norm(*self.window)
+                                   if self.blocks else 0.0)
             else:
                 self.norm_cache = math.sqrt(
                     float(np.trapezoid(self.samples**2, dx=self.dt)))
@@ -290,24 +428,32 @@ def invert_to_time(evaluator, T: float, tol: float = 1e-9,
     h, n = _frequency_grid(tau_type, T, X_max)
     xs = h * np.arange(n)
     lm, ph = evaluator.log_G_array(xs)
+    return _signal_from_log(h, lm, ph, T, n_samples,
+                            {"X_max": X_max, "tail_tol": tol, "n_freq": n})
+
+
+def _fourier_signal(block: GridBlock, T: float, n_samples: int,
+                    meta=None) -> ControlSignal:
+    """Signal of one grid block on [-T/2, T/2], FFT-sampled."""
+    ts, sm = block.fft_samples(-T / 2.0, T / 2.0, n_samples)
+    return ControlSignal(t0=float(ts[0]), t1=float(ts[-1]), samples=sm,
+                         blocks=[block], meta=meta or {}, window=(-T / 2.0, T / 2.0))
+
+
+def _signal_from_log(h, lm, ph, T, n_samples, meta, label="") -> ControlSignal:
+    """Family signal with values G = e^{lm + i ph} on the grid x_k = k h.
+
+    s(t) = (2 pi)^{-1/2} raw(-t) with raw the unitary inverse transform of G;
+    under the e^{-ixt} kernel of GridBlock.eval this is values = G samples,
+    and then int s(t) e^{-lambda_k t} dt = G(i lambda_k) exactly.
+    """
     peak = float(np.max(lm))
     if peak > _LOG_BUDGET:
-        raise TruncationError(
-            f"peak log-magnitude {peak:.1f} exceeds the float budget", achieved=peak)
-    vals = np.exp(lm + 1j * ph)
-    return _signal_from_values(h, vals, T, n_samples, meta={
-        "X_max": X_max, "tail_tol": tol, "n_freq": n})
-
-
-def _signal_from_values(h, vals, T, n_samples, meta=None) -> ControlSignal:
-    # s(t) = (2 pi)^{-1/2} raw(-t) with raw the unitary inverse transform of G;
-    # under the e^{-ixt} kernel of FourierRep.eval this is values = G samples,
-    # and then int s(t) e^{-lambda_k t} dt = G(i lambda_k) exactly.
-    rep = FourierRep(h=h, values=np.asarray(vals, dtype=complex))
-    ts, sm = rep.fft_samples(-T / 2.0, T / 2.0, n_samples)
-    sig = ControlSignal(t0=float(ts[0]), t1=float(ts[-1]), samples=sm, rep=rep,
-                        meta=meta or {})
-    sig.meta["freq_norm"] = rep.norm_l2()
+        raise TruncationError(f"{label}peak log-magnitude {peak:.1f} exceeds the "
+                              "float budget (T too small)", achieved=peak)
+    sig = _fourier_signal(GridBlock(values=np.exp(lm + 1j * ph), omega=h),
+                          T, n_samples, meta)
+    sig.meta["freq_norm"] = sig.norm()
     return sig
 
 
@@ -339,9 +485,8 @@ class BiorthogonalFamily:
         floats once lambda_k T is large.
         """
         lam_k = float(self.lambdas[k - 1])
-        sig = self.signals[n - 1]
-        if isinstance(sig.rep, ExpSumRep):
-            return sig.rep.moment(lam_k)
+        if self.kind == "gram":
+            return float(self.signals[n - 1].integral([-lam_k])[0])
         ev = self.evaluators[n - 1]
         val = ev.log_G(1j * lam_k)
         if val.is_zero:
@@ -431,14 +576,9 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
         r = xs / lam_n
         lm = lm_f - 0.5 * np.log1p(r * r) + lm_m - ev.log_M_ilam - ev.log_fn_lam.logmag
         ph = ph_f - np.arctan(r) + ph_m - ev.log_fn_lam.phase
-        peak = float(np.max(lm))
-        if peak > _LOG_BUDGET:
-            raise TruncationError(
-                f"mode {ev.n}: peak log-magnitude {peak:.1f} over budget (T too small)",
-                achieved=peak)
-        vals = np.exp(lm + 1j * ph)
-        sig = _signal_from_values(h, vals, T, n_samples,
-                                  meta={"X_max": X_max, "tail_tol": tol, "n": ev.n})
+        sig = _signal_from_log(h, lm, ph, T, n_samples,
+                               {"X_max": X_max, "tail_tol": tol, "n": ev.n},
+                               label=f"mode {ev.n}: ")
         signals.append(sig)
         norms.append(sig.meta["freq_norm"])
 
@@ -506,15 +646,16 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
                 cond=float(cond))
 
         signals, norms = [], []
+        rates = tuple(-v for v in lm)
         for n in range(count):
             pref = mp.e ** (-lm[n] * Tm / 2)
             coeffs = tuple(pref * R[n, k] for k in range(count))
-            rep = ExpSumRep(lambdas=tuple(float(v) for v in lams),
-                            coeffs=coeffs, T=T, dps=dps)
+            # s_n(t) = sum_k c_k e^{-lambda_k (t + T/2)}
+            block = MpBlock(coeffs=coeffs, rates=rates, origin=-T / 2.0, dps=dps)
             nrm = float(mp.sqrt(mp.e ** (-lm[n] * Tm) * R[n, n]))
             ts = np.linspace(-T / 2.0, T / 2.0, n_samples)
-            sig = ControlSignal(t0=-T / 2.0, t1=T / 2.0, samples=rep.eval(ts),
-                                rep=rep, norm_cache=nrm,
+            sig = ControlSignal(t0=-T / 2.0, t1=T / 2.0, samples=block.eval(ts),
+                                blocks=[block], norm_cache=nrm,
                                 meta={"dps": dps, "n": n + 1})
             signals.append(sig)
             norms.append(nrm)
@@ -595,68 +736,13 @@ def assemble_control(basis: SpectralBasis, u0: HeatState,
         cost_sq += (w * family.norms[n - 1]) ** 2
 
     if not weights:
-        zero = np.zeros(129)
-        return ControlSignal(t0=-T / 2.0, t1=T / 2.0, samples=zero,
-                             norm_cache=0.0, meta={"terms": 0})
-
+        return ControlSignal(t0=-T / 2.0, t1=T / 2.0, samples=np.zeros(129),
+                             blocks=[], meta={"terms": 0})
+    # the weighted sum adds coefficients on the shared grid (or the shared mp
+    # exponentials), and the flip t -> -t is then one coefficient map
+    blocks = [b.mapped(-1.0, 0.0, 0.0)
+              for b in combine([(w, family.signals[n - 1].blocks[0]) for n, w in weights])]
+    meta = {"terms": len(weights)}
     if family.kind == "multiplier":
-        base = family.signals[weights[0][0] - 1].rep
-        acc = np.zeros_like(base.values)
-        for n, w in weights:
-            rep_n = family.signals[n - 1].rep
-            # s_n(-t) has frequency values conj(V_n)
-            acc = acc + w * np.conj(rep_n.values)
-        rep = FourierRep(h=base.h, values=acc)
-        ts, sm = rep.fft_samples(-T / 2.0, T / 2.0, 4096)
-        sig = ControlSignal(t0=float(ts[0]), t1=float(ts[-1]), samples=sm, rep=rep,
-                            meta={"terms": len(weights)})
-        sig.norm_cache = rep.norm_l2()
-        return sig
-
-    # gram: combine exponential sums in mp; s_n(-t) swaps the time direction,
-    # turning e^{-lam (t + T/2)} into e^{+lam t - lam T/2}; fold through the
-    # identity e^{-lam(-t + T/2)} = e^{-lam T} e^{+lam(t + T/2)} ... keep mp.
-    dps = family.signals[0].rep.dps
-    lams = family.signals[0].rep.lambdas
-    with mp.workdps(dps):
-        acc = [mp.mpf(0)] * len(lams)
-        for n, w in weights:
-            rep_n = family.signals[n - 1].rep
-            for k, c in enumerate(rep_n.coeffs):
-                acc[k] += mp.mpf(w) * c
-        rep = _FlippedExpSumRep(lambdas=lams, coeffs=tuple(acc), T=T, dps=dps)
-    ts = np.linspace(-T / 2.0, T / 2.0, 1025)
-    sig = ControlSignal(t0=-T / 2.0, t1=T / 2.0, samples=rep.eval(ts), rep=rep,
-                        meta={"terms": len(weights)})
-    sig.norm_cache = rep.norm_l2()
-    return sig
-
-
-@dataclass(frozen=True)
-class _FlippedExpSumRep(ExpSumRep):
-    """ExpSumRep composed with t -> -t (sum of growing exponentials on the window)."""
-
-    def eval(self, ts):
-        return super().eval(-np.atleast_1d(np.asarray(ts, dtype=float)))
-
-    def moment(self, lam_k: float) -> float:
-        raise NotImplementedError("assembled controls are paired through Duhamel")
-
-    def norm_l2(self) -> float:
-        return super().norm_l2()  # flip preserves the L2 norm on the centered window
-
-    def duhamel_weights(self, lam: float, T: float) -> float:
-        """int_0^T e^{-lam (T-u)} base(T/2 - u) du with base(v) = sum c e^{-l (v+T/2)}.
-
-        Substituting v = T/2 - u gives int_0^T base(v') e^{-lam v'} ... kept in mp:
-        int_0^T e^{-lam(T-u)} sum_k c_k e^{-l_k (T - u)} du
-            = sum_k c_k (1 - e^{-(lam + l_k) T}) / (lam + l_k).
-        """
-        with mp.workdps(self.dps):
-            lam_ = mp.mpf(lam)
-            T_ = mp.mpf(T)
-            total = mp.mpf(0)
-            for c, l in zip(self.coeffs, self.lambdas):
-                s = lam_ + l
-                total += c * (1 - mp.e ** (-s * T_)) / s
-            return float(total)
+        return _fourier_signal(blocks[0], T, 4096, meta)
+    return ControlSignal.from_blocks(blocks, (-T / 2.0, T / 2.0), 1025, meta)

@@ -22,7 +22,7 @@ from .biorthogonal import assemble_control, build_multiplier_family
 from .entire import sigma_star
 from .errors import ConfigurationError, HeatCtrlError
 from .harness import ExperimentConfig, bound_sandwich_report, cost_sweep, write_cost_csv
-from .heatsim import lower_bound_experiment, simulate_boundary_control
+from .heatsim import simulate_boundary_control
 from .spectral import HeatState, reduce_to_canonical
 from .transmute import (
     fundamental_solution,
@@ -62,45 +62,48 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _cmd_synthesize(args) -> int:
-    cfg = _load_config(args)
-    basis = cfg.build_basis()
-    T = cfg.T_grid[0]
-    reduced, sched = reduce_to_canonical(basis, T)
-    count = cfg.family_count or harness._family_count_for(sched.T_canonical, reduced)
-    fam = build_multiplier_family(reduced, sched.T_canonical, count,
-                                  eps=cfg.multiplier_eps, tol=cfg.tol)
-    c = np.zeros(count)
-    c[0] = 1.0
-    g = assemble_control(reduced, HeatState(c, reduced.basis_id), fam,
-                         sched.T_canonical)
-    g.to_csv(_out_path(args, "control.csv"))
-    manifest = fam.manifest()
-    manifest["cost"] = g.norm() * sched.cost_factor
-    harness._atomic_write(_out_path(args, "family.json"),
-                          json.dumps(manifest, indent=2))
-    if args.dump_envelope:
-        ev = fam.evaluators[0]
-        xs = np.geomspace(1.0, max(16.0 * ev.spec.a0, 1e4), 400)
-        lm, _ = ev.log_G_array(xs)
-        lines = ["x,ln_abs_G\n"] + [f"{x:.17g},{v:.17g}\n" for x, v in zip(xs, lm)]
-        harness._atomic_write(_out_path(args, "envelope.csv"), "".join(lines))
-    print(f"synthesized {count}-mode family at T={T}; cost {manifest['cost']:.6g}")
-    return 0
+def _write_json(args, name: str, doc, echo: bool = False):
+    """Write doc as indented JSON under --out, and print it when echo is set."""
+    text = json.dumps(doc, indent=2)
+    harness._atomic_write(_out_path(args, name), text)
+    if echo:
+        print(text)
 
 
-def _cmd_simulate(args) -> int:
+def _unit_control(args):
+    """(T, reduced basis, schedule, family, e_1 state, its canonical control)
+    at the config's first T."""
     cfg = _load_config(args)
-    basis = cfg.build_basis()
     T = cfg.T_grid[0]
-    reduced, sched = reduce_to_canonical(basis, T)
+    reduced, sched = reduce_to_canonical(cfg.build_basis(), T)
     count = cfg.family_count or harness._family_count_for(sched.T_canonical, reduced)
     fam = build_multiplier_family(reduced, sched.T_canonical, count,
                                   eps=cfg.multiplier_eps, tol=cfg.tol)
     c = np.zeros(count)
     c[0] = 1.0
     u0 = HeatState(c, reduced.basis_id)
-    g = assemble_control(reduced, u0, fam, sched.T_canonical)
+    return T, reduced, sched, fam, u0, assemble_control(reduced, u0, fam,
+                                                        sched.T_canonical)
+
+
+def _cmd_synthesize(args) -> int:
+    T, _, sched, fam, _, g = _unit_control(args)
+    g.to_csv(_out_path(args, "control.csv"))
+    manifest = fam.manifest()
+    manifest["cost"] = g.norm() * sched.cost_factor
+    _write_json(args, "family.json", manifest)
+    if args.dump_envelope:
+        ev = fam.evaluators[0]
+        xs = np.geomspace(1.0, max(16.0 * ev.spec.a0, 1e4), 400)
+        lm, _ = ev.log_G_array(xs)
+        lines = ["x,ln_abs_G\n"] + [f"{x:.17g},{v:.17g}\n" for x, v in zip(xs, lm)]
+        harness._atomic_write(_out_path(args, "envelope.csv"), "".join(lines))
+    print(f"synthesized {fam.count}-mode family at T={T}; cost {manifest['cost']:.6g}")
+    return 0
+
+
+def _cmd_simulate(args) -> int:
+    _, reduced, sched, _, u0, g = _unit_control(args)
     traj = simulate_boundary_control(reduced, u0, g, sched.T_canonical)
     traj.to_csv(_out_path(args, "trajectory.csv"))
     resid = float(np.linalg.norm(traj.coeffs[-1]))
@@ -112,7 +115,7 @@ def _cmd_cost_sweep(args) -> int:
     cfg = _load_config(args)
     rows, fit = cost_sweep(cfg)
     write_cost_csv(rows, _out_path(args, "cost_sweep.csv"))
-    harness._atomic_write(_out_path(args, "cost_fit.json"), json.dumps(fit, indent=2))
+    _write_json(args, "cost_fit.json", fit)
     bad = [r for r in rows if r.status.startswith("error") or r.status == "failed"]
     print(f"{len(rows)} rows, fit: {fit}")
     return 0 if not bad else 1
@@ -122,12 +125,9 @@ def _cmd_lower_bound(args) -> int:
     cfg = _load_config(args)
     basis = cfg.build_basis()
     region = cfg.observation_region()
-    y = 0.02 if region.a >= basis.X - region.b else basis.X - 0.02
-    reports = [lower_bound_experiment(basis, region, y, T, eps=cfg.eps_smoothing).as_dict()
-               for T in sorted(cfg.T_grid, reverse=True)]
-    harness._atomic_write(_out_path(args, "lower_bound.json"),
-                          json.dumps(reports, indent=2))
-    print(json.dumps(reports, indent=2))
+    reports = harness.lower_bound_reports(cfg, basis, region,
+                                          harness.probe_point(region, basis.X))
+    _write_json(args, "lower_bound.json", reports, echo=True)
     return 0
 
 
@@ -139,9 +139,7 @@ def _cmd_fundamental(args) -> int:
     _write_grid(_out_path(args, "fundamental.bin"), v.times, v.s_grid, v.field())
     summary = {"T": T, "L": L, "norm": v.norm, "A": v.A, "alpha": v.alpha,
                "terminal": v.v_final_norm(), "method": v.meta["method"]}
-    harness._atomic_write(_out_path(args, "fundamental.json"),
-                          json.dumps(summary, indent=2))
-    print(json.dumps(summary, indent=2))
+    _write_json(args, "fundamental.json", summary, echo=True)
     return 0
 
 
@@ -149,8 +147,8 @@ def _cmd_transmute(args) -> int:
     cfg = _load_config(args)
     basis = cfg.build_basis()
     region = cfg.observation_region()
-    S = max(longest_avoiding_ray(region, basis.X) * 1.1,
-            longest_avoiding_ray(region, basis.X) + 0.2)
+    ray = longest_avoiding_ray(region, basis.X)
+    S = max(ray * 1.1, ray + 0.2)
     T = cfg.T_grid[0]
     c = np.zeros(8)
     c[0] = 1.0
@@ -168,17 +166,14 @@ def _cmd_transmute(args) -> int:
     resid = float(np.linalg.norm(traj.coeffs[-1]))
     summary = {"T": T, "S": S, "terminal": resid, "g_norm": g.norm,
                "v_norm": v.norm, "wave_cond": wave.gramian_cond}
-    harness._atomic_write(_out_path(args, "transmute.json"),
-                          json.dumps(summary, indent=2))
-    print(json.dumps(summary, indent=2))
+    _write_json(args, "transmute.json", summary, echo=True)
     return 0 if resid <= 1e-3 * u0.norm() else 1
 
 
 def _cmd_sandwich(args) -> int:
     cfg = _load_config(args)
     report = bound_sandwich_report(cfg)
-    harness._atomic_write(_out_path(args, "sandwich.json"),
-                          json.dumps(report, indent=2))
+    _write_json(args, "sandwich.json", report)
     print(json.dumps({k: report[k] for k in
                       ("empirical_lower", "empirical_upper", "ordering_ok",
                        "inside_slack_band")}, indent=2))
@@ -214,14 +209,7 @@ def _write_grid(path, t_axis, s_axis, field):
         "<8sqqdddd", b"HCGRID01", len(t_axis), len(s_axis),
         float(t_axis[0]), float(t_axis[1] - t_axis[0]),
         float(s_axis[0]), float(s_axis[1] - s_axis[0]))
-    payload = np.ascontiguousarray(field, dtype="<f8").tobytes()
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(d, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
+    harness._atomic_write(path, header + np.ascontiguousarray(field, dtype="<f8").tobytes())
 
 
 def read_grid(path):

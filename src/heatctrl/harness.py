@@ -20,7 +20,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,12 @@ import numpy as np
 from .biorthogonal import assemble_control, build_multiplier_family
 from .entire import ALPHA_2
 from .errors import ConfigurationError, HeatCtrlError
-from .heatsim import ObservationRegion, lower_bound_experiment, simulate_boundary_control
+from .heatsim import (
+    ObservationRegion,
+    distance_to_region,
+    lower_bound_experiment,
+    simulate_boundary_control,
+)
 from .spectral import (
     HeatState,
     ParabolicProblem,
@@ -83,27 +88,41 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(doc) -> "ExperimentConfig":
+        """Config from a JSON document; every malformed field is a ConfigurationError."""
         if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
+            try:
+                doc = json.loads(doc)
+            except ValueError as exc:
+                raise ConfigurationError(f"malformed config: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError("config must be a JSON object")
-        known = {"problem", "region", "T_grid", "modes", "family_count",
-                 "multiplier_eps", "tol", "seed", "eps_smoothing", "out_dir"}
-        extra = set(doc) - known
+        extra = set(doc) - {f.name for f in fields(ExperimentConfig)}
         if extra:
             raise ConfigurationError(f"unknown config keys: {sorted(extra)}")
-        if "problem" not in doc:
-            raise ConfigurationError("config missing 'problem'")
+        problem = doc.get("problem")
+        if not isinstance(problem, dict) or problem.get("kind") not in ("DD", "ND", "SL"):
+            raise ConfigurationError(
+                "'problem' must be an object with kind 'DD', 'ND' or 'SL'")
+        if problem["kind"] == "SL" and not isinstance(problem.get("doc"), dict):
+            raise ConfigurationError("an SL problem needs a 'doc' object")
+        region, T_grid = doc.get("region"), doc.get("T_grid", [0.2, 0.5, 1.0])
+        if region is not None and not (_numbers(region) and len(region) == 2
+                                       and region[0] < region[1]):
+            raise ConfigurationError("'region' must be two finite numbers a < b")
+        if not (_numbers(T_grid) and T_grid):
+            raise ConfigurationError("'T_grid' must be a nonempty list of finite numbers")
+        if not isinstance(doc.get("out_dir", "."), str):
+            raise ConfigurationError("'out_dir' must be a string")
         cfg = ExperimentConfig(
-            problem=doc["problem"],
-            region=tuple(doc["region"]) if "region" in doc else None,
-            T_grid=tuple(float(v) for v in doc.get("T_grid", (0.2, 0.5, 1.0))),
-            modes=int(doc.get("modes", 64)),
-            family_count=doc.get("family_count"),
-            multiplier_eps=float(doc.get("multiplier_eps", 0.05)),
-            tol=float(doc.get("tol", 1e-9)),
-            seed=int(doc.get("seed", 0)),
-            eps_smoothing=doc.get("eps_smoothing"),
+            problem=problem,
+            region=tuple(region) if region is not None else None,
+            T_grid=tuple(float(v) for v in T_grid),
+            modes=_integer(doc, "modes", 64),
+            family_count=_integer(doc, "family_count", None, optional=True),
+            multiplier_eps=_positive(doc, "multiplier_eps", 0.05),
+            tol=_positive(doc, "tol", 1e-9),
+            seed=_integer(doc, "seed", 0, least=0),
+            eps_smoothing=_positive(doc, "eps_smoothing", None, optional=True),
             out_dir=doc.get("out_dir", "."),
         )
         cfg.validate()
@@ -119,9 +138,17 @@ class ExperimentConfig:
                 ParabolicProblem.from_json(prob["doc"]), self.modes)
         raise ConfigurationError(f"unknown problem kind {kind!r}")
 
+    def basis_length(self) -> float:
+        """Length L of the basis the config builds: X, or the SL effective length."""
+        if self.problem.get("kind") != "SL":
+            return _positive(self.problem, "X", math.pi)
+        try:
+            return ParabolicProblem.from_json(self.problem["doc"]).effective_length()
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigurationError(f"malformed SL problem document: {exc}") from exc
+
     def validate(self):
-        basis_L = float(self.problem.get("X", math.pi))
-        ceiling = min(math.pi, basis_L) ** 2
+        ceiling = min(math.pi, self.basis_length()) ** 2
         for T in self.T_grid:
             if not 0.0 < T <= ceiling + 1e-12:
                 raise ConfigurationError(
@@ -131,6 +158,45 @@ class ExperimentConfig:
         if self.region is None:
             raise ConfigurationError("config has no region")
         return ObservationRegion(float(self.region[0]), float(self.region[1]))
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_is_finite(x) for x in v)
+
+
+def _positive(doc: dict, key: str, default, optional: bool = False):
+    v = doc.get(key, default)
+    if optional and v is None:
+        return None
+    if not (_is_finite(v) and v > 0):
+        raise ConfigurationError(f"{key!r} must be a finite positive number")
+    return float(v)
+
+
+def _integer(doc: dict, key: str, default, least: int = 1, optional: bool = False):
+    v = doc.get(key, default)
+    if optional and v is None:
+        return None
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ConfigurationError(f"{key!r} must be an integer >= {least}")
+    return v
+
+
+def probe_point(region: ObservationRegion, X: float) -> float:
+    """Deepest point of the larger gap beside the region, nudged off the
+    boundary where every eigenfunction vanishes."""
+    return 0.02 if region.a >= X - region.b else X - 0.02
+
+
+def lower_bound_reports(config: "ExperimentConfig", basis: SpectralBasis,
+                        region: ObservationRegion, y: float) -> list:
+    """lower_bound_experiment at each T of the grid, largest T first, as dicts."""
+    return [lower_bound_experiment(basis, region, y, T, eps=config.eps_smoothing).as_dict()
+            for T in sorted(config.T_grid, reverse=True)]
 
 
 def _basket(basis: SpectralBasis, seed: int, n_unit: int = 10, n_random: int = 5):
@@ -175,22 +241,16 @@ def cost_sweep(config: ExperimentConfig):
     basis = config.build_basis()
     rows = []
     for T in sorted(config.T_grid):
-        peak = ALPHA_2 * basis.L ** 2 / T
-        if peak > _FLOAT_BUDGET:
-            rows.append(CostReport(T=T, L=basis.L, cost_log=math.nan,
-                                   alpha_eff=math.nan, n_modes=0,
-                                   terminal_residual=math.nan,
-                                   status="error:below-float-floor"))
-            continue
-        try:
-            rows.append(_sweep_row(config, basis, T))
-        except HeatCtrlError as exc:
-            rows.append(CostReport(T=T, L=basis.L, cost_log=math.nan,
-                                   alpha_eff=math.nan, n_modes=0,
-                                   terminal_residual=math.nan,
-                                   status=f"error:{type(exc).__name__}"))
-    fit = fit_small_time_slope(rows)
-    return rows, fit
+        status = "error:below-float-floor"
+        if ALPHA_2 * basis.L ** 2 / T <= _FLOAT_BUDGET:
+            try:
+                rows.append(_sweep_row(config, basis, T))
+                continue
+            except HeatCtrlError as exc:
+                status = f"error:{type(exc).__name__}"
+        rows.append(CostReport(T=T, L=basis.L, cost_log=math.nan, alpha_eff=math.nan,
+                               n_modes=0, terminal_residual=math.nan, status=status))
+    return rows, fit_small_time_slope(rows)
 
 
 def _sweep_row(config: ExperimentConfig, basis: SpectralBasis, T: float) -> CostReport:
@@ -227,8 +287,8 @@ def fit_small_time_slope(rows) -> dict:
     """Slope of ln(cost) vs 1/T over the three smallest valid T values.
 
     Also fits the T-independent constant C with ln C = max over rows of
-    (cost_log - alpha_2 pi^2 / T), the tightest constant making every row
-    satisfy T ln cost <= alpha_2 pi^2 + T ln C.
+    (cost_log - alpha_2 L^2 / T), the tightest constant making every row
+    satisfy T ln cost <= alpha_2 L^2 + T ln C, with L each row's length.
     """
     ok = [r for r in rows if r.status in ("ok", "structural") and math.isfinite(r.cost_log)]
     ok.sort(key=lambda r: r.T)
@@ -240,38 +300,37 @@ def fit_small_time_slope(rows) -> dict:
         slope, intercept = np.polyfit(xs, ys, 1)
         out["slope"] = float(slope)
         out["intercept"] = float(intercept)
-        out["slope_bound"] = 1.15 * ALPHA_2 * math.pi**2
+        out["slope_bound"] = 1.15 * ALPHA_2 * max(r.L for r in small) ** 2
         out["slope_ok"] = bool(slope <= out["slope_bound"])
     if ok:
-        ref = ALPHA_2 * math.pi**2
-        ln_C = max(r.cost_log - ref / r.T for r in ok)
+        ln_C = max(r.cost_log - ALPHA_2 * r.L**2 / r.T for r in ok)
         out["ln_C"] = float(ln_C)
         out["rows_within_bound"] = all(
-            r.T * r.cost_log <= ref + r.T * ln_C + 1e-9 for r in ok)
+            r.T * r.cost_log <= ALPHA_2 * r.L**2 + r.T * ln_C + 1e-9 for r in ok)
     return out
 
 
 def bound_sandwich_report(config: ExperimentConfig) -> dict:
-    """Empirical [max -T ln q, min alpha_eff] against [d^2/4, alpha_2 L_Omega^2]."""
+    """Empirical [-T ln q at the smallest T, min alpha_eff] against
+    [d^2/4, alpha_2 L_Omega^2].
+
+    -T ln q approaches its limit from above as T shrinks, so the value at
+    the smallest T is the best converged lower estimate.
+    """
     basis = config.build_basis()
     region = config.observation_region()
     if region.a <= 0 or region.b >= basis.X:
         raise ConfigurationError("sandwich needs a region strictly inside the interval")
     L_omega = longest_avoiding_ray(region, basis.X)
-    # y at the deepest point of the larger complementary gap, nudged off the
-    # boundary where every eigenfunction vanishes
-    y = 0.02 if region.a >= basis.X - region.b else basis.X - 0.02
-    d = min(abs(y - region.a), abs(y - region.b))
+    y = probe_point(region, basis.X)
+    d = distance_to_region(y, region, basis.X)
 
-    lower_vals = []
-    for T in sorted(config.T_grid, reverse=True):
-        rep = lower_bound_experiment(basis, region, y, T, eps=config.eps_smoothing)
-        lower_vals.append(rep.as_dict())
+    lower_vals = lower_bound_reports(config, basis, region, y)
     rows, fit = cost_sweep(config)
 
     alpha_effs = [r.alpha_eff for r in rows
                   if r.status in ("ok", "structural") and math.isfinite(r.alpha_eff)]
-    emp_lower = max(v["minus_T_ln_q"] for v in lower_vals)
+    emp_lower = min(lower_vals, key=lambda v: v["T"])["minus_T_ln_q"]
     emp_upper = min(alpha_effs) if alpha_effs else math.nan
     report = {
         "region": [region.a, region.b],
@@ -299,12 +358,13 @@ def write_cost_csv(rows, path):
     _atomic_write(path, payload)
 
 
-def _atomic_write(path, payload: str):
+def _atomic_write(path, payload):
+    """Write str or bytes through a unique temporary file in the target directory."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(payload, bytes) else "w") as fh:
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:

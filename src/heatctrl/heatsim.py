@@ -7,10 +7,10 @@ modal Duhamel formula
     u_j(t) = e^{-lambda_j t} c_j + int_0^t e^{-lambda_j (t - u)} b_j(u) du,
 
 with b_j = gamma_j g(u) for boundary control (gamma_j the control-side
-trace) or the region-projected source for interior control.  When the
-control carries a closed-form representation the Duhamel integral at the
-final time is evaluated exactly per frequency; trajectory rows use an
-exponentially weighted trapezoid on the control's sample grid.
+trace) or the region-projected source for interior control.  A control
+given by its exponential atoms has its Duhamel integral at the final time
+in closed form; trajectory rows use the exponentially weighted trapezoid
+of :func:`heatctrl.quadrature.exp_trapezoid`.
 
 Also here: heat-kernel evaluation with a computed tail bound, observability
 quotients over a region, and the truncated-kernel lower-bound experiment
@@ -20,13 +20,14 @@ for the small-time cost rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .biorthogonal import ControlSignal
 from .errors import ConfigurationError, DegenerateInputError, TruncationError
+from .quadrature import exp_trapezoid, trapezoid_weights
 from .spectral import HeatState, SpectralBasis
 
 __all__ = [
@@ -68,9 +69,6 @@ class Trajectory:
     coeffs: np.ndarray  # (n_times, n_modes)
     basis: SpectralBasis
 
-    def state_at(self, idx: int) -> HeatState:
-        return HeatState(self.coeffs[idx], self.basis.basis_id)
-
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.coeffs, axis=1)
 
@@ -93,69 +91,38 @@ def evolve_free(basis: SpectralBasis, state: HeatState, dt: float) -> HeatState:
     return HeatState(state.coeffs * np.exp(-lam * dt), basis.basis_id)
 
 
-def _control_on_simulation_window(g: ControlSignal, T: float):
-    """Return a callable u in [0, T] -> g value, accepting either window layout."""
-    lo, hi = g.window
-    if abs(lo - (-T / 2.0)) < 1e-9 * max(1.0, T) and abs(hi - T / 2.0) < 2e-2 * T + 1e-9:
-        return lambda u: g.eval_dense(np.asarray(u) - T / 2.0), -T / 2.0
-    if abs(lo) < 1e-9 * max(1.0, T) and abs(hi - T) < 2e-2 * T + 1e-9:
-        return lambda u: g.eval_dense(np.asarray(u)), 0.0
-    raise ConfigurationError(
-        f"control window {g.window} does not line up with [0, {T}] "
-        f"or [-{T/2}, {T/2}]")
-
-
-def _duhamel_exact_final(basis, g: ControlSignal, T: float, n_modes: int):
-    """int_0^T e^{-lam_j (T-u)} g(u - T/2) du via the signal representation."""
-    out = np.empty(n_modes)
-    for j in range(n_modes):
-        out[j] = g.rep.duhamel_weights(float(basis.lambdas[j]), T)
-    return out
-
-
 def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
                               g: ControlSignal, T: float,
                               n_times: int = 129,
                               n_modes: Optional[int] = None) -> Trajectory:
     """Trajectory of the boundary-controlled problem on [0, T].
 
-    The terminal row is replaced by the exact per-frequency Duhamel value
-    when the control carries its defining representation; intermediate rows
-    use the exponentially weighted trapezoid on the control samples.
+    Time u in [0, T] runs from the start of the control's window.  The
+    terminal row is the exact Duhamel value when the control carries its
+    exponential atoms; the other rows use the exponentially weighted
+    trapezoid on a fine grid nested over them.
     """
     if u0.basis_id != basis.basis_id:
         raise ConfigurationError("state/basis mismatch")
+    lo, hi = g.window
+    if abs(hi - lo - T) > 1e-9 * max(1.0, T):
+        raise ConfigurationError(f"control window {g.window} does not have length {T}")
     n_modes = basis.n_modes if n_modes is None else min(n_modes, basis.n_modes)
     coeffs0 = np.zeros(n_modes)
     coeffs0[: len(u0.coeffs)] = u0.coeffs[:n_modes]
-    g_of_u, _shift = _control_on_simulation_window(g, T)
 
     n_fine = (max(4096, 8 * (n_times - 1)) // (n_times - 1)) * (n_times - 1) + 1
     us = np.linspace(0.0, T, n_fine)
-    gu = np.asarray(g_of_u(us), dtype=float)
+    gu = np.asarray(g.eval_dense(us + lo), dtype=float)
 
     times = np.linspace(0.0, T, n_times)
     lam = basis.lambdas[:n_modes]
     gam = basis.traces[:n_modes]
     co = np.empty((n_times, n_modes))
     co[0] = coeffs0
-
-    # incremental exponentially weighted trapezoid, snapshots at the nested rows
-    du = us[1] - us[0]
-    decay = np.exp(-lam * du)
-    stride = (n_fine - 1) // (n_times - 1)
-    integ = np.zeros(n_modes)
-    k = 1
-    for i in range(1, n_fine):
-        integ = integ * decay + 0.5 * du * (gu[i - 1] * decay + gu[i])
-        if i == k * stride:
-            co[k] = coeffs0 * np.exp(-lam * us[i]) + gam * integ
-            k += 1
-
-    # exact terminal row when a representation is available
-    if g.rep is not None and hasattr(g.rep, "duhamel_weights"):
-        co[-1] = coeffs0 * np.exp(-lam * T) + gam * _duhamel_exact_final(
-            basis, g, T, n_modes)
+    co[1:] = exp_trapezoid(lam, us, gu, (n_fine - 1) // (n_times - 1), coeffs0, gam)
+    if g.blocks is not None:
+        co[-1] = coeffs0 * np.exp(-lam * T) + gam * g.duhamel(lam)
     return Trajectory(times=times, coeffs=co, basis=basis)
 
 
@@ -167,15 +134,18 @@ def region_mass_matrix(basis: SpectralBasis, region: ObservationRegion,
     oversampling factor.
     """
     region.clipped(basis.X)
+    E, wE = _region_quadrature(basis, region, n_modes, oversample)[1:]
+    return wE @ E.T
+
+
+def _region_quadrature(basis, region, n_modes: int, oversample: int = 4):
+    """(xs, E, E * w): region grid, modes on it, and modes times trapezoid weights."""
     lam_max = float(basis.lambdas[n_modes - 1])
     n_pts = int(oversample * max(64, math.sqrt(max(lam_max, 1.0)) / math.pi
                                  * 2.0 * region.length * 8))
     xs = np.linspace(region.a, region.b, n_pts)
     E = basis.eigfun_matrix(xs, count=n_modes)
-    w = np.full(n_pts, xs[1] - xs[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return (E * w) @ E.T
+    return xs, E, E * trapezoid_weights(xs)
 
 
 def simulate_interior_control(basis: SpectralBasis, u0: HeatState, forcing,
@@ -194,36 +164,20 @@ def simulate_interior_control(basis: SpectralBasis, u0: HeatState, forcing,
     coeffs0 = np.zeros(n_modes)
     coeffs0[: len(u0.coeffs)] = u0.coeffs[:n_modes]
 
-    lam_max = float(basis.lambdas[n_modes - 1])
-    n_x = int(4 * max(64, math.sqrt(max(lam_max, 1.0)) / math.pi * 2.0
-                      * region.length * 8))
-    xs = np.linspace(region.a, region.b, n_x)
-    wx = np.full(n_x, xs[1] - xs[0])
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
-    E = basis.eigfun_matrix(xs, count=n_modes)
+    xs, _, wE = _region_quadrature(basis, region, n_modes)
 
     n_fine = max(2049, 8 * n_times)
     us = np.linspace(0.0, T, n_fine)
     F = np.asarray(forcing(us, xs), dtype=float)
-    if F.shape != (n_fine, n_x):
+    if F.shape != (n_fine, len(xs)):
         raise ConfigurationError("forcing returned a field of the wrong shape")
-    b = F @ (E * wx).T  # (n_fine, n_modes) source coefficients
+    b = F @ wE.T  # (n_fine, n_modes) source coefficients
 
-    lam = basis.lambdas[:n_modes]
-    du = us[1] - us[0]
-    decay = np.exp(-lam * du)
     times = np.linspace(0.0, T, n_times)
     stride = (n_fine - 1) // (n_times - 1)
     co = np.empty((n_times, n_modes))
     co[0] = coeffs0
-    integ = np.zeros(n_modes)
-    k = 1
-    for i in range(1, n_fine):
-        integ = integ * decay + 0.5 * du * (b[i - 1] * decay + b[i])
-        if i == k * stride and k < n_times:
-            co[k] = coeffs0 * np.exp(-lam * us[i]) + integ
-            k += 1
+    co[1:] = exp_trapezoid(basis.lambdas[:n_modes], us, b, stride, coeffs0)[: n_times - 1]
     return Trajectory(times=times, coeffs=co, basis=basis)
 
 
@@ -284,15 +238,7 @@ class LowerBoundReport:
     modes_used: int
 
     def as_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "q": self.q,
-            "minus_T_ln_q": self.minus_T_ln_q,
-            "d_squared_over_4": self.d_squared_over_4,
-            "eps": self.eps,
-            "y": self.y,
-            "modes_used": self.modes_used,
-        }
+        return asdict(self)
 
 
 def distance_to_region(y: float, region: ObservationRegion, X: float) -> float:

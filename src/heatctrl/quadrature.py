@@ -1,9 +1,10 @@
 """Composite quadrature helpers used across the simulators.
 
-Trapezoid rules carry the bulk of the work (smooth integrands on uniform
-grids, with Richardson-style refinement checks).  Composite Gauss-Legendre
-is used where an integrand has a sharp exponential boundary layer, with the
-panel count tied to the fastest decay rate present.
+Trapezoid rules carry the bulk of the work: smooth integrands on uniform
+grids, and the modal Duhamel integrals stepped in time by the exponentially
+weighted trapezoid.  Composite Gauss-Legendre is used where an integrand has
+a sharp exponential boundary layer, with the panel count tied to the fastest
+decay rate present.
 """
 
 from __future__ import annotations
@@ -11,27 +12,38 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "trapezoid",
-    "trapezoid_refine_check",
+    "trapezoid_weights",
+    "exp_trapezoid",
     "gauss_legendre_panels",
 ]
 
 
-def trapezoid(values: np.ndarray, dx: float) -> float:
-    return float(np.trapezoid(values, dx=dx))
+def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of a uniform grid: the step, halved at both ends."""
+    w = np.full(len(grid), grid[1] - grid[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
-def trapezoid_refine_check(f, a: float, b: float, n: int = 1024):
-    """Integrate f on [a, b] at n and 2n points; return (value, refine_delta).
+def exp_trapezoid(lam: np.ndarray, grid: np.ndarray, drive, stride: int,
+                  start: np.ndarray, gain=1.0) -> np.ndarray:
+    """Modal Duhamel rows  start e^{-lam u} + gain int_0^u e^{-lam (u-s)} b(s) ds.
 
-    The returned value is the 2n-point result; refine_delta estimates the
-    remaining quadrature error (one Richardson step for an O(h^2) rule).
+    ``drive[i]`` is b(grid[i]) on the uniform ``grid`` starting at 0, either
+    one scalar or one value per rate.  The integral advances one step at a
+    time by the exponentially weighted trapezoid, and a row is taken at
+    every ``stride``-th grid point (``grid[stride]``, ``grid[2 stride]``, ...).
     """
-    xs1 = np.linspace(a, b, n + 1)
-    xs2 = np.linspace(a, b, 2 * n + 1)
-    v1 = np.trapezoid(f(xs1), dx=(b - a) / n)
-    v2 = np.trapezoid(f(xs2), dx=(b - a) / (2 * n))
-    return float(v2), abs(float(v2) - float(v1)) / 3.0
+    du = grid[1] - grid[0]
+    decay = np.exp(-lam * du)
+    integ = np.zeros(len(lam))
+    rows = []
+    for i in range(1, len(grid)):
+        integ = integ * decay + 0.5 * du * (drive[i - 1] * decay + drive[i])
+        if i % stride == 0:
+            rows.append(start * np.exp(-lam * grid[i]) + gain * integ)
+    return np.array(rows)
 
 
 def gauss_legendre_panels(a: float, b: float, rate: float, order: int = 16,
@@ -55,5 +67,3 @@ def gauss_legendre_panels(a: float, b: float, rate: float, order: int = 16,
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
     return nodes, weights
-
-

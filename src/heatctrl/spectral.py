@@ -165,10 +165,6 @@ class SpectralBasis:
     def n_modes(self) -> int:
         return len(self.lambdas)
 
-    @property
-    def gamma_min(self) -> float:
-        return float(np.min(np.abs(self.traces)))
-
     def lam_extended(self, k) -> np.ndarray:
         """lambda_k for any k >= 1, stored values first, tail model beyond."""
         k = np.atleast_1d(np.asarray(k, dtype=int))

@@ -19,17 +19,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .biorthogonal import (
     ControlSignal,
     assemble_control,
     build_multiplier_family,
+    combine,
     gram_minimal_family,
 )
 from .errors import ConfigurationError, IllConditionedError
 from .heatsim import ObservationRegion, Trajectory, region_mass_matrix
+from .quadrature import exp_trapezoid, trapezoid_weights
 from .spectral import HeatState, SpectralBasis, build_interval_basis, reduce_to_canonical
 
 __all__ = [
@@ -76,7 +77,7 @@ def _one_end_control(kind: str, L: float, T: float, coeffs: np.ndarray,
     basis = build_interval_basis(kind, L, max(family_modes, len(coeffs)))
     state = HeatState(coeffs, basis.basis_id)
     if not np.any(coeffs != 0.0):
-        zero = ControlSignal(t0=0.0, t1=T, samples=np.zeros(257), norm_cache=0.0)
+        zero = ControlSignal(t0=0.0, t1=T, samples=np.zeros(257), blocks=[])
         return zero, basis, {"terms": 0, "method": method}
 
     # The family covers every requested mode: past its last covered mode the
@@ -87,7 +88,8 @@ def _one_end_control(kind: str, L: float, T: float, coeffs: np.ndarray,
     if method == "gram":
         fam = gram_minimal_family(basis.lambdas[:n_fam], n_fam, T)
         g_centered = assemble_control(basis, state, fam, T)
-        sig = _shift_window(g_centered, T)
+        # the centered window viewed on [0, T]: t -> t - T/2
+        sig = g_centered.mapped(1.0, -T / 2.0, 0.0, (0.0, T))
         return sig, basis, {"terms": n_fam, "method": "gram",
                             "dps": fam.meta["dps"], "cond": fam.meta["cond"]}
 
@@ -96,93 +98,11 @@ def _one_end_control(kind: str, L: float, T: float, coeffs: np.ndarray,
                                   eps=eps, tol=tol)
     g_hat = assemble_control(reduced, HeatState(coeffs, reduced.basis_id),
                              fam, sched.T_canonical)
-    sig = _map_back(g_hat, sched, T)
+    # canonical window back to [0, T]: t_hat = sigma t - Tc/2, and the reduced
+    # problem saw e^{-lam t} g, so the physical control carries e^{+lam t}
+    sig = g_hat.mapped(sched.sigma, -sched.T_canonical / 2.0, sched.lam, (0.0, T))
     return sig, basis, {"terms": n_fam, "method": "multiplier",
                         "eps": eps, "cost_factor": sched.cost_factor}
-
-
-def _shift_window(g: ControlSignal, T: float) -> ControlSignal:
-    """View a [-T/2, T/2] signal on [0, T] (time translation only)."""
-    out = ControlSignal(t0=0.0, t1=T, samples=g.samples.copy(),
-                        rep=_ShiftedRep(g, T / 2.0), norm_cache=g.norm_cache,
-                        meta=dict(g.meta))
-    return out
-
-
-@dataclass(frozen=True)
-class _ShiftedRep:
-    base: ControlSignal
-    shift: float
-
-    def eval(self, ts):
-        return self.base.eval(np.asarray(ts, dtype=float) - self.shift)
-
-    def norm_l2(self):
-        return self.base.norm()
-
-    def duhamel_weights(self, lam: float, T: float):
-        # base lives on [-T/2, T/2]; the simulators shift identically
-        return self.base.rep.duhamel_weights(lam, T)
-
-
-def _map_back(g_hat: ControlSignal, sched, T: float) -> ControlSignal:
-    """Canonical-window control back to [0, T] physical time.
-
-    The reduced problem saw e^{-lam t} g, so the physical control carries
-    the growing factor e^{+lam t}.
-    """
-    n = max(len(g_hat.samples), 257)
-    ts = np.linspace(0.0, T, n)
-    t_hat = sched.to_canonical_time(ts)
-    vals = g_hat.eval_dense(t_hat) * np.exp(sched.lam * ts)
-    sig = ControlSignal(t0=0.0, t1=T, samples=vals,
-                        rep=_RescaledRep(g_hat, sched), meta=dict(g_hat.meta))
-    return sig
-
-
-@dataclass(frozen=True)
-class _RescaledRep:
-    base: ControlSignal
-    sched: object
-
-    def eval(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return self.base.eval_dense(self.sched.to_canonical_time(ts)) \
-            * np.exp(self.sched.lam * ts)
-
-    def norm_l2(self):
-        # ||g||^2 = int |ghat(sigma t - Tc/2)|^2 e^{+2 lam t} dt; evaluate on a grid
-        ts = np.linspace(0.0, self.sched.T, 8193)
-        vals = self.eval(ts)
-        return math.sqrt(float(np.trapezoid(vals**2, ts)))
-
-    def duhamel_weights(self, lam: float, T: float) -> float:
-        """int_0^T e^{-lam (T-t)} g(t) dt with g(t) = e^{+sh t} ghat(sigma t - Tc/2).
-
-        Per canonical frequency x:
-        int_0^T e^{-lam(T-t)} e^{sh t} e^{-i x (sigma t - Tc/2)} dt
-          = e^{i x Tc/2} (e^{(sh - i x sigma) T} - e^{-lam T}) / (lam + sh - i x sigma).
-        """
-        sch = self.sched
-        rep = self.base.rep
-        from .biorthogonal import FourierRep as _FR
-        if isinstance(rep, _FR):
-            xs = rep.h * np.arange(len(rep.values))
-            ker = (np.exp(1j * xs * sch.T_canonical / 2.0)
-                   * (np.exp((sch.lam - 1j * xs * sch.sigma) * T) - math.exp(-lam * T))
-                   / (lam + sch.lam - 1j * xs * sch.sigma))
-            total = 0.5 * np.real(rep.values[0]) * np.real(ker[0]) \
-                + float(np.sum(np.real(rep.values[1:] * ker[1:])))
-            return (rep.h / math.pi) * total
-        # exp-sum canonical control: ghat(t_hat) = sum_k [c_k e^{-mu_k Tc/2}] e^{+mu_k t_hat}
-        with mp.workdps(rep.dps):
-            total = mp.mpf(0)
-            for c, mu in zip(rep.coeffs, rep.lambdas):
-                rate = mp.mpf(mu) * sch.sigma + sch.lam  # growth rate of g in t
-                s = mp.mpf(lam) + rate
-                piece = (mp.e ** (rate * T) - mp.e ** (-mp.mpf(lam) * T)) / s
-                total += c * mp.e ** (-mp.mpf(mu) * sch.T_canonical) * piece
-            return float(total)
 
 
 @dataclass(frozen=True)
@@ -220,9 +140,7 @@ def two_end_control(v0: Callable, T: float, L: float, method: str = "auto",
 
     basis_d = build_interval_basis("DD", L, n_modes)
     basis_n = build_interval_basis("ND", L, n_modes)
-    w = np.full(len(xs), xs[1] - xs[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = trapezoid_weights(xs)
     cd = basis_d.eigfun_matrix(xs) @ (w * odd)
     cn = basis_n.eigfun_matrix(xs) @ (w * even)
     # parity components at roundoff level are identically zero controls
@@ -270,32 +188,9 @@ def _resolve_method(method: str, T: float, L: float) -> str:
 def _combine(g_sig: ControlSignal, f_sig: ControlSignal, sign: float,
              T: float) -> ControlSignal:
     n = max(len(g_sig.samples), len(f_sig.samples), 513)
-    ts = np.linspace(0.0, T, n)
-    vals = g_sig.eval_dense(ts) + sign * f_sig.eval_dense(ts)
-    sig = ControlSignal(t0=0.0, t1=T, samples=vals,
-                        rep=_SumRep(g_sig, f_sig, sign))
-    return sig
-
-
-@dataclass(frozen=True)
-class _SumRep:
-    g: ControlSignal
-    f: ControlSignal
-    sign: float
-
-    def eval(self, ts):
-        return self.g.eval(ts) + self.sign * self.f.eval(ts)
-
-    def duhamel_weights(self, lam: float, T: float):
-        total = 0.0
-        for sig, sgn in ((self.g, 1.0), (self.f, self.sign)):
-            if sig.rep is not None and hasattr(sig.rep, "duhamel_weights"):
-                total += sgn * sig.rep.duhamel_weights(lam, T)
-            elif sig.norm_cache == 0.0:
-                continue
-            else:
-                raise ConfigurationError("component control lacks a representation")
-        return total
+    blocks = combine([(1.0, b) for b in g_sig.blocks]
+                     + [(sign, b) for b in f_sig.blocks])
+    return ControlSignal.from_blocks(blocks, (0.0, T), n)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +232,7 @@ class FundamentalControlledSolution:
     def pair_with(self, phi: Callable) -> float:
         """<v(0, .), phi> at the stored truncation (modal partial sum)."""
         E = _interval_modes(self.L, self.delta_truncation, self.s_grid)
-        w = _trap_weights(self.s_grid)
+        w = trapezoid_weights(self.s_grid)
         phi_vals = np.asarray(phi(self.s_grid), dtype=float)
         coeffs = E @ (w * phi_vals)
         return float(np.dot(self.v_modal[0], coeffs))
@@ -347,13 +242,6 @@ def _interval_modes(L: float, J: int, s_grid: np.ndarray) -> np.ndarray:
     """Dirichlet modes of [-L, L]: e_j(s) = sin(j pi (s+L) / (2L)) / sqrt(L)."""
     j = np.arange(1, J + 1)[:, None]
     return np.sin(j * math.pi * (s_grid[None, :] + L) / (2.0 * L)) / math.sqrt(L)
-
-
-def _trap_weights(grid: np.ndarray) -> np.ndarray:
-    w = np.full(len(grid), grid[1] - grid[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def fundamental_solution(T: float, L: float, eps: float = 0.2,
@@ -408,32 +296,20 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     rc = np.linspace(0.0, T_ctrl, n_fine + 1)
     bm = ctrl.b_minus.eval_dense(rc)
     bp = ctrl.b_plus.eval_dense(rc)
-    drive = e_prime_mL[:, None] * bm[None, :] - e_prime_pL[:, None] * bp[None, :]
+    drive = bm[:, None] * e_prime_mL[None, :] - bp[:, None] * e_prime_pL[None, :]
 
     times = np.concatenate([t_rows_free, t_free + rc[stride::stride]])
     v_modal = np.empty((len(times), J))
     v_modal[:n_free] = e0[None, :] * np.exp(-np.outer(t_rows_free, lam))
+    v_modal[n_free:] = exp_trapezoid(lam, rc, drive, stride, v_smooth)
     b_minus_rows = np.zeros(len(times))
     b_plus_rows = np.zeros(len(times))
     b_minus_rows[n_free:] = bm[stride::stride]
     b_plus_rows[n_free:] = bp[stride::stride]
-    du = rc[1] - rc[0]
-    decay = np.exp(-lam * du)
-    integ = np.zeros(J)
-    k = n_free
-    for i in range(1, n_fine + 1):
-        integ = integ * decay + 0.5 * du * (drive[:, i - 1] * decay + drive[:, i])
-        if i % stride == 0:
-            v_modal[k] = v_smooth * np.exp(-lam * rc[i]) + integ
-            k += 1
 
     # exact final row through the control representations
-    duh_m = np.array([ctrl.b_minus.rep.duhamel_weights(float(l), T_ctrl)
-                      for l in lam])
-    duh_p = np.array([ctrl.b_plus.rep.duhamel_weights(float(l), T_ctrl)
-                      for l in lam])
     v_modal[-1] = v_smooth * np.exp(-lam * T_ctrl) \
-        + e_prime_mL * duh_m - e_prime_pL * duh_p
+        + e_prime_mL * ctrl.b_minus.duhamel(lam) - e_prime_pL * ctrl.b_plus.duhamel(lam)
 
     s_grid = np.linspace(-L, L, n_s)
     # L2((0,T) x (-L,L)) norm: free phase analytic + control phase trapezoid
@@ -492,10 +368,14 @@ class WaveControlledTrajectory:
         return self.w_modal @ E
 
     def f_field(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        E = self.basis.eigfun_matrix(xs, count=self.n_modes)
-        mask = ((xs >= self.region.a) & (xs <= self.region.b)).astype(float)
-        return (self.fcoef @ E) * mask[None, :]
+        return _region_field(self.basis, self.region, self.fcoef, xs)
+
+
+def _region_field(basis, region, coef, xs) -> np.ndarray:
+    """1_region(x) sum_k coef_k e_k(x) on xs, one row per row of coef."""
+    xs = np.asarray(xs, dtype=float)
+    E = basis.eigfun_matrix(xs, count=coef.shape[1])
+    return (coef @ E) * ((xs >= region.a) & (xs <= region.b)).astype(float)[None, :]
 
 
 def _trig_int_ss(a, b, s):
@@ -619,10 +499,7 @@ class TransmutedControl:
     norm: float
 
     def field(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        E = self.basis.eigfun_matrix(xs, count=self.gcoef.shape[1])
-        mask = ((xs >= self.region.a) & (xs <= self.region.b)).astype(float)
-        return (self.gcoef @ E) * mask[None, :]
+        return _region_field(self.basis, self.region, self.gcoef, xs)
 
 
 def transmute_control(v: FundamentalControlledSolution,
@@ -639,7 +516,7 @@ def transmute_control(v: FundamentalControlledSolution,
         raise ConfigurationError(
             f"v half-width {v.L} must equal the wave control time {wave.S}")
     s = v.s_grid
-    ws = _trap_weights(s)
+    ws = trapezoid_weights(s)
     # even extensions of the wave data onto v's grid
     w_ext = _interp_rows(wave.s_grid, wave.w_modal, np.abs(s))    # (n_s_v, N)
     f_ext = _interp_rows(wave.s_grid, wave.fcoef, np.abs(s))

@@ -1,18 +1,25 @@
 import math
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatctrl.biorthogonal import (
     ControlSignal,
+    GridBlock,
+    MpBlock,
     assemble_control,
     biorthogonality_matrix,
+    combine,
     control_cost,
     gram_minimal_family,
     invert_to_time,
 )
 from heatctrl.errors import ConfigurationError, TruncationError
-from heatctrl.spectral import HeatState
+from heatctrl.quadrature import gauss_legendre_panels
+from heatctrl.spectral import HeatState, ReductionSchedule
 
 
 class BoxEvaluator:
@@ -129,7 +136,7 @@ def test_gram_signal_samples_match_rep(gram12):
     s = fam.signals[2]
     grid = np.linspace(s.t0, s.t1, len(s.samples))
     idx = np.arange(0, len(grid), 37)
-    assert np.allclose(s.samples[idx], s.rep.eval(grid[idx]), rtol=1e-9, atol=1e-9)
+    assert np.allclose(s.samples[idx], s.blocks[0].eval(grid[idx]), rtol=1e-9, atol=1e-9)
 
 
 def test_minimality_ordering(families, gram12):
@@ -169,7 +176,7 @@ def test_assemble_moment_identity(basis64, families):
     g = assemble_control(basis64, u0, fam, 1.0)
     for n in range(1, 7):
         lam = float(basis64.lambdas[n - 1])
-        lhs = basis64.traces[n - 1] * g.rep.duhamel_weights(lam, 1.0)
+        lhs = basis64.traces[n - 1] * g.duhamel([lam])[0]
         rhs = -math.exp(-lam) * c[n - 1]
         assert lhs == pytest.approx(rhs, abs=5e-8 * np.linalg.norm(c))
 
@@ -193,10 +200,11 @@ def test_control_cost_basics():
 
 def test_norm_stable_under_grid_refinement(families):
     # quadrature L2 norm stable under 2x refinement of the sample grid
-    from heatctrl.quadrature import trapezoid_refine_check
     s = families[1.0].signals[1]
-    val, delta = trapezoid_refine_check(
-        lambda ts: s.eval_dense(ts) ** 2, s.t0, s.t1, n=len(s.samples))
+    n = len(s.samples)
+    v1, v2 = (float(np.trapezoid(s.eval_dense(ts) ** 2, ts))
+              for ts in (np.linspace(s.t0, s.t1, m + 1) for m in (n, 2 * n)))
+    val, delta = v2, abs(v2 - v1) / 3.0
     assert delta <= 1e-6 * val
     assert math.sqrt(val) == pytest.approx(s.norm(), rel=1e-6)
 
@@ -217,3 +225,103 @@ def test_family_manifest_json(families):
     assert parsed["kind"] == "multiplier"
     assert len(parsed["lambdas"]) == 12
     assert parsed["window"] == [-0.5, 0.5]
+
+
+# ---- exponential-atom blocks -------------------------------------------------
+
+TS = np.linspace(-1.0, 1.0, 41)
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grid_blocks(draw, rate=None):
+    n = draw(st.integers(1, 6))
+    parts = [draw(st.lists(_reals(-1, 1), min_size=n, max_size=n)) for _ in range(2)]
+    return GridBlock(values=np.array(parts[0]) + 1j * np.array(parts[1]),
+                     omega=draw(_reals(0.5, 4.0)), gain=draw(_reals(0.5, 2.0)),
+                     rate=draw(_reals(-1, 1)) if rate is None else rate,
+                     origin=draw(_reals(-1, 1)))
+
+
+@st.composite
+def mp_blocks(draw):
+    n = draw(st.integers(1, 4))
+    cs = draw(st.lists(_reals(-1, 1), min_size=n, max_size=n))
+    zs = draw(st.lists(_reals(-3, 3), min_size=n, max_size=n, unique=True))
+    return MpBlock(coeffs=tuple(mp.mpf(c) for c in cs),
+                   rates=tuple(mp.mpf(z) for z in zs),
+                   origin=draw(_reals(-1, 1)), dps=30)
+
+
+blocks = st.one_of(grid_blocks(), mp_blocks())
+
+
+def _assert_close(got, want, rtol=1e-10):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert np.max(np.abs(got - want)) <= rtol * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks, _reals(-1, 1))
+def test_block_flip_and_shift_commute_with_eval(b, q):
+    _assert_close(b.mapped(-1.0, 0.0, 0.0).eval(TS), b.eval(-TS))
+    _assert_close(b.mapped(1.0, q, 0.0).eval(TS), b.eval(TS + q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks, _reals(1.0, 4.0), _reals(0.2, 1.5), _reals(0.0, 2.0))
+def test_block_canonical_rescale_commutes_with_eval(b, L, T, lam):
+    sched = ReductionSchedule(lam=lam, sigma=(math.pi / L) ** 2, T=T, L=L)
+    mapped = b.mapped(sched.sigma, -sched.T_canonical / 2.0, sched.lam)
+    ts = np.linspace(0.0, T, 41)
+    _assert_close(mapped.eval(ts), np.exp(lam * ts) * b.eval(sched.to_canonical_time(ts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks, blocks, _reals(-2, 2), _reals(-2, 2), st.booleans())
+def test_block_sum_commutes_with_eval(b1, b2, w1, w2, same_grid):
+    if same_grid:  # second block on the first one's atoms: coefficients add
+        b2 = (replace(b1, values=b1.values[::-1].copy()) if isinstance(b1, GridBlock)
+              else replace(b1, coeffs=b1.coeffs[::-1]))
+    summed = combine([(w1, b1), (w2, b2)])
+    if same_grid:
+        assert len(summed) == 1
+    got = sum(b.eval(TS) for b in summed)
+    _assert_close(got, w1 * b1.eval(TS) + w2 * b2.eval(TS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocks, _reals(-1, 0), _reals(0.1, 2.0), _reals(-1, 1), _reals(-1, 1),
+       st.booleans(), st.integers(0, 3))
+def test_block_integral_matches_gauss_legendre(b, lo, length, ref, frac, limit, k):
+    hi = lo + length
+    w = frac * 20.0 / length
+    if limit:  # z_k + w = 0: one atom is constant against e^{w t}
+        w = -(b.rate if isinstance(b, GridBlock) else float(b.rates[k % len(b.rates)]))
+    zmax = b.rate + b.omega * len(b.values) if isinstance(b, GridBlock) else 3.0
+    nodes, weights = gauss_legendre_panels(lo, hi, rate=abs(w) + zmax, order=24)
+    integrand = b.eval(nodes) * np.exp(w * (nodes - ref))
+    want = float(np.sum(weights * integrand))
+    scale = float(np.sum(weights * np.abs(integrand)))
+    got = float(b.integral([w], lo, hi, ref)[0])
+    assert abs(got - want) <= 1e-10 * max(scale, abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_blocks(rate=0.0), _reals(-1, 1))
+def test_grid_block_parseval_norm_matches_trapezoid(b, lo):
+    hi = lo + 2.0 * math.pi / b.omega  # one period carries the whole signal
+    ts = np.linspace(lo, hi, 4001)
+    want = math.sqrt(float(np.trapezoid(b.eval(ts) ** 2, ts)))
+    assert b.norm(lo, hi) == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mp_blocks(), _reals(-1, 0), _reals(0.1, 2.0))
+def test_mp_block_norm_matches_quadrature(b, lo, length):
+    nodes, weights = gauss_legendre_panels(lo, lo + length, rate=6.0, order=24)
+    want = math.sqrt(float(np.sum(weights * b.eval(nodes) ** 2)))
+    assert b.norm(lo, lo + length) == pytest.approx(want, rel=1e-10, abs=1e-14)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatctrl.cli import main, read_grid
 from heatctrl.errors import ConfigurationError
@@ -161,3 +166,105 @@ def test_cli_sandwich_ordering(tmp_path):
     doc = json.loads((out / "sandwich.json").read_text())
     assert doc["ordering_ok"]
     assert doc["empirical_lower"] <= doc["empirical_upper"]
+
+
+def test_fit_small_time_slope_uses_row_length():
+    # the bound scales with the rows' L^2: slope 12 passes at L = pi, not at L = 2
+    from heatctrl.entire import ALPHA_2
+    rows = [CostReport(T=t, L=2.0, cost_log=12.0 / t + 1.0,
+                       alpha_eff=t * (12.0 / t + 1.0), n_modes=8,
+                       terminal_residual=1e-9, status="ok")
+            for t in (0.1, 0.15, 0.2, 0.5)]
+    fit = fit_small_time_slope(rows)
+    assert fit["slope"] == pytest.approx(12.0, rel=1e-6)
+    assert fit["slope_bound"] == pytest.approx(1.15 * ALPHA_2 * 4.0, rel=1e-15)
+    assert not fit["slope_ok"]
+
+
+def test_sandwich_lower_end_is_smallest_T(monkeypatch):
+    from heatctrl import harness
+    monkeypatch.setattr(harness, "cost_sweep", lambda cfg: ([], {"n_valid": 0}))
+    cfg = ExperimentConfig.from_json(dict(BASE, modes=64, T_grid=[0.5, 0.1, 0.2]))
+    doc = harness.bound_sandwich_report(cfg)
+    smallest = min(doc["lower_experiments"], key=lambda v: v["T"])
+    assert smallest["T"] == 0.1
+    assert doc["empirical_lower"] == smallest["minus_T_ln_q"]
+    assert doc["empirical_lower"] < max(v["minus_T_ln_q"] for v in doc["lower_experiments"])
+
+
+def test_config_sturm_liouville_ceiling_uses_its_length():
+    sl = {"kind": "SL", "doc": {"X": 1.0, "p": {"type": "const", "value": 1.0},
+                                "q": {"type": "const", "value": 0.0},
+                                "bc0": [1, 0], "bc1": [1, 0]}}
+    ExperimentConfig.from_json({"problem": sl, "T_grid": [0.9]})
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_json({"problem": sl, "T_grid": [5.0]})
+
+
+@pytest.mark.parametrize("over", [{"region": 5}, {"modes": "abc"},
+                                  {"problem": "DD"}, {"T_grid": []}])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, over):
+    assert main(["cost-sweep", "--config", _write_cfg(tmp_path, **over),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BAD_FIELDS = {
+    "problem": st.sampled_from([
+        "DD", 5, None, [], {}, {"kind": "XX"}, {"X": 1.0}, {"kind": "DD", "X": "abc"},
+        {"kind": "DD", "X": -1.0}, {"kind": "ND", "X": _INF}, {"kind": "SL"},
+        {"kind": "SL", "doc": 3},
+        {"kind": "SL", "doc": {"X": "a", "bc0": [1, 0], "bc1": [1, 0]}},
+        {"kind": "SL", "doc": {"X": 1.0, "bc0": 5, "bc1": [1, 0]}},
+        {"kind": "SL", "doc": {"X": 1.0, "p": "x", "bc0": [1, 0], "bc1": [1, 0]}},
+        {"kind": "SL", "doc": {"X": 1.0}}]),
+    "region": st.one_of(st.sampled_from([5, "ab", [1.0], [1.0, 2.0, 3.0], ["a", 2.0],
+                                         [_NAN, 1.0], [0.0, _INF], [True, 2.0]]),
+                        st.tuples(st.floats(0, 3), st.floats(0, 3))
+                        .filter(lambda r: not r[0] < r[1]).map(list)),
+    "modes": st.one_of(st.integers(max_value=0), st.text(), st.floats(),
+                       st.sampled_from([True, None, [64]])),
+    "family_count": st.one_of(st.integers(max_value=0), st.text(),
+                              st.sampled_from([1.5, True, [6]])),
+    "seed": st.one_of(st.integers(max_value=-1), st.text(), st.sampled_from([1.5, True, None])),
+    "T_grid": st.one_of(st.sampled_from([[], "0.5", 0.5, [None], ["x"], [True], [100.0]]),
+                        st.lists(st.floats(max_value=0.0), min_size=1, max_size=3),
+                        st.lists(st.sampled_from([_NAN, _INF, -_INF]), min_size=1, max_size=2)),
+    "tol": st.sampled_from([_NAN, _INF, -_INF, "x", 0.0, -1e-9, None, True]),
+    "multiplier_eps": st.sampled_from([_NAN, _INF, "x", 0.0, -0.05, None]),
+    "eps_smoothing": st.sampled_from([_NAN, -_INF, "x", 0.0, -0.2, True]),
+    "out_dir": st.sampled_from([5, [], None]),
+    "bogus": st.integers(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.sampled_from([[], 5, "cfg", None]),
+    st.sampled_from(sorted(_BAD_FIELDS)).flatmap(
+        lambda key: _BAD_FIELDS[key].map(lambda bad: dict(BASE, **{key: bad})))))
+def test_cli_fuzzed_malformed_configs_exit_2(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    # every malformed document must be refused before a basis is built
+    with mock.patch.object(ExperimentConfig, "build_basis",
+                           side_effect=AssertionError("basis built")), \
+            contextlib.redirect_stderr(err):
+        code = main(["cost-sweep", "--config", str(path), "--out", str(path.parent)])
+    assert code == 2
+    assert "Traceback" not in err.getvalue() and "usage error" in err.getvalue()
+
+
+def test_grid_writer_ignores_stale_tmp_name(tmp_path):
+    from heatctrl.cli import _write_grid
+    path = tmp_path / "fundamental.bin"
+    (tmp_path / "fundamental.bin.tmp").mkdir()  # a fixed temp name would collide
+    t, s = np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)
+    field = np.arange(12.0).reshape(3, 4)
+    _write_grid(str(path), t, s, field)
+    t2, s2, f2 = read_grid(str(path))
+    assert np.array_equal(f2, field) and np.allclose(t2, t) and np.allclose(s2, s)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fundamental.bin",
+                                                          "fundamental.bin.tmp"]
