@@ -6,7 +6,6 @@ from .biorthogonal import (
     assemble_control,
     biorthogonality_matrix,
     build_multiplier_family,
-    control_cost,
     gram_minimal_family,
     invert_to_time,
 )
@@ -16,7 +15,6 @@ from .entire import (
     MultiplierSpec,
     log_F_n,
     log_F_n_alt,
-    log_G_n,
     log_M,
     log_f_n,
     make_multiplier,
@@ -42,6 +40,7 @@ from .heatsim import (
     observability_quotient,
     simulate_boundary_control,
     simulate_interior_control,
+    terminal_state,
 )
 from .logdomain import LogComplex
 from .spectral import (

@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import ConfigurationError, IllConditionedError, TruncationError
 from .entire import GnEvaluator
-from .quadrature import gauss_legendre_panels
 from .spectral import HeatState, SpectralBasis
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "gram_minimal_family",
     "biorthogonality_matrix",
     "assemble_control",
-    "control_cost",
 ]
 
 _LOG_BUDGET = 600.0  # ln-magnitude ceiling before linear float work is refused
@@ -392,11 +390,6 @@ class ControlSignal:
                 fh.write(f"{t:.17g},{v:.17g}\n")
 
 
-def control_cost(g: ControlSignal) -> float:
-    """L^2 norm of the control over its window."""
-    return g.norm()
-
-
 # ---------------------------------------------------------------------------
 # multiplier family
 
@@ -467,7 +460,6 @@ class BiorthogonalFamily:
     kind: str  # "multiplier" | "gram"
     norms: np.ndarray
     evaluators: list = field(default_factory=list)  # multiplier kind
-    traces_id: str = ""
     meta: dict = field(default_factory=dict)
 
     @property
@@ -492,33 +484,6 @@ class BiorthogonalFamily:
         if val.is_zero:
             return 0.0
         return val.abs_linear() * math.cos(val.phase)
-
-    def moment_quadrature(self, n: int, k: int, order: int = 24,
-                          node_cache: Optional[dict] = None):
-        """(value, amplification) of the same moment by honest time quadrature.
-
-        Composite Gauss-Legendre against e^{-lambda_k u} on the shifted
-        window; the amplification e^{lambda_k T/2} multiplying the
-        quadrature's own error is returned so callers can see when this
-        route stops certifying anything.  ``node_cache`` reuses signal
-        values across calls with the same (n, rate) node layout.
-        """
-        lam_k = float(self.lambdas[k - 1])
-        sig = self.signals[n - 1]
-        amp = lam_k * self.T / 2.0
-        if amp > _LOG_BUDGET:
-            raise TruncationError("moment weight exceeds the float budget", achieved=amp)
-        rate_key = int(math.ceil(lam_k * self.T / 8.0))
-        key = (n, rate_key, order)
-        if node_cache is not None and key in node_cache:
-            nodes, weights, vals = node_cache[key]
-        else:
-            nodes, weights = gauss_legendre_panels(0.0, self.T, rate=lam_k, order=order)
-            vals = sig.eval(nodes - self.T / 2.0)
-            if node_cache is not None:
-                node_cache[key] = (nodes, weights, vals)
-        damped = float(np.sum(weights * vals * np.exp(-lam_k * nodes)))
-        return damped * math.exp(amp), math.exp(amp)
 
     def manifest(self) -> dict:
         return {
@@ -550,7 +515,7 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     shared frequency grid) is done once; each mode then differs by one
     factor and its two normalizers.
     """
-    from .entire import _log_abs_M_real_array, _log_f_all_imag_array
+    from .entire import _log_M_polar, _log_f_all_imag_array
 
     if count < 1 or count > basis.n_modes:
         raise ConfigurationError("count outside stored mode range")
@@ -565,17 +530,10 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     h, n_freq = _frequency_grid(tau_type, T, X_max)
     xs = h * np.arange(n_freq)
 
-    lm_f, ph_f = _log_f_all_imag_array(basis, xs, tol=tol)
-    lm_m, sign_m = _log_abs_M_real_array(spec, xs)
-    ph_m = np.where(sign_m < 0, math.pi, 0.0)
-    lm_m = np.where(sign_m == 0.0, -np.inf, lm_m)
-
+    grids = (*_log_f_all_imag_array(basis, xs, tol=tol), *_log_M_polar(spec, xs))
     signals, norms = [], []
     for ev in evs:
-        lam_n = float(basis.lambdas[ev.n - 1])
-        r = xs / lam_n
-        lm = lm_f - 0.5 * np.log1p(r * r) + lm_m - ev.log_M_ilam - ev.log_fn_lam.logmag
-        ph = ph_f - np.arctan(r) + ph_m - ev.log_fn_lam.phase
+        lm, ph = ev.log_G_from_grids(xs, *grids)
         sig = _signal_from_log(h, lm, ph, T, n_samples,
                                {"X_max": X_max, "tail_tol": tol, "n": ev.n},
                                label=f"mode {ev.n}: ")
@@ -585,7 +543,6 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     return BiorthogonalFamily(
         lambdas=basis.lambdas[:count].copy(), T=T, signals=signals,
         kind="multiplier", norms=np.asarray(norms), evaluators=evs,
-        traces_id=basis.basis_id,
         meta={"eps": eps, "tol": tol, "h": h, "n_freq": n_freq, "X_max": X_max,
               "tau_type": tau_type},
     )
@@ -675,31 +632,40 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
                            method: str = "auto") -> np.ndarray:
     """B[n, k] = int s_n(t) e^{-lambda_k t} dt for n, k <= k_max.
 
-    method "quadrature" forces the time-side Gauss-Legendre route;
-    "analytic" uses each family's stable representation; "auto" runs the
-    quadrature exactly where it still certifies the entry, i.e. while
+    Time-side entries are the closed-form atom integral of the stored
+    signal, one call per row.  method "quadrature" takes every entry there;
+    "analytic" uses each family's stable representation; "auto" takes the
+    time side exactly where it still certifies the entry, i.e. while
 
         e^{lambda_k T / 2} * ||g_n|| * max(tol, 1e-8)  <=  1e-4,
 
     the left side being the amplification of the signal's own error budget
     (beyond it the raw integral is exponentially ill-posed in floats and
-    only the stable representation carries information).
+    only the stable representation carries information).  The gram kind's
+    stable representation is that same integral, exact in mp.
     """
     if k_max > family.count or k_max > len(family.lambdas):
         raise ConfigurationError("k_max exceeds family size")
     tol = float(family.meta.get("tol", 1e-9))
+    lams = np.asarray(family.lambdas[:k_max], dtype=float)
     B = np.empty((k_max, k_max))
-    cache: dict = {}
     for n in range(1, k_max + 1):
+        time_side = []
         for k in range(1, k_max + 1):
-            log_amp = float(family.lambdas[k - 1]) * family.T / 2.0
+            log_amp = float(lams[k - 1]) * family.T / 2.0
             certifiable = (family.kind == "multiplier"
                            and log_amp + math.log(max(family.norms[n - 1], 1e-300))
                            + math.log(max(tol, 1e-8)) <= math.log(1e-4))
-            if method == "quadrature" or (method == "auto" and certifiable):
-                B[n - 1, k - 1] = family.moment_quadrature(n, k, node_cache=cache)[0]
+            forced = method == "quadrature" or (method == "auto" and certifiable)
+            if forced and log_amp > _LOG_BUDGET:
+                raise TruncationError("moment weight exceeds the float budget",
+                                      achieved=log_amp)
+            if forced or family.kind == "gram":
+                time_side.append(k - 1)
             else:
                 B[n - 1, k - 1] = family.moment(n, k)
+        if time_side:
+            B[n - 1, time_side] = family.signals[n - 1].integral(-lams[time_side])
     return B
 
 

@@ -47,14 +47,11 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigurationError(
                 f"malformed config {path}: line {exc.lineno} col {exc.colno}: {exc.msg}"
             ) from exc
-    cfg = ExperimentConfig.from_json(doc)
-    if args.modes:
-        cfg.modes = args.modes
-    if args.tol:
-        cfg.tol = args.tol
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    if isinstance(doc, dict):
+        # overrides are validated with the document they amend
+        doc.update({key: getattr(args, key) for key in ("modes", "tol", "seed")
+                    if getattr(args, key) is not None})
+    return ExperimentConfig.from_json(doc)
 
 
 def _out_path(args, name: str) -> str:

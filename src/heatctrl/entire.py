@@ -42,7 +42,6 @@ __all__ = [
     "log_f_n",
     "log_F_n",
     "log_F_n_alt",
-    "log_G_n",
     "ALPHA_2",
 ]
 
@@ -215,6 +214,12 @@ def _log_abs_M_real_array(spec: MultiplierSpec, xs: np.ndarray):
         power = power * xx
         tail += c * power
     return logmag + tail, sign
+
+
+def _log_M_polar(spec: MultiplierSpec, xs: np.ndarray):
+    """(ln|M(x)|, arg M(x)) on a real grid: -inf at exact zeros, pi where M < 0."""
+    lm, sign = _log_abs_M_real_array(spec, xs)
+    return np.where(sign == 0.0, -np.inf, lm), np.where(sign < 0, math.pi, 0.0)
 
 
 def _log_M_imag(spec: MultiplierSpec, y: float, tol: float = 1e-12) -> float:
@@ -434,20 +439,24 @@ class GnEvaluator:
     def log_G_array(self, xs: np.ndarray):
         """(logmag, phase) of G_n on a real grid."""
         xs = np.asarray(xs, dtype=float)
-        sgn = np.sign(xs)
         ax = np.abs(xs)
-        lm_f, ph_f = _log_f_all_imag_array(self.basis, ax, tol=self.tol)
-        lam_n = float(self.basis.lambdas[self.n - 1])
-        r = ax / lam_n
-        lm_f -= 0.5 * np.log1p(r * r)
-        ph_f -= np.arctan(r)
-        lm_m, sign_m = _log_abs_M_real_array(self.spec, ax)
-        logmag = lm_f + lm_m - self.log_M_ilam - self.log_fn_lam.logmag
-        phase = ph_f - self.log_fn_lam.phase + np.where(sign_m < 0, math.pi, 0.0)
-        logmag = np.where(sign_m == 0.0, -np.inf, logmag)
+        lm, ph = self.log_G_from_grids(
+            ax, *_log_f_all_imag_array(self.basis, ax, tol=self.tol),
+            *_log_M_polar(self.spec, ax))
         # G_n(-x) = conj(G_n(x)) on the real axis
-        phase = wrap_phase_array(np.where(sgn < 0, -phase, phase))
-        return logmag, phase
+        return lm, wrap_phase_array(np.where(xs < 0, -ph, ph))
+
+    def log_G_from_grids(self, xs, lm_f, ph_f, lm_m, ph_m):
+        """(logmag, phase) of G_n at xs >= 0 from the mode-independent grids.
+
+        (lm_f, ph_f) is the full product of _log_f_all_imag_array and
+        (lm_m, ph_m) the multiplier of _log_M_polar on the same xs; mode n's
+        own factor and the two normalizers are divided out here.
+        """
+        r = xs / float(self.basis.lambdas[self.n - 1])
+        lm = lm_f - 0.5 * np.log1p(r * r) + lm_m - self.log_M_ilam - self.log_fn_lam.logmag
+        ph = ph_f - np.arctan(r) + ph_m - self.log_fn_lam.phase
+        return lm, ph
 
     def log_G(self, z: complex) -> LogComplex:
         """G_n at a single point, real or complex (i lambda_k reachable)."""
@@ -508,7 +517,3 @@ class GnEvaluator:
         integral = 2.0 * np.trapezoid(vals, dx=float(xs[1] - xs[0]))
         return 2.0 * peak + math.log(integral), X
 
-
-def log_G_n(evaluator: GnEvaluator, x) -> LogComplex:
-    """G_n at a real frequency (module-level convenience wrapper)."""
-    return evaluator.log_G(x)

@@ -37,6 +37,7 @@ __all__ = [
     "evolve_free",
     "simulate_boundary_control",
     "simulate_interior_control",
+    "terminal_state",
     "heat_kernel_eval",
     "observability_quotient",
     "lower_bound_experiment",
@@ -91,6 +92,41 @@ def evolve_free(basis: SpectralBasis, state: HeatState, dt: float) -> HeatState:
     return HeatState(state.coeffs * np.exp(-lam * dt), basis.basis_id)
 
 
+def _initial_coeffs(basis: SpectralBasis, u0: HeatState,
+                    n_modes: Optional[int]) -> np.ndarray:
+    """u0's coefficients on the first n_modes modes (all when None), zero-padded."""
+    if u0.basis_id != basis.basis_id:
+        raise ConfigurationError("state/basis mismatch")
+    n_modes = basis.n_modes if n_modes is None else min(n_modes, basis.n_modes)
+    coeffs0 = np.zeros(n_modes)
+    coeffs0[: len(u0.coeffs)] = u0.coeffs[:n_modes]
+    return coeffs0
+
+
+def _window_start(g: ControlSignal, T: float) -> float:
+    """Start of g's window, which must have length T."""
+    lo, hi = g.window
+    if abs(hi - lo - T) > 1e-9 * max(1.0, T):
+        raise ConfigurationError(f"control window {g.window} does not have length {T}")
+    return lo
+
+
+def terminal_state(basis: SpectralBasis, u0: HeatState, g: ControlSignal,
+                   T: float, n_modes: Optional[int] = None) -> np.ndarray:
+    """Modal coefficients at time T under boundary control g, in closed form:
+
+        c_j e^{-lambda_j T} + gamma_j int_0^T e^{-lambda_j (T - u)} g(u) du,
+
+    u measured from the start of the control's window, whose length must be T.
+    """
+    coeffs0 = _initial_coeffs(basis, u0, n_modes)
+    _window_start(g, T)
+    if g.blocks is None:
+        raise ConfigurationError("a control known only by its samples has no closed form")
+    lam = basis.lambdas[: len(coeffs0)]
+    return coeffs0 * np.exp(-lam * T) + basis.traces[: len(coeffs0)] * g.duhamel(lam)
+
+
 def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
                               g: ControlSignal, T: float,
                               n_times: int = 129,
@@ -98,18 +134,13 @@ def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
     """Trajectory of the boundary-controlled problem on [0, T].
 
     Time u in [0, T] runs from the start of the control's window.  The
-    terminal row is the exact Duhamel value when the control carries its
+    terminal row is :func:`terminal_state` when the control carries its
     exponential atoms; the other rows use the exponentially weighted
     trapezoid on a fine grid nested over them.
     """
-    if u0.basis_id != basis.basis_id:
-        raise ConfigurationError("state/basis mismatch")
-    lo, hi = g.window
-    if abs(hi - lo - T) > 1e-9 * max(1.0, T):
-        raise ConfigurationError(f"control window {g.window} does not have length {T}")
-    n_modes = basis.n_modes if n_modes is None else min(n_modes, basis.n_modes)
-    coeffs0 = np.zeros(n_modes)
-    coeffs0[: len(u0.coeffs)] = u0.coeffs[:n_modes]
+    coeffs0 = _initial_coeffs(basis, u0, n_modes)
+    lo = _window_start(g, T)
+    n_modes = len(coeffs0)
 
     n_fine = (max(4096, 8 * (n_times - 1)) // (n_times - 1)) * (n_times - 1) + 1
     us = np.linspace(0.0, T, n_fine)
@@ -122,7 +153,7 @@ def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
     co[0] = coeffs0
     co[1:] = exp_trapezoid(lam, us, gu, (n_fine - 1) // (n_times - 1), coeffs0, gam)
     if g.blocks is not None:
-        co[-1] = coeffs0 * np.exp(-lam * T) + gam * g.duhamel(lam)
+        co[-1] = terminal_state(basis, u0, g, T, n_modes)
     return Trajectory(times=times, coeffs=co, basis=basis)
 
 
@@ -158,12 +189,8 @@ def simulate_interior_control(basis: SpectralBasis, u0: HeatState, forcing,
     (len(t), len(x)); its region projection onto each mode is integrated in
     time with the same exponentially weighted trapezoid as the boundary path.
     """
-    if u0.basis_id != basis.basis_id:
-        raise ConfigurationError("state/basis mismatch")
-    n_modes = basis.n_modes if n_modes is None else min(n_modes, basis.n_modes)
-    coeffs0 = np.zeros(n_modes)
-    coeffs0[: len(u0.coeffs)] = u0.coeffs[:n_modes]
-
+    coeffs0 = _initial_coeffs(basis, u0, n_modes)
+    n_modes = len(coeffs0)
     xs, _, wE = _region_quadrature(basis, region, n_modes)
 
     n_fine = max(2049, 8 * n_times)

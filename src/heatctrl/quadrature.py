@@ -2,9 +2,9 @@
 
 Trapezoid rules carry the bulk of the work: smooth integrands on uniform
 grids, and the modal Duhamel integrals stepped in time by the exponentially
-weighted trapezoid.  Composite Gauss-Legendre is used where an integrand has
-a sharp exponential boundary layer, with the panel count tied to the fastest
-decay rate present.
+weighted trapezoid.  Composite Gauss-Legendre, with the panel count tied to
+the fastest exponential rate present, is the tests' reference quadrature for
+the closed-form atom integrals; no library path calls it.
 """
 
 from __future__ import annotations

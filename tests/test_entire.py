@@ -11,7 +11,6 @@ from heatctrl.entire import (
     MultiplierSpec,
     log_F_n,
     log_F_n_alt,
-    log_G_n,
     log_M,
     log_f_n,
     make_multiplier,
@@ -252,11 +251,11 @@ def test_gn_zero_placement_and_normalization(basis64):
         assert ev.log_G(1j * basis64.lambdas[k - 1]).is_zero
 
 
-def test_gn_module_level_wrapper(basis64):
+def test_gn_point_eval_matches_grid(basis64):
     ev = GnEvaluator.build(basis64, 1, T=1.0, eps=0.05)
     x = 17.3
     lm, ph = ev.log_G_array(np.array([x]))
-    v = log_G_n(ev, x)
+    v = ev.log_G(x)
     assert v.logmag == pytest.approx(lm[0], abs=1e-12)
 
 

@@ -209,6 +209,31 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, over):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol=-1e-8"], ["--modes", "0"],
+                                   ["--seed", "-1"]])
+def test_cli_bad_overrides_exit_2(tmp_path, capsys, flags):
+    with mock.patch.object(ExperimentConfig, "build_basis",
+                           side_effect=AssertionError("basis built")):
+        assert main(["cost-sweep", "--config", _write_cfg(tmp_path),
+                     "--out", str(tmp_path / "out")] + flags) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_overrides_apply(tmp_path):
+    seen = []
+
+    def sweep(cfg):
+        seen.append(cfg)
+        return [], {}
+
+    with mock.patch("heatctrl.cli.cost_sweep", side_effect=sweep):
+        assert main(["cost-sweep", "--config", _write_cfg(tmp_path), "--out",
+                     str(tmp_path / "out"), "--modes", "20", "--tol", "1e-7",
+                     "--seed", "0"]) == 0
+    assert (seen[0].modes, seen[0].tol, seen[0].seed) == (20, 1e-7, 0)
+    assert seen[0].family_count == BASE["family_count"]
+
+
 _NAN, _INF = float("nan"), float("inf")
 _BAD_FIELDS = {
     "problem": st.sampled_from([

@@ -16,6 +16,7 @@ from heatctrl.heatsim import (
     observability_quotient,
     simulate_boundary_control,
     simulate_interior_control,
+    terminal_state,
 )
 from heatctrl.spectral import HeatState, build_interval_basis
 
@@ -70,6 +71,19 @@ def test_null_control_end_to_end(basis64, families):
     g = assemble_control(basis64, u0, fam, 1.0)
     traj = simulate_boundary_control(basis64, u0, g, 1.0, n_modes=45)
     assert np.linalg.norm(traj.coeffs[-1]) <= 1e-3
+
+
+def test_terminal_state_is_the_simulated_last_row(basis64, families):
+    fam = families[1.0]
+    u0 = HeatState(np.array([0.3, -1.0, 0.5]), basis64.basis_id)
+    g = assemble_control(basis64, u0, fam, 1.0)
+    traj = simulate_boundary_control(basis64, u0, g, 1.0, n_times=3)
+    assert np.array_equal(terminal_state(basis64, u0, g, 1.0), traj.coeffs[-1])
+    with pytest.raises(ConfigurationError):
+        terminal_state(basis64, u0, g, 0.5)
+    sampled = ControlSignal(t0=0.0, t1=1.0, samples=np.zeros(9))
+    with pytest.raises(ConfigurationError):
+        terminal_state(basis64, u0, sampled, 1.0)
 
 
 def test_interior_control_pure_decay(basis64):
