@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import loggamma, polygamma, zeta
 
 from .errors import ConfigurationError, TruncationError
-from .logdomain import LogComplex, log_abs_sinc_real, log_sinc, wrap_phase_array
+from .logdomain import LogComplex, log_sinc, wrap_phase_array
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -111,7 +111,10 @@ class MultiplierSpec:
         return self.K + 1
 
     def lattice_zero(self, m) -> np.ndarray:
-        return (np.asarray(m, dtype=float) / self.A) ** 2
+        # q * q, not q ** 2: a scalar ** goes through pow(), which can round
+        # differently from the array square the grid kernel uses
+        q = np.asarray(m, dtype=float) / self.A
+        return q * q
 
     def type_sum(self):
         """(sum_n 1/a_n computed exactly, the budget tau)."""
@@ -161,13 +164,15 @@ def _log_sinc_tail_powers(spec: MultiplierSpec, m_big: int, n_terms: int = 12):
     return coef
 
 
-def log_M(spec: MultiplierSpec, z: complex, tol: float = 1e-12) -> LogComplex:
+def log_M(spec: MultiplierSpec, z: complex) -> LogComplex:
     """log of  prod_n sinc(z / a_n)  at a single complex point.
 
     Zeros with a_n <= 2|z| are multiplied in directly; the remainder is the
-    quadratic-and-beyond sinc series summed in closed form over the lattice,
-    with the neglected part below tol.  Always converges; |M(ix)| >= 1 comes
-    out of sinh(t)/t >= 1 factor by factor.
+    sinc series summed in closed form over the lattice, to 12 terms.  Every
+    remaining zero has |z|/a_m < 1/2, so the neglected terms j > 12 sum to at
+    most 1.5e-22 (1 + (m_big + 1)/51) in absolute value, with m_big the last
+    direct zero: far below float roundoff.  Always converges; |M(ix)| >= 1
+    comes out of sinh(t)/t >= 1 factor by factor.
     """
     z = complex(z)
     out = log_sinc(z / spec.a0) ** spec.K
@@ -187,24 +192,77 @@ def log_M(spec: MultiplierSpec, z: complex, tol: float = 1e-12) -> LogComplex:
     return out * LogComplex(acc.real, acc.imag)
 
 
-def _log_abs_M_real_array(spec: MultiplierSpec, xs: np.ndarray):
-    """(ln|M(x)|, sign) on a real grid, sharing the lattice across the grid."""
-    xs = np.abs(np.asarray(xs, dtype=float))
-    block = log_abs_sinc_real(xs / spec.a0)
-    logmag = spec.K * block
-    sign = np.where(np.sin(xs / spec.a0) < 0, -1.0, 1.0) ** spec.K
-    sign = np.where(np.isneginf(block), 0.0, sign)
+# The real-axis kernel works on tiles of _ROW_CHUNK grid points by
+# _LATTICE_CHUNK lattice zeros and takes one log per block of _SIN_BLOCK
+# factors.  A point with a block product below _UNDERFLOW (x = 0 among them)
+# is recomputed factor by factor.
+_SIN_BLOCK = 16
+_LATTICE_CHUNK = 256
+_ROW_CHUNK = 4096
+_UNDERFLOW = 1e-290
 
+
+def _log_abs_sinc(theta: np.ndarray):
+    """(ln|sinc theta|, sin theta < 0) factor by factor for theta >= 0."""
+    s = np.sin(theta)
+    small = theta < 1e-4
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(s) / np.where(small, 1.0, theta))
+    return np.where(small, -theta * theta / 6.0 - theta**4 / 180.0, logs), s < 0
+
+
+def _log_abs_M_rows(spec: MultiplierSpec, zeros: np.ndarray, x: np.ndarray):
+    """(ln|sinc(x/a0)^K prod sinc(x/zeros)|, number of negative factors), x >= 0.
+
+    A block of factors contributes ln(prod|sin theta| / prod theta), so no
+    two sums of size n ln x are ever subtracted: where |M| is near 1 that
+    cancellation would cost a hundredfold in accuracy.
+    """
+    theta0 = x / spec.a0
+    s0 = np.sin(theta0)
+    blocks = (-1, _SIN_BLOCK, x.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = spec.K * np.log(np.abs(s0) / theta0)
+        negative = spec.K * (s0 < 0)
+        guard = np.abs(s0) < _UNDERFLOW
+        thetas = np.empty((_LATTICE_CHUNK, x.size))
+        sines = np.empty_like(thetas)
+        for lo in range(0, zeros.size, _LATTICE_CHUNK):
+            blk = zeros[lo: lo + _LATTICE_CHUNK]
+            width = -(-blk.size // _SIN_BLOCK) * _SIN_BLOCK
+            np.divide(x[None, :], blk[:, None], out=thetas[: blk.size])
+            np.sin(thetas[: blk.size], out=sines[: blk.size])
+            thetas[blk.size: width] = sines[blk.size: width] = 1.0
+            prods = sines[:width].reshape(blocks).prod(axis=1)
+            negative += np.count_nonzero(prods < 0, axis=0)
+            np.abs(prods, out=prods)
+            guard |= np.any(prods < _UNDERFLOW, axis=0)
+            prods /= thetas[:width].reshape(blocks).prod(axis=1)
+            logmag += np.sum(np.log(prods), axis=0)
+    if np.any(guard):
+        xg = x[guard]
+        lm0, neg0 = _log_abs_sinc(xg / spec.a0)
+        lm, neg = _log_abs_sinc(xg[:, None] / zeros[None, :])
+        logmag[guard] = spec.K * lm0 + np.sum(lm, axis=1)
+        negative[guard] = spec.K * neg0 + np.count_nonzero(neg, axis=1)
+    return logmag, negative
+
+
+def _log_abs_M_real_array(spec: MultiplierSpec, xs: np.ndarray):
+    """(ln|M(x)|, sign) on a real grid, sharing the lattice across the grid.
+
+    Zeros up to the cutoff of max|x| are taken directly, in blocks of sines
+    (see _log_abs_M_rows); the sign is the parity of the negative sines.  The
+    lattice beyond is the tail series of log_M.
+    """
+    xs = np.abs(np.asarray(xs, dtype=float))
     m_big = _lattice_cutoff(spec, float(np.max(xs, initial=0.0)))
-    if m_big >= spec.m_start:
-        ms = np.arange(spec.m_start, m_big + 1, dtype=float)
-        zeros_m = (ms / spec.A) ** 2
-        # chunked so the (n_x, n_m) intermediate stays modest
-        for lo in range(0, len(zeros_m), 256):
-            blk = zeros_m[lo: lo + 256]
-            theta = xs[:, None] / blk[None, :]
-            logmag += np.sum(log_abs_sinc_real(theta), axis=1)
-            sign *= np.prod(np.where(np.sin(theta) < 0, -1.0, 1.0), axis=1)
+    zeros = spec.lattice_zero(np.arange(spec.m_start, m_big + 1))
+    logmag = np.empty_like(xs)
+    negative = np.empty(xs.shape, dtype=int)
+    for lo in range(0, xs.size, _ROW_CHUNK):
+        rows = slice(lo, lo + _ROW_CHUNK)
+        logmag[rows], negative[rows] = _log_abs_M_rows(spec, zeros, xs[rows])
 
     coef = _log_sinc_tail_powers(spec, max(m_big, spec.m_start - 1))
     xx = xs * xs
@@ -213,18 +271,13 @@ def _log_abs_M_real_array(spec: MultiplierSpec, xs: np.ndarray):
     for c in coef:
         power = power * xx
         tail += c * power
-    return logmag + tail, sign
+    return logmag + tail, np.where(negative % 2 == 1, -1.0, 1.0)
 
 
 def _log_M_polar(spec: MultiplierSpec, xs: np.ndarray):
-    """(ln|M(x)|, arg M(x)) on a real grid: -inf at exact zeros, pi where M < 0."""
+    """(ln|M(x)|, arg M(x)) on a real grid: arg is pi where M < 0."""
     lm, sign = _log_abs_M_real_array(spec, xs)
-    return np.where(sign == 0.0, -np.inf, lm), np.where(sign < 0, math.pi, 0.0)
-
-
-def _log_M_imag(spec: MultiplierSpec, y: float, tol: float = 1e-12) -> float:
-    """ln M(iy) for real y (positive real value, used as the G_n normalizer)."""
-    return log_M(spec, 1j * float(y), tol=tol).logmag
+    return lm, np.where(sign < 0, math.pi, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +477,7 @@ class GnEvaluator:
         spec = make_multiplier(d, tau)
         log_fn_lam = log_f_n(basis, n, complex(basis.lambdas[n - 1]), tol=tol)
         lam_n = float(basis.lambdas[n - 1])
-        log_M_ilam = _log_M_imag(spec, lam_n)
+        log_M_ilam = log_M(spec, 1j * lam_n).logmag
 
         ev = GnEvaluator(basis=basis, n=n, eps=eps, tau=tau, spec=spec,
                          log_fn_lam=log_fn_lam, log_M_ilam=log_M_ilam,
@@ -465,7 +518,7 @@ class GnEvaluator:
             lm, ph = self.log_G_array(np.array([z.real]))
             return LogComplex(float(lm[0]), float(ph[0]))
         fn = log_f_n(self.basis, self.n, -1j * z, tol=self.tol)
-        m = log_M(self.spec, z, tol=self.tol)
+        m = log_M(self.spec, z)
         return (fn / self.log_fn_lam) * m / LogComplex(self.log_M_ilam, 0.0)
 
     def envelope(self, x) -> np.ndarray:

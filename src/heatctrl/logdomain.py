@@ -9,8 +9,8 @@ pairs.  A value is represented as
 with logmag = -inf encoding an exact zero (phase fixed to 0).  Products add
 log-magnitudes and wrap phases; an exact zero absorbs.
 
-Scalar work goes through :class:`LogComplex`; hot loops use the array
-helpers at the bottom which operate on parallel (logmag, phase) ndarrays.
+Scalar work goes through :class:`LogComplex`; hot loops keep parallel
+(logmag, phase) ndarrays and wrap phases with :func:`wrap_phase_array`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "log_sinc",
     "log_sin",
     "wrap_phase_array",
-    "log_abs_sinc_real",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -157,16 +156,3 @@ def log_sinc(w: complex) -> LogComplex:
         val = -(w * w) / 6.0 - (w * w * w * w) / 180.0
         return LogComplex(val.real, val.imag)
     return log_sin(w) / LogComplex.from_complex(w)
-
-
-def log_abs_sinc_real(x: np.ndarray) -> np.ndarray:
-    """ln|sinc x| for a real array, with the removable singularity handled."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = -xs * xs / 6.0 - xs**4 / 180.0
-    xl = x[~small]
-    with np.errstate(divide="ignore"):
-        out[~small] = np.log(np.abs(np.sinc(xl / np.pi)))
-    return out

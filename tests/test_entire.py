@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatctrl.entire import (
     ALPHA_2,
@@ -197,6 +198,45 @@ def test_log_M_scalar_vs_array():
         assert lc.logmag == pytest.approx(lma[0], abs=1e-10)
         want_phase = 0.0 if sga[0] > 0 else math.pi
         assert lc.phase == pytest.approx(want_phase, abs=1e-10)
+
+
+def _scalar_log_abs_M(spec, x):
+    """(ln|M(x)|, sign) from the factor-by-factor scalar log_M."""
+    v = log_M(spec, x)
+    return v.logmag, (1.0 if math.cos(v.phase) > 0 else -1.0)
+
+
+def test_log_M_sinc_points_scalar_vs_array():
+    # x = t a0 at t = 0, 1e-8, 0.5, pi, 7.31: the K-fold a0 factor is sinc(t)^K
+    ts = np.array([0.0, 1e-8, 0.5, math.pi, 7.31])
+    for sp in (make_multiplier(math.pi + 0.3, 1.0), make_multiplier(math.pi + 0.1, 0.1)):
+        lm, sg = _log_abs_M_real_array(sp, ts * sp.a0)
+        assert lm[0] == 0.0 and sg[0] == 1.0
+        assert lm[3] < -30.0 * sp.K  # sin(pi) under roundoff, K times
+        for t, got, sign in zip(ts, lm, sg):
+            want, want_sign = _scalar_log_abs_M(sp, t * sp.a0)
+            assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
+            assert sign == want_sign
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.02, 0.15), st.floats(0.1, 2.0),
+       st.lists(st.floats(0.0, 2e4), min_size=1, max_size=6), st.data())
+def test_log_M_array_matches_scalar(eps, tau, xs, data):
+    sp = make_multiplier(math.pi + 2.0 * eps, tau)
+    # exact hits x = k pi a_n on a0 and on lattice zeros, plus the guard points
+    m_top = int(sp.A * math.sqrt(2e4 / math.pi))
+    zeros = [sp.a0] + [float(sp.lattice_zero(m)) for m in range(sp.m_start, m_top + 1)]
+    hits = []
+    for a in data.draw(st.lists(st.sampled_from(zeros), max_size=3)):
+        k = data.draw(st.integers(1, max(1, int(2e4 / (math.pi * a)))))
+        hits.append(k * math.pi * a)
+    pts = np.array(xs + hits + [0.0, 1e-300, 1e-8])
+    lm, sg = _log_abs_M_real_array(sp, pts)
+    for x, got, sign in zip(pts, lm, sg):
+        want, want_sign = _scalar_log_abs_M(sp, float(x))
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (x, got, want)
+        assert sign == want_sign, x
 
 
 def test_multiplier_envelope_across_tau():

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from heatctrl.logdomain import LogComplex, log_abs_sinc_real, log_sin, log_sinc, wrap_phase
+from heatctrl.logdomain import LogComplex, log_sin, log_sinc, wrap_phase
 
 
 def test_phase_wrap_interval():
@@ -73,9 +74,50 @@ def test_log_sinc_small_and_large():
     assert log_sinc(2j).logmag >= 0.0
 
 
-def test_log_abs_sinc_real_array():
-    xs = np.array([0.0, 1e-8, 0.5, math.pi, 7.31])
-    vals = log_abs_sinc_real(xs)
-    assert vals[0] == 0.0
-    assert np.isneginf(vals[3]) or vals[3] < -30  # sin(pi) under roundoff
-    assert vals[4] == pytest.approx(math.log(abs(math.sin(7.31) / 7.31)), abs=1e-12)
+# ---- properties against complex arithmetic ----------------------------------
+
+
+def _complex_in(log10_max):
+    """Nonzero complex numbers with |z| in [10^-log10_max, 10^log10_max]."""
+    return st.builds(lambda e, phi: 10.0**e * cmath.exp(1j * phi),
+                     st.floats(-log10_max, log10_max), st.floats(-math.pi, math.pi))
+
+
+def _assert_matches(got: LogComplex, want: complex):
+    assert got.logmag == pytest.approx(math.log(abs(want)), abs=1e-12 * max(1.0, abs(got.logmag)))
+    assert cmath.exp(1j * got.phase) == pytest.approx(cmath.exp(1j * cmath.phase(want)), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_in(150), _complex_in(150))
+def test_logcomplex_mul_div_match_complex(a, b):
+    la, lb = LogComplex.from_complex(a), LogComplex.from_complex(b)
+    _assert_matches(la * lb, a * b)
+    _assert_matches(la / lb, a / b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_in(30), st.integers(-8, 8))
+def test_logcomplex_pow_matches_complex(a, k):
+    _assert_matches(LogComplex.from_complex(a) ** k, a**k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-50.0, 50.0), st.floats(-700.0, 700.0))
+def test_log_sin_matches_cmath(x, y):
+    w = complex(x, y)
+    want = cmath.sin(w)
+    assume(abs(want) > 1e-5)  # log of a near-zero is ill-conditioned for both
+    got = log_sin(w)
+    assert got.logmag == pytest.approx(math.log(abs(want)), abs=1e-10)
+    assert cmath.exp(1j * got.phase) == pytest.approx(cmath.exp(1j * cmath.phase(want)), abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-50.0, 50.0), st.floats(40.0, 1e3), st.sampled_from([1.0, -1.0]))
+def test_log_sin_deep_imaginary_asymptote(x, y, side):
+    # |sin(x + iy)| = e^{|y|}/2 (1 + O(e^{-2|y|})), arg = sgn(y) (pi/2 - x)
+    got = log_sin(complex(x, side * y))
+    assert got.logmag == pytest.approx(y - math.log(2.0), abs=1e-12 * y)
+    assert cmath.exp(1j * got.phase) == pytest.approx(
+        cmath.exp(1j * side * (math.pi / 2.0 - x)), abs=1e-10)
