@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
@@ -89,6 +89,12 @@ def _mp_atom_integral(lo_val, hi_val, s, length):
     if abs(x) < 0.5:
         return lo_val * length * (mp.expm1(x) / x if x else 1)
     return (hi_val - lo_val) / s
+
+
+def _quadrature_norm(f, lo: float, hi: float) -> float:
+    """sqrt(int_lo^hi f(t)^2 dt) by the 8193-point trapezoid on the window."""
+    ts = np.linspace(lo, hi, 8193)
+    return math.sqrt(float(np.trapezoid(f(ts) ** 2, ts)))
 
 
 @dataclass(frozen=True)
@@ -185,8 +191,7 @@ class GridBlock:
             s = 0.5 * np.real(self.values[0]) ** 2 + np.sum(np.abs(self.values[1:]) ** 2)
             return math.sqrt(self.omega / math.pi * s) * abs(self.gain)
         # a growing weight breaks Parseval: fine trapezoid on the window
-        ts = np.linspace(lo, hi, 8193)
-        return math.sqrt(float(np.trapezoid(self.eval_dense(ts) ** 2, ts)))
+        return _quadrature_norm(self.eval_dense, lo, hi)
 
     def mapped(self, p: float, q: float, lam: float) -> "GridBlock":
         """Block of e^{lam t} s(p t + q); p < 0 conjugates onto the positive grid."""
@@ -300,39 +305,17 @@ def combine(terms) -> list:
     return [g[0][1].summed(g) for g in groups.values()]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlSignal:
-    """A scalar control on its exact window, sampled, with its blocks.
+    """A scalar control: the sum of its exponential-atom blocks on its window.
 
-    ``samples`` lie on the uniform grid from t0 to t1, which for FFT-sampled
-    signals ends up to one step short of the window.  ``blocks`` None marks a
-    signal known only by its samples; the empty list is the zero control.
+    The empty block list is the zero control.  Values are computed from the
+    blocks on demand; :meth:`sample` gives a uniform grid of them.
     """
 
-    t0: float
-    t1: float
-    samples: np.ndarray
-    blocks: Optional[list] = None
-    norm_cache: Optional[float] = None
+    window: tuple
+    blocks: list
     meta: dict = field(default_factory=dict)
-    window: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.window is None:
-            self.window = (self.t0, self.t1)
-
-    @classmethod
-    def from_blocks(cls, blocks, window, n: int, meta=None) -> "ControlSignal":
-        """Signal of `blocks` sampled at n uniform points of `window`."""
-        lo, hi = window
-        sig = cls(t0=lo, t1=hi, samples=np.zeros(n), blocks=blocks,
-                  meta=meta or {}, window=window)
-        sig.samples = sig.eval_dense(np.linspace(lo, hi, n))
-        return sig
-
-    @property
-    def dt(self) -> float:
-        return (self.t1 - self.t0) / max(len(self.samples) - 1, 1)
 
     def _sum(self, ts, per_block):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -340,17 +323,25 @@ class ControlSignal:
         return sum(vals[1:], vals[0]) if vals else np.zeros(ts.shape)
 
     def eval(self, ts) -> np.ndarray:
-        if self.blocks is None:
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            grid = np.linspace(self.t0, self.t1, len(self.samples))
-            return np.interp(ts, grid, self.samples)
         return self._sum(ts, lambda b: b.eval(ts))
 
     def eval_dense(self, ts) -> np.ndarray:
         """eval for large monotone grids (grid blocks go through one FFT)."""
-        if self.blocks is None:
-            return self.eval(ts)
         return self._sum(ts, lambda b: b.eval_dense(ts))
+
+    def sample(self, n: int):
+        """(times, values) on a uniform grid of about n points from the window start.
+
+        A lone grid block is FFT-sampled exactly, and its grid can end up to
+        one step short of the window's end; any other signal is evaluated at
+        n points spanning the window.
+        """
+        lo, hi = self.window
+        if len(self.blocks) == 1 and isinstance(self.blocks[0], GridBlock):
+            ts, vals = self.blocks[0].fft_samples(lo, hi, n)
+            return np.linspace(ts[0], ts[-1], len(ts)), vals
+        ts = np.linspace(lo, hi, n)
+        return ts, self.eval_dense(ts)
 
     def integral(self, ws, ref: float = 0.0) -> np.ndarray:
         """I(w) = int_window s(t) e^{w (t - ref)} dt for each w in ws.
@@ -367,26 +358,21 @@ class ControlSignal:
 
     def mapped(self, p: float, q: float, lam: float, window) -> "ControlSignal":
         """The signal e^{lam t} s(p t + q) on `window`."""
-        return ControlSignal.from_blocks([b.mapped(p, q, lam) for b in self.blocks],
-                                         window, max(len(self.samples), 257),
-                                         meta=dict(self.meta))
+        return ControlSignal(window=window, blocks=[b.mapped(p, q, lam) for b in self.blocks],
+                             meta=dict(self.meta))
 
     def norm(self) -> float:
-        """L^2 norm on the window: closed form for one block, else from the samples."""
-        if self.norm_cache is None:
-            if self.blocks is not None and len(self.blocks) <= 1:
-                self.norm_cache = (self.blocks[0].norm(*self.window)
-                                   if self.blocks else 0.0)
-            else:
-                self.norm_cache = math.sqrt(
-                    float(np.trapezoid(self.samples**2, dx=self.dt)))
-        return self.norm_cache
+        """L^2 norm on the window: closed form for one block, else by quadrature."""
+        if len(self.blocks) <= 1:
+            return self.blocks[0].norm(*self.window) if self.blocks else 0.0
+        return _quadrature_norm(self.eval_dense, *self.window)
 
     def to_csv(self, path):
-        grid = np.linspace(self.t0, self.t1, len(self.samples))
+        """(t, value) rows at the 4096 points of :meth:`sample`."""
+        ts, vals = self.sample(4096)
         with open(path, "w") as fh:
             fh.write("t,value\n")
-            for t, v in zip(grid, self.samples):
+            for t, v in zip(ts, vals):
                 fh.write(f"{t:.17g},{v:.17g}\n")
 
 
@@ -403,8 +389,7 @@ def _frequency_grid(tau_type: float, T: float, X_max: float):
     return h, n
 
 
-def invert_to_time(evaluator, T: float, tol: float = 1e-9,
-                   n_samples: int = 4096) -> ControlSignal:
+def invert_to_time(evaluator, T: float, tol: float = 1e-9) -> ControlSignal:
     """Biorthogonal time signal of one evaluator on the window [-T/2, T/2].
 
     The quadrature is the uniform trapezoid sum over |x| <= X_max with the
@@ -421,31 +406,22 @@ def invert_to_time(evaluator, T: float, tol: float = 1e-9,
     h, n = _frequency_grid(tau_type, T, X_max)
     xs = h * np.arange(n)
     lm, ph = evaluator.log_G_array(xs)
-    return _signal_from_log(h, lm, ph, T, n_samples,
-                            {"X_max": X_max, "tail_tol": tol, "n_freq": n})
+    return _signal_from_log(h, lm, ph, T, {"X_max": X_max, "tail_tol": tol, "n_freq": n})
 
 
-def _fourier_signal(block: GridBlock, T: float, n_samples: int,
-                    meta=None) -> ControlSignal:
-    """Signal of one grid block on [-T/2, T/2], FFT-sampled."""
-    ts, sm = block.fft_samples(-T / 2.0, T / 2.0, n_samples)
-    return ControlSignal(t0=float(ts[0]), t1=float(ts[-1]), samples=sm,
-                         blocks=[block], meta=meta or {}, window=(-T / 2.0, T / 2.0))
-
-
-def _signal_from_log(h, lm, ph, T, n_samples, meta, label="") -> ControlSignal:
+def _signal_from_log(h, lm, ph, T, meta, label="") -> ControlSignal:
     """Family signal with values G = e^{lm + i ph} on the grid x_k = k h.
 
     s(t) = (2 pi)^{-1/2} raw(-t) with raw the unitary inverse transform of G;
-    under the e^{-ixt} kernel of GridBlock.eval this is values = G samples,
+    under the e^{-ixt} kernel of GridBlock.eval this is values = G on the grid,
     and then int s(t) e^{-lambda_k t} dt = G(i lambda_k) exactly.
     """
     peak = float(np.max(lm))
     if peak > _LOG_BUDGET:
         raise TruncationError(f"{label}peak log-magnitude {peak:.1f} exceeds the "
                               "float budget (T too small)", achieved=peak)
-    sig = _fourier_signal(GridBlock(values=np.exp(lm + 1j * ph), omega=h),
-                          T, n_samples, meta)
+    sig = ControlSignal(window=(-T / 2.0, T / 2.0),
+                        blocks=[GridBlock(values=np.exp(lm + 1j * ph), omega=h)], meta=meta)
     sig.meta["freq_norm"] = sig.norm()
     return sig
 
@@ -507,8 +483,7 @@ def _json_ok(v):
 
 
 def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
-                            eps: float = 0.05, tol: float = 1e-9,
-                            n_samples: int = 4096) -> BiorthogonalFamily:
+                            eps: float = 0.05, tol: float = 1e-9) -> BiorthogonalFamily:
     """Family of `count` biorthogonal signals from the entire-function route.
 
     Heavy grid work (the full eigenvalue product and the multiplier on the
@@ -534,8 +509,7 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     signals, norms = [], []
     for ev in evs:
         lm, ph = ev.log_G_from_grids(xs, *grids)
-        sig = _signal_from_log(h, lm, ph, T, n_samples,
-                               {"X_max": X_max, "tail_tol": tol, "n": ev.n},
+        sig = _signal_from_log(h, lm, ph, T, {"X_max": X_max, "tail_tol": tol, "n": ev.n},
                                label=f"mode {ev.n}: ")
         signals.append(sig)
         norms.append(sig.meta["freq_norm"])
@@ -559,8 +533,7 @@ def _gram_dps(lambdas, T: float, extra: int = 60) -> int:
 
 
 def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
-                        cond_threshold: float = 1e250,
-                        n_samples: int = 1024) -> BiorthogonalFamily:
+                        cond_threshold: float = 1e250) -> BiorthogonalFamily:
     """Minimal-norm biorthogonal family on the span of the first N exponentials.
 
     Solves the Gram system of {e^{-lambda_k t}} on the centered window.  The
@@ -609,13 +582,9 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
             coeffs = tuple(pref * R[n, k] for k in range(count))
             # s_n(t) = sum_k c_k e^{-lambda_k (t + T/2)}
             block = MpBlock(coeffs=coeffs, rates=rates, origin=-T / 2.0, dps=dps)
-            nrm = float(mp.sqrt(mp.e ** (-lm[n] * Tm) * R[n, n]))
-            ts = np.linspace(-T / 2.0, T / 2.0, n_samples)
-            sig = ControlSignal(t0=-T / 2.0, t1=T / 2.0, samples=block.eval(ts),
-                                blocks=[block], norm_cache=nrm,
-                                meta={"dps": dps, "n": n + 1})
-            signals.append(sig)
-            norms.append(nrm)
+            signals.append(ControlSignal(window=(-T / 2.0, T / 2.0), blocks=[block],
+                                        meta={"dps": dps, "n": n + 1}))
+            norms.append(float(mp.sqrt(mp.e ** (-lm[n] * Tm) * R[n, n])))
 
     return BiorthogonalFamily(
         lambdas=lams.copy(), T=T, signals=signals, kind="gram",
@@ -701,14 +670,9 @@ def assemble_control(basis: SpectralBasis, u0: HeatState,
         weights.append((n, w))
         cost_sq += (w * family.norms[n - 1]) ** 2
 
-    if not weights:
-        return ControlSignal(t0=-T / 2.0, t1=T / 2.0, samples=np.zeros(129),
-                             blocks=[], meta={"terms": 0})
     # the weighted sum adds coefficients on the shared grid (or the shared mp
     # exponentials), and the flip t -> -t is then one coefficient map
     blocks = [b.mapped(-1.0, 0.0, 0.0)
               for b in combine([(w, family.signals[n - 1].blocks[0]) for n, w in weights])]
-    meta = {"terms": len(weights)}
-    if family.kind == "multiplier":
-        return _fourier_signal(blocks[0], T, 4096, meta)
-    return ControlSignal.from_blocks(blocks, (-T / 2.0, T / 2.0), 1025, meta)
+    return ControlSignal(window=(-T / 2.0, T / 2.0), blocks=blocks,
+                         meta={"terms": len(weights)})

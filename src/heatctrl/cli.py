@@ -131,7 +131,7 @@ def _cmd_lower_bound(args) -> int:
 def _cmd_fundamental(args) -> int:
     cfg = _load_config(args)
     T = cfg.T_grid[0]
-    L = float(cfg.problem.get("X", math.pi)) / 2.0
+    L = cfg.basis_length() / 2.0
     v = fundamental_solution(T, L, n_modes=cfg.modes)
     _write_grid(_out_path(args, "fundamental.bin"), v.times, v.s_grid, v.field())
     summary = {"T": T, "L": L, "norm": v.norm, "A": v.A, "alpha": v.alpha,

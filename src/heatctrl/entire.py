@@ -304,25 +304,32 @@ def _model_tail(basis: SpectralBasis, K: int, z) -> np.ndarray:
             - _gamma_tail_quadratic(t.a, t.b, K, -t.s))
 
 
-def _tail_start_index(basis: SpectralBasis, absz: float, n_protect: int = 0) -> int:
-    """Smallest K so the tail model holds and mu_{K+1} >= 2 |z|."""
-    t = basis.tail
-    need = max(0.0, (2.0 * absz - t.s) / t.a)
-    K = int(math.ceil(math.sqrt(need) - t.b)) if need > 0 else 0
-    return max(K, n_protect + 1, 8, basis.n_modes // 2 if not t.exact else 0)
-
-
-def _model_tail_error(basis: SpectralBasis, K: int, absz: float) -> float:
-    """Bound on the tail error from using the model from index K+1 on.
+def _tail_start(basis: SpectralBasis, absz: float, tol: float, n_protect: int = 0,
+                products: int = 1) -> int:
+    """Smallest K so the tail model holds and mu_{K+1} >= 2 |z|, checked.
 
     The model replaces measured eigenvalues on (K, n_modes] and extrapolates
     beyond; both carry |lambda - model| <= delta, and K is chosen so that
-    mu_{K+1} >= 2|z|, hence |d log(1 - z/mu)/d mu| <= 2|z|/mu^2.
+    mu_{K+1} >= 2|z|, hence |d log(1 - z/mu)/d mu| <= 2|z|/mu^2.  The bound
+    counts `products` model products.  An inexact model that needs modes
+    past the stored ones, or whose error bound exceeds tol, raises
+    TruncationError.
     """
     t = basis.tail
+    need = max(0.0, (2.0 * absz - t.s) / t.a)
+    K = int(math.ceil(math.sqrt(need) - t.b)) if need > 0 else 0
+    K = max(K, n_protect + 1, 8, basis.n_modes // 2 if not t.exact else 0)
     if t.exact:
-        return 0.0
-    return float(t.delta * 2.0 * absz * zeta(4.0, K + 1 + t.b) / t.a**2)
+        return K
+    if K > basis.n_modes:
+        raise TruncationError(
+            f"|z| = {absz:.3g} needs modes beyond the stored {basis.n_modes} "
+            "and the tail model is not exact", achieved=None)
+    err = products * float(t.delta * 2.0 * absz * zeta(4.0, K + 1 + t.b) / t.a**2)
+    if err > tol:
+        raise TruncationError(
+            f"tail model error bound {err:.2e} exceeds tol {tol:.2e}", achieved=err)
+    return K
 
 
 def log_f_n(basis: SpectralBasis, n: int, z: complex, tol: float = 1e-10) -> LogComplex:
@@ -335,16 +342,7 @@ def log_f_n(basis: SpectralBasis, n: int, z: complex, tol: float = 1e-10) -> Log
     if not 1 <= n <= basis.n_modes:
         raise ConfigurationError(f"mode index {n} outside stored range")
     z = complex(z)
-    K = _tail_start_index(basis, abs(z), n_protect=n)
-    if K > basis.n_modes and not basis.tail.exact:
-        raise TruncationError(
-            f"|z| = {abs(z):.3g} needs modes beyond the stored {basis.n_modes} "
-            "and the tail model is not exact", achieved=None)
-    err = _model_tail_error(basis, K, abs(z))
-    if err > tol:
-        raise TruncationError(
-            f"tail model error bound {err:.2e} exceeds tol {tol:.2e}", achieved=err)
-
+    K = _tail_start(basis, abs(z), tol, n_protect=n)
     ks = np.arange(1, K + 1)
     lam = basis.lam_extended(ks)
     if z.imag == 0.0:
@@ -380,15 +378,7 @@ def log_F_n_alt(basis: SpectralBasis, n: int, z: complex, tol: float = 1e-10) ->
     z = complex(z)
     lam_n = float(basis.lambdas[n - 1])
     w = z - lam_n
-    K = _tail_start_index(basis, abs(w) + abs(lam_n), n_protect=n)
-    if K > basis.n_modes and not basis.tail.exact:
-        raise TruncationError(
-            "alt product needs modes beyond the stored range", achieved=None)
-    err = 2.0 * _model_tail_error(basis, K, abs(w) + abs(lam_n))
-    if err > tol:
-        raise TruncationError(
-            f"tail model error bound {err:.2e} exceeds tol {tol:.2e}", achieved=err)
-
+    K = _tail_start(basis, abs(w) + abs(lam_n), tol, n_protect=n, products=2)
     ks = np.arange(1, K + 1)
     lam = basis.lam_extended(ks)
     gaps = lam[ks != n] - lam_n
@@ -418,16 +408,7 @@ def _log_f_all_imag_array(basis: SpectralBasis, xs: np.ndarray, tol: float = 1e-
     against the whole grid, model modes likewise, Gamma tail beyond.
     """
     xs = np.asarray(xs, dtype=float)
-    absmax = float(np.max(np.abs(xs), initial=0.0))
-    K = _tail_start_index(basis, absmax)
-    if K > basis.n_modes and not basis.tail.exact:
-        raise TruncationError("grid reaches past the stored modes of a numeric basis",
-                              achieved=None)
-    err = _model_tail_error(basis, K, absmax)
-    if err > tol:
-        raise TruncationError(f"tail model error bound {err:.2e} exceeds tol",
-                              achieved=err)
-
+    K = _tail_start(basis, float(np.max(np.abs(xs), initial=0.0)), tol)
     logmag = np.zeros_like(xs)
     phase = np.zeros_like(xs)
     ks = np.arange(1, K + 1)

@@ -121,8 +121,6 @@ def terminal_state(basis: SpectralBasis, u0: HeatState, g: ControlSignal,
     """
     coeffs0 = _initial_coeffs(basis, u0, n_modes)
     _window_start(g, T)
-    if g.blocks is None:
-        raise ConfigurationError("a control known only by its samples has no closed form")
     lam = basis.lambdas[: len(coeffs0)]
     return coeffs0 * np.exp(-lam * T) + basis.traces[: len(coeffs0)] * g.duhamel(lam)
 
@@ -134,9 +132,8 @@ def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
     """Trajectory of the boundary-controlled problem on [0, T].
 
     Time u in [0, T] runs from the start of the control's window.  The
-    terminal row is :func:`terminal_state` when the control carries its
-    exponential atoms; the other rows use the exponentially weighted
-    trapezoid on a fine grid nested over them.
+    terminal row is :func:`terminal_state`; the other rows use the
+    exponentially weighted trapezoid on a fine grid nested over them.
     """
     coeffs0 = _initial_coeffs(basis, u0, n_modes)
     lo = _window_start(g, T)
@@ -152,8 +149,7 @@ def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
     co = np.empty((n_times, n_modes))
     co[0] = coeffs0
     co[1:] = exp_trapezoid(lam, us, gu, (n_fine - 1) // (n_times - 1), coeffs0, gam)
-    if g.blocks is not None:
-        co[-1] = terminal_state(basis, u0, g, T, n_modes)
+    co[-1] = terminal_state(basis, u0, g, T, n_modes)
     return Trajectory(times=times, coeffs=co, basis=basis)
 
 

@@ -461,28 +461,14 @@ class ReductionSchedule:
     def cost_factor(self) -> float:
         return self.cost_shift_factor * self.cost_rescale_factor
 
-    # time maps: t in [0, T]  <->  t_hat in [-T_can/2, T_can/2]
-    def to_canonical_time(self, t):
-        return self.sigma * np.asarray(t, dtype=float) - self.T_canonical / 2.0
+    def physical_control(self, g_hat):
+        """The control on [0, T] of a control g_hat on the canonical window.
 
-    def from_canonical_time(self, t_hat):
-        return (np.asarray(t_hat, dtype=float) + self.T_canonical / 2.0) / self.sigma
-
-    def map_control_to_canonical(self, times, values):
-        """g on [0, T]  ->  g_hat on the centered canonical window.
-
-        The reduced state is e^{-lam t} u (extra damping raises every decay
-        rate by lam), so the control seen by the reduced dynamics is
-        e^{-lam t} g and the physical control is recovered with e^{+lam t}.
+        t_hat = sigma t - T_can/2.  The reduced state is e^{-lam t} u (extra
+        damping raises every decay rate by lam), so the reduced dynamics see
+        e^{-lam t} g and the physical control is g = e^{+lam t} g_hat(t_hat).
         """
-        t_hat = self.to_canonical_time(times)
-        vals = np.asarray(values, dtype=float) * np.exp(-self.lam * np.asarray(times, dtype=float))
-        return t_hat, vals
-
-    def map_control_from_canonical(self, t_hat, values):
-        t = self.from_canonical_time(t_hat)
-        vals = np.asarray(values, dtype=float) * np.exp(self.lam * t)
-        return t, vals
+        return g_hat.mapped(self.sigma, -self.T_canonical / 2.0, self.lam, (0.0, self.T))
 
 
 def reduce_to_canonical(basis: SpectralBasis, T: float):

@@ -77,8 +77,7 @@ def _one_end_control(kind: str, L: float, T: float, coeffs: np.ndarray,
     basis = build_interval_basis(kind, L, max(family_modes, len(coeffs)))
     state = HeatState(coeffs, basis.basis_id)
     if not np.any(coeffs != 0.0):
-        zero = ControlSignal(t0=0.0, t1=T, samples=np.zeros(257), blocks=[])
-        return zero, basis, {"terms": 0, "method": method}
+        return ControlSignal(window=(0.0, T), blocks=[]), basis, {"terms": 0, "method": method}
 
     # The family covers every requested mode: past its last covered mode the
     # control's exponential moments are no longer pinned at zero, and those
@@ -98,10 +97,7 @@ def _one_end_control(kind: str, L: float, T: float, coeffs: np.ndarray,
                                   eps=eps, tol=tol)
     g_hat = assemble_control(reduced, HeatState(coeffs, reduced.basis_id),
                              fam, sched.T_canonical)
-    # canonical window back to [0, T]: t_hat = sigma t - Tc/2, and the reduced
-    # problem saw e^{-lam t} g, so the physical control carries e^{+lam t}
-    sig = g_hat.mapped(sched.sigma, -sched.T_canonical / 2.0, sched.lam, (0.0, T))
-    return sig, basis, {"terms": n_fam, "method": "multiplier",
+    return sched.physical_control(g_hat), basis, {"terms": n_fam, "method": "multiplier",
                         "eps": eps, "cost_factor": sched.cost_factor}
 
 
@@ -118,7 +114,8 @@ class TwoEndControl:
     diagnostics: dict
 
     def norm(self) -> float:
-        return math.sqrt(self.b_minus.norm() ** 2 + self.b_plus.norm() ** 2)
+        """||(b-, b+)||, exact by the parallelogram identity for b-/+ = g -/+ f."""
+        return math.sqrt(2.0 * (self.f_odd.norm() ** 2 + self.g_even.norm() ** 2))
 
 
 def two_end_control(v0: Callable, T: float, L: float, method: str = "auto",
@@ -157,17 +154,18 @@ def two_end_control(v0: Callable, T: float, L: float, method: str = "auto",
     b_plus = _combine(g_sig, f_sig, +1.0, T)
     norm_odd = float(np.linalg.norm(cd))
     norm_even = float(np.linalg.norm(cn))
+    norm_f, norm_g = f_sig.norm(), g_sig.norm()
     ratios = []
     if norm_odd > 0:
-        ratios.append(f_sig.norm() / norm_odd)
+        ratios.append(norm_f / norm_odd)
     if norm_even > 0:
-        ratios.append(g_sig.norm() / norm_even)
+        ratios.append(norm_g / norm_even)
     diag = {
         "method": method,
         "norm_odd": norm_odd,
         "norm_even": norm_even,
-        "norm_f": f_sig.norm(),
-        "norm_g": g_sig.norm(),
+        "norm_f": norm_f,
+        "norm_g": norm_g,
         "instance_operator_norm": max(ratios) if ratios else 0.0,
         "D": diag_d,
         "N": diag_n,
@@ -187,10 +185,9 @@ def _resolve_method(method: str, T: float, L: float) -> str:
 
 def _combine(g_sig: ControlSignal, f_sig: ControlSignal, sign: float,
              T: float) -> ControlSignal:
-    n = max(len(g_sig.samples), len(f_sig.samples), 513)
     blocks = combine([(1.0, b) for b in g_sig.blocks]
                      + [(sign, b) for b in f_sig.blocks])
-    return ControlSignal.from_blocks(blocks, (0.0, T), n)
+    return ControlSignal(window=(0.0, T), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ def test_plancherel_time_vs_frequency(families):
     for T, fam in families.items():
         for n in (1, 2, 7, 12):
             s = fam.signals[n - 1]
-            tg = np.linspace(s.t0, s.t1, len(s.samples))
-            tnorm = math.sqrt(float(np.trapezoid(s.samples**2, tg)))
+            tg, vals = s.sample(4096)
+            tnorm = math.sqrt(float(np.trapezoid(vals**2, tg)))
             fnorm = s.meta["freq_norm"]
             assert abs(tnorm - fnorm) <= 1e-3 * fnorm
 
@@ -66,13 +66,13 @@ def test_forward_transform_round_trip(families):
     for n in (1, 3):
         s = fam.signals[n - 1]
         ev = fam.evaluators[n - 1]
-        tg = np.linspace(s.t0, s.t1, len(s.samples))
+        tg, vals = s.sample(4096)
         probes = rng.uniform(0.5, 150.0, 25)
         lm, ph = ev.log_G_array(probes)
         Gshape = np.exp(lm + 1j * ph) / math.sqrt(2.0 * math.pi)
         scale = float(np.max(np.abs(Gshape)))
         for x, want in zip(probes, Gshape):
-            got = np.trapezoid(s.samples * np.exp(1j * x * tg), tg) / math.sqrt(2 * math.pi)
+            got = np.trapezoid(vals * np.exp(1j * x * tg), tg) / math.sqrt(2 * math.pi)
             assert abs(got - want) <= 1e-3 * (abs(want) + 1e-6 * scale)
 
 
@@ -89,10 +89,10 @@ def test_family_values_are_the_evaluator_grid(families):
 def test_signal_window_support(families):
     fam = families[1.0]
     s = fam.signals[0]
-    assert s.t0 == pytest.approx(-0.5) and s.t1 == pytest.approx(0.5, abs=1e-3)
+    assert s.window == (-0.5, 0.5)
     # the representation is tiny just outside the window (type < T/2)
     outside = s.eval(np.array([0.55, -0.55]))
-    assert np.max(np.abs(outside)) < 1e-6 * max(np.max(np.abs(s.samples)), 1.0)
+    assert np.max(np.abs(outside)) < 1e-6 * max(np.max(np.abs(s.sample(4096)[1])), 1.0)
 
 
 def test_multiplier_biorthogonality_auto(families):
@@ -150,12 +150,12 @@ def test_gram_rejects_duplicates():
         gram_minimal_family([1.0, 1.0, 4.0], 3, 1.0)
 
 
-def test_gram_signal_samples_match_rep(gram12):
-    fam = gram12[1.0]
-    s = fam.signals[2]
-    grid = np.linspace(s.t0, s.t1, len(s.samples))
-    idx = np.arange(0, len(grid), 37)
-    assert np.allclose(s.samples[idx], s.blocks[0].eval(grid[idx]), rtol=1e-9, atol=1e-9)
+def test_signal_samples_match_eval(families, gram12):
+    # FFT samples of a grid block and dense values of an mp block alike
+    for s in (families[1.0].signals[2], gram12[1.0].signals[2]):
+        grid, vals = s.sample(1024)
+        idx = np.arange(0, len(grid), 37)
+        assert np.allclose(vals[idx], s.eval(grid[idx]), rtol=1e-9, atol=1e-9)
 
 
 def test_minimality_ordering(families, gram12):
@@ -211,18 +211,19 @@ def test_assemble_rejects_live_tail(basis64, families):
 
 
 def test_control_cost_basics():
-    sig = ControlSignal(t0=0.0, t1=2.0, samples=np.ones(513))
+    sig = ControlSignal(window=(0.0, 2.0), blocks=[
+        MpBlock(coeffs=(mp.mpf(1),), rates=(mp.mpf(0),), origin=0.0, dps=30)])
     assert sig.norm() == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    zero = ControlSignal(t0=0.0, t1=2.0, samples=np.zeros(17))
+    zero = ControlSignal(window=(0.0, 2.0), blocks=[])
     assert zero.norm() == 0.0
 
 
 def test_norm_stable_under_grid_refinement(families):
     # quadrature L2 norm stable under 2x refinement of the sample grid
     s = families[1.0].signals[1]
-    n = len(s.samples)
+    n = len(s.sample(4096)[0])
     v1, v2 = (float(np.trapezoid(s.eval_dense(ts) ** 2, ts))
-              for ts in (np.linspace(s.t0, s.t1, m + 1) for m in (n, 2 * n)))
+              for ts in (np.linspace(*s.window, m + 1) for m in (n, 2 * n)))
     val, delta = v2, abs(v2 - v1) / 3.0
     assert delta <= 1e-6 * val
     assert math.sqrt(val) == pytest.approx(s.norm(), rel=1e-6)
@@ -234,7 +235,7 @@ def test_signal_csv_round_trip(tmp_path, families):
     s.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,value"
-    assert len(lines) == len(s.samples) + 1
+    assert len(lines) == len(s.sample(4096)[0]) + 1
 
 
 def test_family_manifest_json(families):
@@ -295,9 +296,11 @@ def test_block_flip_and_shift_commute_with_eval(b, q):
 @given(blocks, _reals(1.0, 4.0), _reals(0.2, 1.5), _reals(0.0, 2.0))
 def test_block_canonical_rescale_commutes_with_eval(b, L, T, lam):
     sched = ReductionSchedule(lam=lam, sigma=(math.pi / L) ** 2, T=T, L=L)
-    mapped = b.mapped(sched.sigma, -sched.T_canonical / 2.0, sched.lam)
+    half = sched.T_canonical / 2.0
+    mapped = sched.physical_control(ControlSignal(window=(-half, half), blocks=[b]))
+    assert mapped.window == (0.0, T)
     ts = np.linspace(0.0, T, 41)
-    _assert_close(mapped.eval(ts), np.exp(lam * ts) * b.eval(sched.to_canonical_time(ts)))
+    _assert_close(mapped.eval(ts), np.exp(lam * ts) * b.eval(sched.sigma * ts - half))
 
 
 @settings(max_examples=60, deadline=None)

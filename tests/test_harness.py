@@ -143,6 +143,18 @@ def test_cli_fundamental_and_grid_round_trip(tmp_path):
     assert doc["terminal"] <= 1e-3 * doc["norm"]
 
 
+def test_cli_fundamental_takes_L_from_the_basis_length(tmp_path):
+    # an SL string with p = 1 on [0, 2] has length 2: L = 1, as for DD on X = 2
+    sl = {"kind": "SL", "doc": {"X": 2.0, "p": {"type": "const", "value": 1.0},
+                                "q": {"type": "const", "value": 0.0},
+                                "bc0": [1, 0], "bc1": [1, 0]}}
+    cfg = _write_cfg(tmp_path, problem=sl, T_grid=[0.4], modes=32)
+    out = tmp_path / "out"
+    assert main(["fundamental", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "fundamental.json").read_text())
+    assert doc["L"] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_sandwich_geometry_monotone_under_shrinking_region():
     # shrinking the region raises both geometric ends of the sandwich
     from heatctrl.heatsim import ObservationRegion, distance_to_region

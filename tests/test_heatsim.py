@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heatctrl.biorthogonal import ControlSignal, assemble_control
+from heatctrl.biorthogonal import ControlSignal, MpBlock, assemble_control
 from heatctrl.errors import ConfigurationError, DegenerateInputError, TruncationError
 from heatctrl.heatsim import (
     ObservationRegion,
@@ -41,7 +42,8 @@ def test_evolve_contraction_random(basis64):
 
 def test_boundary_control_constant_closed_form(basis64):
     T = 0.7
-    g = ControlSignal(t0=0.0, t1=T, samples=np.ones(2049))
+    g = ControlSignal(window=(0.0, T), blocks=[
+        MpBlock(coeffs=(mp.mpf(1),), rates=(mp.mpf(0),), origin=0.0, dps=30)])
     u0 = HeatState(np.array([1.0]), basis64.basis_id)
     traj = simulate_boundary_control(basis64, u0, g, T, n_modes=1)
     lam, gam = basis64.lambdas[0], basis64.traces[0]
@@ -51,14 +53,14 @@ def test_boundary_control_constant_closed_form(basis64):
 
 def test_boundary_control_zero_is_free_decay(basis64):
     T = 0.4
-    g = ControlSignal(t0=0.0, t1=T, samples=np.zeros(9))
+    g = ControlSignal(window=(0.0, T), blocks=[])
     u0 = HeatState(np.array([0.0, 0.0, 2.0]), basis64.basis_id)
     traj = simulate_boundary_control(basis64, u0, g, T, n_modes=4)
     assert traj.coeffs[-1, 2] == pytest.approx(2.0 * math.exp(-9 * T), rel=1e-12)
 
 
 def test_boundary_control_window_mismatch(basis64):
-    g = ControlSignal(t0=0.0, t1=0.3, samples=np.zeros(9))
+    g = ControlSignal(window=(0.0, 0.3), blocks=[])
     u0 = HeatState(np.array([1.0]), basis64.basis_id)
     with pytest.raises(ConfigurationError):
         simulate_boundary_control(basis64, u0, g, 1.0)
@@ -81,9 +83,6 @@ def test_terminal_state_is_the_simulated_last_row(basis64, families):
     assert np.array_equal(terminal_state(basis64, u0, g, 1.0), traj.coeffs[-1])
     with pytest.raises(ConfigurationError):
         terminal_state(basis64, u0, g, 0.5)
-    sampled = ControlSignal(t0=0.0, t1=1.0, samples=np.zeros(9))
-    with pytest.raises(ConfigurationError):
-        terminal_state(basis64, u0, sampled, 1.0)
 
 
 def test_interior_control_pure_decay(basis64):

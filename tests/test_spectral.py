@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from heatctrl.biorthogonal import ControlSignal, MpBlock
 from heatctrl.errors import ConfigurationError, InvariantViolation, NumericError
 from heatctrl.spectral import (
     HeatState,
@@ -195,8 +197,8 @@ def test_reduction_rescale_and_cost_factor():
 
 
 def test_reduction_control_map_direction():
-    # reduced dynamics see e^{-lam t} g: the canonical image of a physical
-    # control must carry the damping factor, not its inverse
+    # reduced dynamics see e^{-lam t} g: the physical control must carry the
+    # inverse of the damping factor, not the factor
     b = build_interval_basis("DD", math.pi, 8)
     shifted = SpectralBasis(
         kind=b.kind, X=b.X, lambdas=b.lambdas - 2.0, traces=b.traces, nu=b.nu,
@@ -207,25 +209,13 @@ def test_reduction_control_map_direction():
     # lambda_1 = -1 takes the smallest shift 1 - lambda_1 = 2 to lambda_1 = 1
     assert sched.lam == pytest.approx(2.0)
     assert red.lambdas[0] == pytest.approx(1.0)
+    half = sched.T_canonical / 2.0
+    g_hat = ControlSignal(window=(-half, half), blocks=[
+        MpBlock(coeffs=(mp.mpf(1),), rates=(mp.mpf(0),), origin=0.0, dps=30)])
+    g = sched.physical_control(g_hat)
+    assert g.window == (0.0, T)
     ts = np.array([0.0, 0.25, 0.5])
-    _, vh = sched.map_control_to_canonical(ts, np.ones_like(ts))
-    assert np.allclose(vh, np.exp(-sched.lam * ts))
-
-
-def test_reduction_round_trip():
-    b = build_interval_basis("DD", 1.7, 8)
-    shifted = SpectralBasis(
-        kind=b.kind, X=b.X, lambdas=b.lambdas - 2.0, traces=b.traces, nu=b.nu,
-        L=b.L, tail=TailModel(a=b.tail.a, b=b.tail.b, s=-2.0), basis_id="s2",
-        eigfun=b.eigfun)
-    T = 0.8
-    _, sched = reduce_to_canonical(shifted, T)
-    ts = np.linspace(0.0, T, 201)
-    vals = np.sin(3.0 * ts) + 0.2
-    th, vh = sched.map_control_to_canonical(ts, vals)
-    tb, vb = sched.map_control_from_canonical(th, vh)
-    assert np.allclose(tb, ts, atol=1e-12)
-    assert np.allclose(vb, vals, atol=1e-10)
+    assert np.allclose(g.eval(ts), np.exp(sched.lam * ts))
 
 
 # ---- states ----------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heatctrl.biorthogonal import MpBlock
 from heatctrl.errors import ConfigurationError, IllConditionedError
 from heatctrl.heatsim import ObservationRegion, simulate_interior_control
 from heatctrl.spectral import HeatState
@@ -124,11 +125,11 @@ def test_two_end_parity_structure():
     odd = two_end_control(lambda s: np.sin(np.asarray(s)), T, L,
                           method="gram", n_modes=16)
     assert odd.g_even.norm() == 0.0
-    assert np.max(np.abs(odd.b_minus.samples + odd.b_plus.samples)) < 1e-12
+    assert np.max(np.abs(odd.b_minus.sample(1025)[1] + odd.b_plus.sample(1025)[1])) < 1e-12
     even = two_end_control(lambda s: np.cos(0.8 * np.asarray(s)), T, L,
                            method="gram", n_modes=16)
     assert even.f_odd.norm() == 0.0
-    assert np.max(np.abs(even.b_minus.samples - even.b_plus.samples)) < 1e-12
+    assert np.max(np.abs(even.b_minus.sample(1025)[1] - even.b_plus.sample(1025)[1])) < 1e-12
 
 
 def test_two_end_parity_swap_rule():
@@ -145,8 +146,8 @@ def test_two_end_parity_swap_rule():
     fwd = two_end_control(v0, T, L, method="gram", n_modes=16)
     rev = two_end_control(lambda s: v0(-np.asarray(s)), T, L,
                           method="gram", n_modes=16)
-    assert np.allclose(fwd.b_minus.samples, rev.b_plus.samples, atol=1e-10)
-    assert np.allclose(fwd.b_plus.samples, rev.b_minus.samples, atol=1e-10)
+    assert np.allclose(fwd.b_minus.sample(1025)[1], rev.b_plus.sample(1025)[1], atol=1e-10)
+    assert np.allclose(fwd.b_plus.sample(1025)[1], rev.b_minus.sample(1025)[1], atol=1e-10)
 
 
 def test_two_end_instance_cost_inequality():
@@ -165,6 +166,26 @@ def test_two_end_instance_cost_inequality():
         lhs = te.norm()
         rhs = te.diagnostics["instance_operator_norm"] * v0_norm
         assert lhs <= rhs * (1 + 1e-6)
+
+
+def test_two_end_norm_is_exact():
+    # on the gram path b-/+ = g -/+ f carry the mp atoms of both one-end
+    # families; joined into one block, their norms are exact antiderivatives
+    T, L = 0.5, 1.5
+
+    def v0(s):
+        s = np.asarray(s, dtype=float)
+        return np.sin(s) + np.cos(0.8 * s) + 0.3 * np.sin(2.0 * s + 0.4)
+
+    te = two_end_control(v0, T, L, method="gram", n_modes=16)
+    exact_sq = 0.0
+    for b in (te.b_minus, te.b_plus):
+        assert len(b.blocks) == 2 and b.blocks[0].origin == b.blocks[1].origin
+        joined = MpBlock(coeffs=sum((k.coeffs for k in b.blocks), ()),
+                         rates=sum((k.rates for k in b.blocks), ()),
+                         origin=b.blocks[0].origin, dps=max(k.dps for k in b.blocks))
+        exact_sq += joined.norm(0.0, T) ** 2
+    assert te.norm() == pytest.approx(math.sqrt(exact_sq), rel=1e-12)
 
 
 # ---- fundamental controlled solution ---------------------------------------
