@@ -41,6 +41,7 @@ from .heatsim import (
     simulate_boundary_control,
     simulate_interior_control,
     terminal_state,
+    terminal_states,
 )
 from .logdomain import LogComplex
 from .spectral import (

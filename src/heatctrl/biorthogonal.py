@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _LOG_BUDGET = 600.0  # ln-magnitude ceiling before linear float work is refused
+_FREQ_CHUNK = 4096  # grid atoms per kernel tile: n_w x 4096 complex entries
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +70,13 @@ def _atom_integrals(lo_val, hi_val, s, length):
 
     (hi - lo) / s, except where |s length| < 1/2 would cancel (the s = 0
     limit included): there lo * length * expm1(x) / x with x = s length.
-    Works in place on hi_val.
+    Works in place on hi_val, of any shape.
     """
-    near = np.flatnonzero(np.abs(s) * length < 0.5)
+    near = np.abs(s) * length < 0.5
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hi_val -= lo_val
         hi_val /= s
-    if len(near):
+    if near.any():
         x = s[near] * length
         tiny = np.abs(x) < 1e-8  # expm1(x) / x = 1 + x/2 to roundoff
         safe = np.where(tiny, 1.0, x)
@@ -168,23 +169,29 @@ class GridBlock:
         return us + self.origin, vals * self.gain * np.exp(self.rate * us)
 
     def integral(self, ws, lo: float, hi: float, ref: float) -> np.ndarray:
-        """int_lo^hi s(t) e^{w (t - ref)} dt for each w in ws.
+        """int_lo^hi s(t) e^{w (t - ref)} dt for each w in ws."""
+        return GridBlock.integral_rows([self], ws, lo, hi, ref)[0]
 
-        The per-atom factors e^{z (lo - origin)}, e^{z (hi - origin)} are
-        formed once; each w then costs O(n_freq) and no n_w x n_freq array
-        is built.
+    @staticmethod
+    def integral_rows(blocks, ws, lo: float, hi: float, ref: float) -> np.ndarray:
+        """Row i is blocks[i].integral(ws, lo, hi, ref), for blocks sharing one key.
+
+        The kernel int_lo^hi e^{z_k (t - origin) + w (t - ref)} dt is built
+        once for all rows, _FREQ_CHUNK atoms at a time, and contracted with
+        the stacked coefficient rows by one matrix product per tile.
         """
-        V = self.values
-        z = self.rate - 1j * self.omega * np.arange(len(V))
-        e_lo = np.exp(z * (lo - self.origin))
-        e_hi = np.exp(z * (hi - self.origin))
-        out = np.empty(len(ws))
-        for i, w in enumerate(ws):
-            ker = _atom_integrals(e_lo * math.exp(w * (lo - ref)),
-                                  e_hi * math.exp(w * (hi - ref)), z + w, hi - lo)
-            # the k = 0 atom carries Re V_0 / 2, and its kernel is real
-            out[i] = np.sum(np.real(V * ker)) - 0.5 * V[0].real * ker[0].real
-        return (self.omega / math.pi) * self.gain * out
+        b0, ws = blocks[0], np.asarray(ws, dtype=float)
+        a, b = (np.exp(ws * (t - ref))[:, None] for t in (lo, hi))
+        out = np.zeros((len(blocks), len(ws)))
+        for c in range(0, len(b0.values), _FREQ_CHUNK):
+            V = np.array([blk.values[c: c + _FREQ_CHUNK] for blk in blocks])
+            if c == 0:
+                V[:, 0] *= 0.5  # the k = 0 atom carries Re V_0 / 2; its kernel is real
+            z = b0.rate - 1j * b0.omega * np.arange(c, c + V.shape[1])
+            ker = _atom_integrals(a * np.exp(z * (lo - b0.origin)),
+                                  b * np.exp(z * (hi - b0.origin)), z + ws[:, None], hi - lo)
+            out += (V @ ker.T).real
+        return (b0.omega / math.pi) * b0.gain * out
 
     def norm(self, lo: float, hi: float) -> float:
         if self.rate == 0.0:
@@ -297,12 +304,17 @@ class MpBlock:
         return replace(first, coeffs=tuple(acc))
 
 
+def _by_key(pairs):
+    """The (tag, block) pairs grouped by block key, in order of first sight."""
+    groups: dict = {}
+    for tag, b in pairs:
+        groups.setdefault(b.key(), []).append((tag, b))
+    return groups.values()
+
+
 def combine(terms) -> list:
     """Blocks of sum_i w_i b_i: blocks with one key add coefficients."""
-    groups: dict = {}
-    for w, b in terms:
-        groups.setdefault(b.key(), []).append((w, b))
-    return [g[0][1].summed(g) for g in groups.values()]
+    return [g[0][1].summed(g) for g in _by_key(terms)]
 
 
 @dataclass(frozen=True)
@@ -349,8 +361,26 @@ class ControlSignal:
         w = -lambda_k with ref 0 is an exponential moment; w = lambda with
         ref at the window's end is the Duhamel weight e^{-lambda t1} I(lambda).
         """
-        lo, hi = self.window
-        return self._sum(ws, lambda b: b.integral(ws, lo, hi, ref))
+        return ControlSignal.integrals([self], ws, ref)[0]
+
+    @staticmethod
+    def integrals(signals, ws, ref: float = 0.0) -> np.ndarray:
+        """Row i is signals[i].integral(ws, ref), for signals on one window.
+
+        Blocks are grouped by key as in :func:`combine`, so grid blocks on
+        one frequency grid share one kernel (:meth:`GridBlock.integral_rows`).
+        """
+        window = signals[0].window
+        if any(s.window != window for s in signals):
+            raise ConfigurationError("batch integral needs signals on one window")
+        ws = np.atleast_1d(np.asarray(ws, dtype=float))
+        out = np.zeros((len(signals), len(ws)))
+        for group in _by_key((i, b) for i, s in enumerate(signals) for b in s.blocks):
+            rows, blocks = zip(*group)
+            np.add.at(out, list(rows), GridBlock.integral_rows(blocks, ws, *window, ref)
+                      if isinstance(blocks[0], GridBlock)
+                      else [b.integral(ws, *window, ref) for b in blocks])
+        return out
 
     def duhamel(self, lams) -> np.ndarray:
         """int_0^T e^{-lam (T - u)} g(u) du with u measured from the window start."""

@@ -193,9 +193,9 @@ def log_M(spec: MultiplierSpec, z: complex) -> LogComplex:
 
 
 # The real-axis kernel works on tiles of _ROW_CHUNK grid points by
-# _LATTICE_CHUNK lattice zeros and takes one log per block of _SIN_BLOCK
-# factors.  A point with a block product below _UNDERFLOW (x = 0 among them)
-# is recomputed factor by factor.
+# _LATTICE_CHUNK lattice zeros (the ln|f| grid tiles its modes alike) and
+# takes one log per block of _SIN_BLOCK factors.  A point with a block
+# product below _UNDERFLOW (x = 0 among them) is recomputed factor by factor.
 _SIN_BLOCK = 16
 _LATTICE_CHUNK = 256
 _ROW_CHUNK = 4096
@@ -404,20 +404,20 @@ def log_F_n_alt(basis: SpectralBasis, n: int, z: complex, tol: float = 1e-10) ->
 def _log_f_all_imag_array(basis: SpectralBasis, xs: np.ndarray, tol: float = 1e-10):
     """(logmag, phase) of  prod_{k>=1} (1 - (-ix)/lambda_k)  over a real grid.
 
-    The hot path of the Fourier-side synthesis: stored modes vectorized
-    against the whole grid, model modes likewise, Gamma tail beyond.
+    The hot path of the Fourier-side synthesis: tiles of _ROW_CHUNK grid
+    points by _LATTICE_CHUNK modes (stored, then model), Gamma tail beyond.
     """
     xs = np.asarray(xs, dtype=float)
     K = _tail_start(basis, float(np.max(np.abs(xs), initial=0.0)), tol)
     logmag = np.zeros_like(xs)
     phase = np.zeros_like(xs)
-    ks = np.arange(1, K + 1)
-    lam = basis.lam_extended(ks)
-    for lo in range(0, K, 256):
-        blk = lam[lo: lo + 256]
-        r = xs[:, None] / blk[None, :]
-        logmag += 0.5 * np.sum(np.log1p(r * r), axis=1)
-        phase += np.sum(np.arctan(r), axis=1)
+    lam = basis.lam_extended(np.arange(1, K + 1))
+    for row in range(0, xs.size, _ROW_CHUNK):
+        rows = slice(row, row + _ROW_CHUNK)
+        for lo in range(0, K, _LATTICE_CHUNK):
+            r = xs[rows, None] / lam[None, lo: lo + _LATTICE_CHUNK]
+            logmag[rows] += 0.5 * np.sum(np.log1p(r * r), axis=1)
+            phase[rows] += np.sum(np.arctan(r), axis=1)
 
     tail = _model_tail(basis, K, -1j * xs)
     return logmag + tail.real, wrap_phase_array(phase + tail.imag)

@@ -32,7 +32,7 @@ from .heatsim import (
     ObservationRegion,
     distance_to_region,
     lower_bound_experiment,
-    terminal_state,
+    terminal_states,
 )
 from .spectral import (
     HeatState,
@@ -260,14 +260,11 @@ def _sweep_row(config: ExperimentConfig, basis: SpectralBasis, T: float) -> Cost
     count = max(count, 10)  # the basket always carries the first ten modes
     family = build_multiplier_family(reduced, Tc, count,
                                      eps=config.multiplier_eps, tol=config.tol)
-    worst_cost = 0.0
-    worst_resid = 0.0
-    for u0 in _basket(reduced, config.seed):
-        g_hat = assemble_control(reduced, u0, family, Tc)
-        cost = g_hat.norm() * sched.cost_factor
-        resid = float(np.linalg.norm(terminal_state(reduced, u0, g_hat, Tc))) / u0.norm()
-        worst_cost = max(worst_cost, cost)
-        worst_resid = max(worst_resid, resid)
+    basket = _basket(reduced, config.seed)
+    controls = [assemble_control(reduced, u0, family, Tc) for u0 in basket]
+    finals = terminal_states(reduced, basket, controls, Tc)
+    worst_cost = max(g.norm() * sched.cost_factor for g in controls)
+    worst_resid = max(float(np.linalg.norm(f)) / u0.norm() for f, u0 in zip(finals, basket))
 
     cancel_floor = 1e-15 * worst_cost * math.sqrt(count)
     if worst_resid <= 1e-3:

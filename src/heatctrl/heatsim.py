@@ -38,6 +38,7 @@ __all__ = [
     "simulate_boundary_control",
     "simulate_interior_control",
     "terminal_state",
+    "terminal_states",
     "heat_kernel_eval",
     "observability_quotient",
     "lower_bound_experiment",
@@ -119,10 +120,24 @@ def terminal_state(basis: SpectralBasis, u0: HeatState, g: ControlSignal,
 
     u measured from the start of the control's window, whose length must be T.
     """
-    coeffs0 = _initial_coeffs(basis, u0, n_modes)
-    _window_start(g, T)
-    lam = basis.lambdas[: len(coeffs0)]
-    return coeffs0 * np.exp(-lam * T) + basis.traces[: len(coeffs0)] * g.duhamel(lam)
+    return terminal_states(basis, [u0], [g], T, n_modes)[0]
+
+
+def terminal_states(basis: SpectralBasis, states, controls, T: float,
+                    n_modes: Optional[int] = None) -> np.ndarray:
+    """Row i is :func:`terminal_state` of states[i] under controls[i].
+
+    The controls share one window, and their Duhamel integrals are one batch
+    integral: controls on one frequency grid share its kernel.
+    """
+    if len(states) != len(controls):
+        raise ConfigurationError("one control per state is needed")
+    coeffs0 = np.array([_initial_coeffs(basis, u0, n_modes) for u0 in states])
+    for g in controls:
+        _window_start(g, T)
+    lam = basis.lambdas[: coeffs0.shape[-1]]
+    return coeffs0 * np.exp(-lam * T) + basis.traces[: len(lam)] * ControlSignal.integrals(
+        controls, lam, ref=controls[0].window[1])
 
 
 def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,

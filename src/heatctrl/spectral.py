@@ -151,7 +151,6 @@ class SpectralBasis:
     tail: TailModel
     basis_id: str
     eigfun: Callable = field(repr=False)  # (n, x-array) -> values
-    lambda_errors: Optional[np.ndarray] = field(default=None, repr=False)
     shift: float = 0.0  # accumulated spectral shift (canonical reduction)
 
     def __post_init__(self):
@@ -324,8 +323,8 @@ def build_sturm_liouville_basis(problem: ParabolicProblem, count: int,
     """Numeric eigenpairs of the general problem, Richardson-refined.
 
     Eigenvalues are extrapolated on the (m, 2m) and (2m, 4m) grid pairs; the
-    spread between the two extrapolants is the stored per-mode error estimate
-    and is checked against rtol.
+    spread between the two extrapolants, relative to max(1, |lambda|), must
+    stay within rtol.
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
@@ -383,7 +382,6 @@ def build_sturm_liouville_basis(problem: ParabolicProblem, count: int,
         tail=TailModel(a=a_model, b=nu_fit, s=s_fit, exact=False, delta=delta),
         basis_id=f"numeric-SL-X{X:.9g}-n{count}-m{m}",
         eigfun=eigfun,
-        lambda_errors=err,
     )
 
 

@@ -17,6 +17,7 @@ from heatctrl.biorthogonal import (
     invert_to_time,
 )
 from heatctrl.errors import ConfigurationError, TruncationError
+from heatctrl.heatsim import terminal_state, terminal_states
 from heatctrl.quadrature import gauss_legendre_panels
 from heatctrl.spectral import HeatState, ReductionSchedule
 
@@ -331,6 +332,84 @@ def test_block_integral_matches_gauss_legendre(b, lo, length, ref, frac, limit, 
     scale = float(np.sum(weights * np.abs(integrand)))
     got = float(b.integral([w], lo, hi, ref)[0])
     assert abs(got - want) <= 1e-10 * max(scale, abs(want))
+
+
+def test_block_integral_over_several_kernel_tiles():
+    # 5000 atoms span two frequency tiles.  At w = -rate the k = 0 atom (half
+    # weight) is constant, and the atoms k < 17 (k omega length < 1/2) take
+    # the expm1 branch.
+    rng = np.random.default_rng(3)
+    k = np.arange(5000)
+    b = GridBlock(values=(rng.standard_normal(5000) + 1j * rng.standard_normal(5000)) / (1 + k),
+                  omega=0.02, gain=1.3, rate=0.4, origin=0.2)
+    lo, hi, ref = -0.7, 0.8, 0.3
+    ws = np.array([-b.rate, 2.5, -3.0])
+    nodes, weights = gauss_legendre_panels(lo, hi, rate=3.0 + b.omega * len(k), order=24)
+    vals = b.eval(nodes)
+    got = b.integral(ws, lo, hi, ref)
+    for w, g in zip(ws, got):
+        integrand = vals * np.exp(w * (nodes - ref))
+        want = float(np.sum(weights * integrand))
+        scale = float(np.sum(weights * np.abs(integrand)))
+        assert abs(g - want) <= 1e-10 * max(scale, abs(want))
+
+
+def _abs_mass(sig, w, ref):
+    """int over the window of |s(t)| e^{w (t - ref)}, the scale of roundoff."""
+    ts = np.linspace(*sig.window, 2001)
+    return float(np.trapezoid(np.abs(sig.eval(ts)) * np.exp(w * (ts - ref)), ts))
+
+
+@st.composite
+def one_window_signals(draw):
+    """Signals on one window: grid blocks on one key with their own values,
+    mp blocks, sums of the two and the zero control."""
+    lo = draw(_reals(-1, 0))
+    window = (lo, lo + draw(_reals(0.1, 2.0)))
+    grid = draw(grid_blocks())
+    n = len(grid.values)
+    signals = []
+    for kind in draw(st.lists(st.sampled_from(["grid", "mp", "sum", "zero"]),
+                              min_size=1, max_size=6)):
+        blocks = []
+        if kind in ("grid", "sum"):
+            parts = [draw(st.lists(_reals(-1, 1), min_size=n, max_size=n)) for _ in range(2)]
+            blocks.append(replace(grid, values=np.array(parts[0]) + 1j * np.array(parts[1])))
+        if kind in ("mp", "sum"):
+            blocks.append(draw(mp_blocks()))
+        signals.append(ControlSignal(window=window, blocks=blocks))
+    return signals
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_window_signals(), st.lists(_reals(-3, 3), min_size=1, max_size=4),
+       _reals(-1, 1), st.integers(2, 8))
+def test_batch_integral_rows_match_single_calls(basis64, signals, ws, ref, n_modes):
+    rows = ControlSignal.integrals(signals, ws, ref)
+    assert rows.shape == (len(signals), len(ws))
+    for sig, row in zip(signals, rows):
+        per_block = sum((b.integral(ws, *sig.window, ref) for b in sig.blocks), np.zeros(len(ws)))
+        for w, got, one, want in zip(ws, row, sig.integral(ws, ref), per_block):
+            tol = 1e-12 * _abs_mass(sig, w, ref)
+            assert abs(got - want) <= tol and abs(one - want) <= tol
+
+    lo, hi = signals[0].window
+    rng = np.random.default_rng(len(signals))
+    states = [HeatState(rng.standard_normal(3), basis64.basis_id) for _ in signals]
+    finals = terminal_states(basis64, states, signals, hi - lo, n_modes)
+    assert finals.shape == (len(signals), n_modes)
+    for u0, sig, got in zip(states, signals, finals):
+        want = terminal_state(basis64, u0, sig, hi - lo, n_modes)
+        for j, lam in enumerate(basis64.lambdas[:n_modes]):
+            bound = 1e-12 * abs(basis64.traces[j]) * _abs_mass(sig, lam, hi)
+            assert abs(got[j] - want[j]) <= bound
+
+
+def test_batch_integral_needs_one_window():
+    a = ControlSignal(window=(0.0, 1.0), blocks=[])
+    b = ControlSignal(window=(-0.5, 0.5), blocks=[])
+    with pytest.raises(ConfigurationError):
+        ControlSignal.integrals([a, b], [1.0])
 
 
 @settings(max_examples=60, deadline=None)

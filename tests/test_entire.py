@@ -17,8 +17,15 @@ from heatctrl.entire import (
     make_multiplier,
     sigma_star,
 )
-from heatctrl.entire import _log_abs_M_real_array, _log_f_all_imag_array
+from heatctrl.entire import (
+    _ROW_CHUNK,
+    _log_abs_M_real_array,
+    _log_f_all_imag_array,
+    _model_tail,
+    _tail_start,
+)
 from heatctrl.errors import ConfigurationError, TruncationError
+from heatctrl.logdomain import wrap_phase_array
 from heatctrl.spectral import build_sturm_liouville_basis, ParabolicProblem
 
 
@@ -51,6 +58,24 @@ def test_f_all_matches_sinc_product(basis64):
         assert lm[0] == pytest.approx(float(want.real), abs=1e-8)
         assert cmath.exp(1j * ph[0]) == pytest.approx(
             cmath.exp(1j * float(want.imag)), abs=1e-8)
+
+
+def test_f_all_row_tiles_match_the_untiled_sum(basis64):
+    # more than one row tile and more than one 256-mode block: K = 265 here
+    xs = 7.0 * np.arange(_ROW_CHUNK + 905)
+    K = _tail_start(basis64, float(xs[-1]), 1e-9)
+    lam = basis64.lam_extended(np.arange(1, K + 1))
+    logmag = np.zeros_like(xs)
+    phase = np.zeros_like(xs)
+    for lo in range(0, K, 256):
+        r = xs[:, None] / lam[None, lo: lo + 256]
+        logmag += 0.5 * np.sum(np.log1p(r * r), axis=1)
+        phase += np.sum(np.arctan(r), axis=1)
+    tail = _model_tail(basis64, K, -1j * xs)
+    lm, ph = _log_f_all_imag_array(basis64, xs, tol=1e-9)
+    assert K > 256
+    assert np.array_equal(lm, logmag + tail.real)
+    assert np.array_equal(ph, wrap_phase_array(phase + tail.imag))
 
 
 def test_F_n_interpolation_data(basis64):

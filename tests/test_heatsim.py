@@ -18,6 +18,7 @@ from heatctrl.heatsim import (
     simulate_boundary_control,
     simulate_interior_control,
     terminal_state,
+    terminal_states,
 )
 from heatctrl.spectral import HeatState, build_interval_basis
 
@@ -83,6 +84,16 @@ def test_terminal_state_is_the_simulated_last_row(basis64, families):
     assert np.array_equal(terminal_state(basis64, u0, g, 1.0), traj.coeffs[-1])
     with pytest.raises(ConfigurationError):
         terminal_state(basis64, u0, g, 0.5)
+
+
+def test_terminal_states_rejects_a_window_of_another_length(basis64):
+    u0 = HeatState(np.array([1.0]), basis64.basis_id)
+    good = ControlSignal(window=(-0.5, 0.5), blocks=[])
+    short = ControlSignal(window=(0.0, 0.3), blocks=[])
+    with pytest.raises(ConfigurationError):
+        terminal_states(basis64, [u0, u0], [good, short], 1.0)
+    with pytest.raises(ConfigurationError):
+        terminal_states(basis64, [u0, u0], [good], 1.0)
 
 
 def test_interior_control_pure_decay(basis64):
