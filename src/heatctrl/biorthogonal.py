@@ -263,16 +263,27 @@ class MpBlock:
 
     def integral(self, ws, lo: float, hi: float, ref: float) -> np.ndarray:
         """int_lo^hi s(t) e^{w (t - ref)} dt for each w in ws, exact in mp."""
-        out = np.empty(len(ws))
-        with mp.workdps(self.dps):
-            lo_, hi_, e_lo, e_hi = self._ends(lo, hi)
+        return MpBlock.integral_rows([self], ws, lo, hi, ref)[0]
+
+    @staticmethod
+    def integral_rows(blocks, ws, lo: float, hi: float, ref: float) -> np.ndarray:
+        """Row i is blocks[i].integral(ws, lo, hi, ref), for blocks sharing one key.
+
+        Each atom integral int_lo^hi e^{z_k (t - origin) + w (t - ref)} dt is
+        built once for all rows; a row is one fsum over its coefficients.
+        """
+        b0 = blocks[0]
+        out = np.empty((len(blocks), len(ws)))
+        with mp.workdps(b0.dps):
+            lo_, hi_, e_lo, e_hi = b0._ends(lo, hi)
             ref_ = mp.mpf(ref)
             for i, w in enumerate(ws):
                 w_ = mp.mpf(float(w))
                 a, b = mp.exp(w_ * (lo_ - ref_)), mp.exp(w_ * (hi_ - ref_))
-                out[i] = float(mp.fsum(
-                    c * _mp_atom_integral(el * a, eh * b, z + w_, hi_ - lo_)
-                    for c, z, el, eh in zip(self.coeffs, self.rates, e_lo, e_hi)))
+                ker = [_mp_atom_integral(el * a, eh * b, z + w_, hi_ - lo_)
+                       for z, el, eh in zip(b0.rates, e_lo, e_hi)]
+                for r, blk in enumerate(blocks):
+                    out[r, i] = float(mp.fsum(c * k for c, k in zip(blk.coeffs, ker)))
         return out
 
     def norm(self, lo: float, hi: float) -> float:
@@ -367,8 +378,9 @@ class ControlSignal:
     def integrals(signals, ws, ref: float = 0.0) -> np.ndarray:
         """Row i is signals[i].integral(ws, ref), for signals on one window.
 
-        Blocks are grouped by key as in :func:`combine`, so grid blocks on
-        one frequency grid share one kernel (:meth:`GridBlock.integral_rows`).
+        Blocks are grouped by key as in :func:`combine`, and the blocks on
+        one key share one kernel (:meth:`GridBlock.integral_rows`,
+        :meth:`MpBlock.integral_rows`).
         """
         window = signals[0].window
         if any(s.window != window for s in signals):
@@ -377,14 +389,8 @@ class ControlSignal:
         out = np.zeros((len(signals), len(ws)))
         for group in _by_key((i, b) for i, s in enumerate(signals) for b in s.blocks):
             rows, blocks = zip(*group)
-            np.add.at(out, list(rows), GridBlock.integral_rows(blocks, ws, *window, ref)
-                      if isinstance(blocks[0], GridBlock)
-                      else [b.integral(ws, *window, ref) for b in blocks])
+            np.add.at(out, list(rows), type(blocks[0]).integral_rows(blocks, ws, *window, ref))
         return out
-
-    def duhamel(self, lams) -> np.ndarray:
-        """int_0^T e^{-lam (T - u)} g(u) du with u measured from the window start."""
-        return self.integral(np.asarray(lams, dtype=float), ref=self.window[1])
 
     def mapped(self, p: float, q: float, lam: float, window) -> "ControlSignal":
         """The signal e^{lam t} s(p t + q) on `window`."""
@@ -562,16 +568,56 @@ def _gram_dps(lambdas, T: float, extra: int = 60) -> int:
     return int(extra + amp_digits + cond_digits)
 
 
+def _spd_inverse(A):
+    """A^{-1} = L^{-T} L^{-1} for a symmetric positive definite mp matrix.
+
+    A is a list of rows; so is the result.  A = L L^T is factored with one
+    fdot per entry, carrying 10 guard bits as mp.inverse does, and None is
+    returned when a pivot is not positive (A is not positive definite at
+    the working precision).
+    """
+    n = len(A)
+    with mp.extraprec(10):
+        L = []  # L[i] holds row i up to the diagonal
+        for i in range(n):
+            row = []
+            for j in range(i):
+                row.append((A[i][j] - mp.fdot(row, L[j][:j])) / L[j][j])
+            d = A[i][i] - mp.fdot(row, row)
+            if d <= 0:
+                return None
+            L.append(row + [mp.sqrt(d)])
+        # cols[j][i - j] = (L^{-1})_{ij} for i >= j, by forward substitution
+        cols = []
+        for j in range(n):
+            c = [1 / L[j][j]]
+            for i in range(j + 1, n):
+                c.append(-mp.fdot(L[i][j:i], c) / L[i][i])
+            cols.append(c)
+        # (L^{-T} L^{-1})_{ab} = sum_{i >= max(a, b)} (L^{-1})_{ia} (L^{-1})_{ib}
+        R = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                R[a][b] = R[b][a] = mp.fdot(cols[a][b - a:], cols[b])
+    return R
+
+
+def _norm1(A):
+    """max column sum of |A_ij| for a list of mp rows."""
+    return max(mp.fsum((row[k] for row in A), absolute=True) for k in range(len(A[0])))
+
+
 def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
                         cond_threshold: float = 1e250) -> BiorthogonalFamily:
     """Minimal-norm biorthogonal family on the span of the first N exponentials.
 
     Solves the Gram system of {e^{-lambda_k t}} on the centered window.  The
-    system is scaled to the [0, T] Gram matrix Gamma0 (entries in (0, T])
-    and inverted in mpmath; precision is chosen from the amplification
-    e^{(lambda_N - lambda_1) T/2} plus a conditioning allowance, and the
-    inverse is validated by its residual.  Norms obey
-    ||g_n||^2 = e^{-lambda_n T} (Gamma0^{-1})_{nn}.
+    system is scaled to the [0, T] Gram matrix Gamma0 (entries in (0, T]),
+    whose entries (1 - e_j e_k) / (lambda_j + lambda_k) need only the N
+    exponentials e_j = e^{-lambda_j T}, and inverted in mpmath by Cholesky;
+    precision is chosen from the amplification e^{(lambda_N - lambda_1) T/2}
+    plus a conditioning allowance, and the inverse is validated by its
+    residual.  Norms obey ||g_n||^2 = e^{-lambda_n T} (Gamma0^{-1})_{nn}.
     """
     lams = np.asarray(lambdas, dtype=float)[:count]
     if len(lams) < count:
@@ -585,17 +631,18 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
             "reduce the mode count or the window", cond=float(dps))
 
     with mp.workdps(dps):
-        Tm = mp.mpf(T)
         lm = [mp.mpf(float(v)) for v in lams]
-        G0 = mp.matrix(count, count)
-        for j in range(count):
-            for k in range(j, count):
-                s = lm[j] + lm[k]
-                G0[j, k] = G0[k, j] = (1 - mp.e ** (-s * Tm)) / s
-        R = mp.inverse(G0)
-        resid = mp.mnorm(R * G0 - mp.eye(count), 1)
+        half = [mp.exp(-v * mp.mpf(T) / 2) for v in lm]  # e^{-lambda_j T/2}
+        e = [h * h for h in half]
+        G0 = [[(1 - ej * ek) / (lj + lk) for ek, lk in zip(e, lm)] for ej, lj in zip(e, lm)]
+        R = _spd_inverse(G0)
+        if R is None:
+            raise IllConditionedError(
+                f"Gram matrix not positive definite at dps={dps}", cond=math.inf)
+        resid = max(mp.fsum((mp.fdot(R[i], G0[k]) - int(i == k) for i in range(count)),
+                            absolute=True) for k in range(count))
         # crude 1-norm condition estimate
-        cond = mp.mnorm(G0, 1) * mp.mnorm(R, 1)
+        cond = _norm1(G0) * _norm1(R)
         if float(cond) > cond_threshold:
             raise IllConditionedError(
                 f"Gram matrix condition {mp.nstr(cond, 3)} above threshold",
@@ -608,13 +655,12 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
         signals, norms = [], []
         rates = tuple(-v for v in lm)
         for n in range(count):
-            pref = mp.e ** (-lm[n] * Tm / 2)
-            coeffs = tuple(pref * R[n, k] for k in range(count))
+            coeffs = tuple(half[n] * r for r in R[n])
             # s_n(t) = sum_k c_k e^{-lambda_k (t + T/2)}
             block = MpBlock(coeffs=coeffs, rates=rates, origin=-T / 2.0, dps=dps)
             signals.append(ControlSignal(window=(-T / 2.0, T / 2.0), blocks=[block],
                                         meta={"dps": dps, "n": n + 1}))
-            norms.append(float(mp.sqrt(mp.e ** (-lm[n] * Tm) * R[n, n])))
+            norms.append(float(half[n] * mp.sqrt(R[n][n])))
 
     return BiorthogonalFamily(
         lambdas=lams.copy(), T=T, signals=signals, kind="gram",
@@ -632,7 +678,8 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
     """B[n, k] = int s_n(t) e^{-lambda_k t} dt for n, k <= k_max.
 
     Time-side entries are the closed-form atom integral of the stored
-    signal, one call per row.  method "quadrature" takes every entry there;
+    signal, taken for all rows in one batch over the union of the rows'
+    time-side columns.  method "quadrature" takes every entry there;
     "analytic" uses each family's stable representation; "auto" takes the
     time side exactly where it still certifies the entry, i.e. while
 
@@ -641,15 +688,15 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
     the left side being the amplification of the signal's own error budget
     (beyond it the raw integral is exponentially ill-posed in floats and
     only the stable representation carries information).  The gram kind's
-    stable representation is that same integral, exact in mp.
+    stable representation is that same integral, exact in mp, so all of its
+    entries are time-side.
     """
     if k_max > family.count or k_max > len(family.lambdas):
         raise ConfigurationError("k_max exceeds family size")
     tol = float(family.meta.get("tol", 1e-9))
     lams = np.asarray(family.lambdas[:k_max], dtype=float)
-    B = np.empty((k_max, k_max))
+    time_side = np.zeros((k_max, k_max), dtype=bool)
     for n in range(1, k_max + 1):
-        time_side = []
         for k in range(1, k_max + 1):
             log_amp = float(lams[k - 1]) * family.T / 2.0
             certifiable = (family.kind == "multiplier"
@@ -659,12 +706,13 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
             if forced and log_amp > _LOG_BUDGET:
                 raise TruncationError("moment weight exceeds the float budget",
                                       achieved=log_amp)
-            if forced or family.kind == "gram":
-                time_side.append(k - 1)
-            else:
-                B[n - 1, k - 1] = family.moment(n, k)
-        if time_side:
-            B[n - 1, time_side] = family.signals[n - 1].integral(-lams[time_side])
+            time_side[n - 1, k - 1] = forced or family.kind == "gram"
+    cols = np.flatnonzero(time_side.any(axis=0))
+    B = np.empty((k_max, k_max))
+    if len(cols):
+        B[:, cols] = ControlSignal.integrals(family.signals[:k_max], -lams[cols])
+    for n, k in zip(*np.nonzero(~time_side)):
+        B[n, k] = family.moment(n + 1, k + 1)
     return B
 
 

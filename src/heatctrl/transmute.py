@@ -304,9 +304,10 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     b_minus_rows[n_free:] = bm[stride::stride]
     b_plus_rows[n_free:] = bp[stride::stride]
 
-    # exact final row through the control representations
-    v_modal[-1] = v_smooth * np.exp(-lam * T_ctrl) \
-        + e_prime_mL * ctrl.b_minus.duhamel(lam) - e_prime_pL * ctrl.b_plus.duhamel(lam)
+    # exact final row through the control representations; b-/+ share one
+    # window and one kernel
+    w_minus, w_plus = ControlSignal.integrals([ctrl.b_minus, ctrl.b_plus], lam, ref=T_ctrl)
+    v_modal[-1] = v_smooth * np.exp(-lam * T_ctrl) + e_prime_mL * w_minus - e_prime_pL * w_plus
 
     s_grid = np.linspace(-L, L, n_s)
     # L2((0,T) x (-L,L)) norm: free phase analytic + control phase trapezoid

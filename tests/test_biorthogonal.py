@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heatctrl import biorthogonal
 from heatctrl.biorthogonal import (
     ControlSignal,
     GridBlock,
@@ -16,7 +17,7 @@ from heatctrl.biorthogonal import (
     gram_minimal_family,
     invert_to_time,
 )
-from heatctrl.errors import ConfigurationError, TruncationError
+from heatctrl.errors import ConfigurationError, IllConditionedError, TruncationError
 from heatctrl.heatsim import terminal_state, terminal_states
 from heatctrl.quadrature import gauss_legendre_panels
 from heatctrl.spectral import HeatState, ReductionSchedule
@@ -120,6 +121,41 @@ def test_time_side_entries_match_analytic_moments(families):
         assert np.max(np.abs(auto - analytic)) <= 1e-8
 
 
+def _per_row_moment_matrix(family, k_max, method):
+    """The moment matrix with one integral call per row: the unbatched route."""
+    tol = float(family.meta.get("tol", 1e-9))
+    lams = np.asarray(family.lambdas[:k_max], dtype=float)
+    B = np.empty((k_max, k_max))
+    for n in range(1, k_max + 1):
+        time_side = []
+        for k in range(1, k_max + 1):
+            log_amp = float(lams[k - 1]) * family.T / 2.0
+            certifiable = (family.kind == "multiplier"
+                           and log_amp + math.log(max(family.norms[n - 1], 1e-300))
+                           + math.log(max(tol, 1e-8)) <= math.log(1e-4))
+            if method == "quadrature" or (method == "auto" and certifiable) \
+                    or family.kind == "gram":
+                time_side.append(k - 1)
+            else:
+                B[n - 1, k - 1] = family.moment(n, k)
+        if time_side:
+            B[n - 1, time_side] = family.signals[n - 1].integral(-lams[time_side])
+    return B
+
+
+def test_batched_moment_matrix_matches_per_row_calls(families, gram12):
+    # mp rows are exact, so the gram matrix is bit-identical; grid rows go
+    # through one matrix product instead of one per row
+    for fam in gram12.values():
+        assert np.array_equal(biorthogonality_matrix(fam, 12),
+                              _per_row_moment_matrix(fam, 12, "auto"))
+    for fam in (families[1.0], families[2.0]):
+        for method in ("auto", "analytic"):
+            B = biorthogonality_matrix(fam, 12, method)
+            want = _per_row_moment_matrix(fam, 12, method)
+            assert np.max(np.abs(B - want)) <= 1e-12
+
+
 # ---- gram oracle -----------------------------------------------------------
 
 
@@ -196,7 +232,7 @@ def test_assemble_moment_identity(basis64, families):
     g = assemble_control(basis64, u0, fam, 1.0)
     for n in range(1, 7):
         lam = float(basis64.lambdas[n - 1])
-        lhs = basis64.traces[n - 1] * g.duhamel([lam])[0]
+        lhs = basis64.traces[n - 1] * g.integral([lam], ref=g.window[1])[0]
         rhs = -math.exp(-lam) * c[n - 1]
         assert lhs == pytest.approx(rhs, abs=5e-8 * np.linalg.norm(c))
 
@@ -405,6 +441,43 @@ def test_batch_integral_rows_match_single_calls(basis64, signals, ws, ref, n_mod
             assert abs(got[j] - want[j]) <= bound
 
 
+def _mp_integral_reference(b, ws, lo, hi, ref):
+    """MpBlock.integral written out per block: one fsum of c_k times atom k."""
+    with mp.workdps(b.dps):
+        lo_, hi_, ref_, org = (mp.mpf(v) for v in (lo, hi, ref, b.origin))
+        out = []
+        for w in ws:
+            w_ = mp.mpf(float(w))
+            a, e = mp.exp(w_ * (lo_ - ref_)), mp.exp(w_ * (hi_ - ref_))
+            terms = []
+            for c, z in zip(b.coeffs, b.rates):
+                el, eh, s = mp.exp(z * (lo_ - org)) * a, mp.exp(z * (hi_ - org)) * e, z + w_
+                x = s * (hi_ - lo_)
+                if abs(x) < 0.5:
+                    atom = el * (hi_ - lo_) * (mp.expm1(x) / x if x else 1)
+                else:
+                    atom = (eh - el) / s
+                terms.append(c * atom)
+            out.append(float(mp.fsum(terms)))
+    return np.array(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mp_blocks(), st.lists(st.lists(_reals(-1, 1), min_size=4, max_size=4),
+                             min_size=1, max_size=4),
+       st.lists(_reals(-3, 3), min_size=1, max_size=4), _reals(-1, 0), _reals(0.1, 2.0),
+       _reals(-1, 1))
+def test_mp_integral_rows_equal_single_block_calls(b, coeff_rows, ws, lo, length, ref):
+    hi = lo + length
+    blocks = [replace(b, coeffs=tuple(mp.mpf(c) for c in row[:len(b.coeffs)]))
+              for row in coeff_rows]
+    rows = MpBlock.integral_rows(blocks, ws, lo, hi, ref)
+    assert rows.shape == (len(blocks), len(ws))
+    for blk, row in zip(blocks, rows):
+        assert np.array_equal(row, blk.integral(ws, lo, hi, ref))
+        assert np.array_equal(row, _mp_integral_reference(blk, ws, lo, hi, ref))
+
+
 def test_batch_integral_needs_one_window():
     a = ControlSignal(window=(0.0, 1.0), blocks=[])
     b = ControlSignal(window=(-0.5, 0.5), blocks=[])
@@ -427,3 +500,70 @@ def test_mp_block_norm_matches_quadrature(b, lo, length):
     nodes, weights = gauss_legendre_panels(lo, lo + length, rate=6.0, order=24)
     want = math.sqrt(float(np.sum(weights * b.eval(nodes) ** 2)))
     assert b.norm(lo, lo + length) == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+
+# ---- gram arithmetic and its gates -------------------------------------------
+
+
+@st.composite
+def gram_spectra(draw):
+    """Distinct positive rates at least 0.5 apart, and a window length.
+
+    On this range the Gram system stays well inside the precision rule's
+    reach (residual below 1e-17 of its gate).
+    """
+    n = draw(st.integers(1, 12))
+    gaps = draw(st.lists(_reals(0.5, 10.0), min_size=n - 1, max_size=n - 1))
+    lams = np.cumsum([draw(_reals(0.1, 5.0))] + gaps)
+    return lams, draw(_reals(0.5, 2.0))
+
+
+def _gram_norms_by_inverse(lams, T, dps):
+    """Family norms from mpmath's LU inverse of the [0, T] Gram matrix."""
+    n = len(lams)
+    with mp.workdps(dps):
+        lm, Tm = [mp.mpf(float(v)) for v in lams], mp.mpf(T)
+        G0 = mp.matrix(n, n)
+        for j in range(n):
+            for k in range(n):
+                s = lm[j] + lm[k]
+                G0[j, k] = (1 - mp.exp(-s * Tm)) / s
+        R = mp.inverse(G0)
+        return np.array([float(mp.sqrt(mp.exp(-lm[i] * Tm) * R[i, i])) for i in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram_spectra())
+def test_gram_cholesky_matches_inverse_reference(spectrum):
+    lams, T = spectrum
+    fam = gram_minimal_family(lams, len(lams), T)
+    dps = fam.meta["dps"]
+    want = _gram_norms_by_inverse(lams, T, dps)
+    assert np.max(np.abs(fam.norms - want) / want) <= 1e-13
+    assert fam.meta["residual"] <= 10.0 ** (-(dps // 2))
+
+
+def test_gram_precision_ceiling_raises():
+    lams, T = [1.0, 5000.0], 2.0
+    dps = biorthogonal._gram_dps(np.asarray(lams), T)
+    assert dps > 2000
+    with pytest.raises(IllConditionedError) as err:
+        gram_minimal_family(lams, 2, T)
+    assert err.value.cond == float(dps)
+
+
+def test_gram_condition_threshold_raises(basis64, gram12):
+    reached = gram12[1.0].meta["cond"]
+    assert 1e12 < reached < 1e13
+    with pytest.raises(IllConditionedError) as err:
+        gram_minimal_family(basis64.lambdas[:12], 12, 1.0, cond_threshold=1e10)
+    assert err.value.cond == reached
+
+
+def test_gram_too_few_digits_is_a_typed_error(monkeypatch, basis64):
+    # at 8 digits the 12-mode T = 1 Gram matrix (cond ~ 2.4e12) is not
+    # positive definite in the working precision: a pivot goes non-positive
+    monkeypatch.setattr(biorthogonal, "_gram_dps", lambda lams, T: 8)
+    with pytest.raises(IllConditionedError, match="not positive definite") as err:
+        gram_minimal_family(basis64.lambdas[:12], 12, 1.0)
+    assert err.value.cond == math.inf
