@@ -617,7 +617,9 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
     exponentials e_j = e^{-lambda_j T}, and inverted in mpmath by Cholesky;
     precision is chosen from the amplification e^{(lambda_N - lambda_1) T/2}
     plus a conditioning allowance, and the inverse is validated by its
-    residual.  Norms obey ||g_n||^2 = e^{-lambda_n T} (Gamma0^{-1})_{nn}.
+    residual; a residual that fails is solved once more at twice the digits
+    (at most 2000), and meta["dps"] holds the digits used.  Norms obey
+    ||g_n||^2 = e^{-lambda_n T} (Gamma0^{-1})_{nn}.
     """
     lams = np.asarray(lambdas, dtype=float)[:count]
     if len(lams) < count:
@@ -629,29 +631,35 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
         raise IllConditionedError(
             f"gram system needs ~{dps} digits (lambda_N T too large); "
             "reduce the mode count or the window", cond=float(dps))
+    # a residual that fails is solved once more at twice the digits: the
+    # rule misses how a short window flattens the exponentials
+    for dps in dict.fromkeys((dps, min(2 * dps, 2000))):
+        with mp.workdps(dps):
+            lm = [mp.mpf(float(v)) for v in lams]
+            half = [mp.exp(-v * mp.mpf(T) / 2) for v in lm]  # e^{-lambda_j T/2}
+            e = [h * h for h in half]
+            G0 = [[(1 - ej * ek) / (lj + lk) for ek, lk in zip(e, lm)]
+                  for ej, lj in zip(e, lm)]
+            R = _spd_inverse(G0)
+            if R is None:
+                raise IllConditionedError(
+                    f"Gram matrix not positive definite at dps={dps}", cond=math.inf)
+            resid = max(mp.fsum((mp.fdot(R[i], G0[k]) - int(i == k) for i in range(count)),
+                                absolute=True) for k in range(count))
+            # crude 1-norm condition estimate
+            cond = _norm1(G0) * _norm1(R)
+            if float(cond) > cond_threshold:
+                raise IllConditionedError(
+                    f"Gram matrix condition {mp.nstr(cond, 3)} above threshold",
+                    cond=float(cond))
+            if resid <= mp.mpf(10) ** (-(dps // 2)):
+                break
+    else:
+        raise IllConditionedError(
+            f"Gram inverse residual {mp.nstr(resid, 3)} too large at dps={dps}",
+            cond=float(cond))
 
     with mp.workdps(dps):
-        lm = [mp.mpf(float(v)) for v in lams]
-        half = [mp.exp(-v * mp.mpf(T) / 2) for v in lm]  # e^{-lambda_j T/2}
-        e = [h * h for h in half]
-        G0 = [[(1 - ej * ek) / (lj + lk) for ek, lk in zip(e, lm)] for ej, lj in zip(e, lm)]
-        R = _spd_inverse(G0)
-        if R is None:
-            raise IllConditionedError(
-                f"Gram matrix not positive definite at dps={dps}", cond=math.inf)
-        resid = max(mp.fsum((mp.fdot(R[i], G0[k]) - int(i == k) for i in range(count)),
-                            absolute=True) for k in range(count))
-        # crude 1-norm condition estimate
-        cond = _norm1(G0) * _norm1(R)
-        if float(cond) > cond_threshold:
-            raise IllConditionedError(
-                f"Gram matrix condition {mp.nstr(cond, 3)} above threshold",
-                cond=float(cond))
-        if resid > mp.mpf(10) ** (-(dps // 2)):
-            raise IllConditionedError(
-                f"Gram inverse residual {mp.nstr(resid, 3)} too large at dps={dps}",
-                cond=float(cond))
-
         signals, norms = [], []
         rates = tuple(-v for v in lm)
         for n in range(count):

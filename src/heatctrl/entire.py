@@ -196,9 +196,11 @@ def log_M(spec: MultiplierSpec, z: complex) -> LogComplex:
 # _LATTICE_CHUNK lattice zeros (the ln|f| grid tiles its modes alike) and
 # takes one log per block of _SIN_BLOCK factors.  A point with a block
 # product below _UNDERFLOW (x = 0 among them) is recomputed factor by factor.
+# On the uniform grid the sines come by angle addition over _ANGLE_STEP points.
 _SIN_BLOCK = 16
 _LATTICE_CHUNK = 256
 _ROW_CHUNK = 4096
+_ANGLE_STEP = 64
 _UNDERFLOW = 1e-290
 
 
@@ -211,20 +213,45 @@ def _log_abs_sinc(theta: np.ndarray):
     return np.where(small, -theta * theta / 6.0 - theta**4 / 180.0, logs), s < 0
 
 
-def _log_abs_M_rows(spec: MultiplierSpec, zeros: np.ndarray, x: np.ndarray):
-    """(ln|sinc(x/a0)^K prod sinc(x/zeros)|, number of negative factors), x >= 0.
+def _a0_factor(spec: MultiplierSpec, x: np.ndarray):
+    """(ln|sinc(x/a0)^K|, negative factors, underflow guard) to start the row sums."""
+    theta0 = x / spec.a0
+    s0 = np.sin(theta0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = spec.K * np.log(np.abs(s0) / theta0)
+    return logmag, spec.K * (s0 < 0), np.abs(s0) < _UNDERFLOW
+
+
+def _add_blocks(sines, theta_prods, logmag, negative, guard):
+    """Fold a chunk of factors, padded to whole blocks by sin = theta = 1, into the row sums.
 
     A block of factors contributes ln(prod|sin theta| / prod theta), so no
     two sums of size n ln x are ever subtracted: where |M| is near 1 that
     cancellation would cost a hundredfold in accuracy.
     """
-    theta0 = x / spec.a0
-    s0 = np.sin(theta0)
+    prods = sines.reshape(-1, _SIN_BLOCK, sines.shape[1]).prod(axis=1)
+    negative += np.count_nonzero(prods < 0, axis=0)
+    np.abs(prods, out=prods)
+    guard |= np.any(prods < _UNDERFLOW, axis=0)
+    prods /= theta_prods
+    logmag += np.sum(np.log(prods), axis=0)
+
+
+def _redo_guarded(spec, zeros, x, logmag, negative, guard):
+    """Recompute the guarded points of the row sums factor by factor."""
+    if np.any(guard):
+        xg = x[guard]
+        lm0, neg0 = _log_abs_sinc(xg / spec.a0)
+        lm, neg = _log_abs_sinc(xg[:, None] / zeros[None, :])
+        logmag[guard] = spec.K * lm0 + np.sum(lm, axis=1)
+        negative[guard] = spec.K * neg0 + np.count_nonzero(neg, axis=1)
+
+
+def _log_abs_M_rows(spec: MultiplierSpec, zeros: np.ndarray, x: np.ndarray):
+    """(ln|sinc(x/a0)^K prod sinc(x/zeros)|, number of negative factors), x >= 0."""
+    logmag, negative, guard = _a0_factor(spec, x)
     blocks = (-1, _SIN_BLOCK, x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logmag = spec.K * np.log(np.abs(s0) / theta0)
-        negative = spec.K * (s0 < 0)
-        guard = np.abs(s0) < _UNDERFLOW
         thetas = np.empty((_LATTICE_CHUNK, x.size))
         sines = np.empty_like(thetas)
         for lo in range(0, zeros.size, _LATTICE_CHUNK):
@@ -233,18 +260,135 @@ def _log_abs_M_rows(spec: MultiplierSpec, zeros: np.ndarray, x: np.ndarray):
             np.divide(x[None, :], blk[:, None], out=thetas[: blk.size])
             np.sin(thetas[: blk.size], out=sines[: blk.size])
             thetas[blk.size: width] = sines[blk.size: width] = 1.0
-            prods = sines[:width].reshape(blocks).prod(axis=1)
-            negative += np.count_nonzero(prods < 0, axis=0)
-            np.abs(prods, out=prods)
-            guard |= np.any(prods < _UNDERFLOW, axis=0)
-            prods /= thetas[:width].reshape(blocks).prod(axis=1)
-            logmag += np.sum(np.log(prods), axis=0)
-    if np.any(guard):
-        xg = x[guard]
-        lm0, neg0 = _log_abs_sinc(xg / spec.a0)
-        lm, neg = _log_abs_sinc(xg[:, None] / zeros[None, :])
-        logmag[guard] = spec.K * lm0 + np.sum(lm, axis=1)
-        negative[guard] = spec.K * neg0 + np.count_nonzero(neg, axis=1)
+            _add_blocks(sines[:width], thetas[:width].reshape(blocks).prod(axis=1),
+                        logmag, negative, guard)
+    _redo_guarded(spec, zeros, x, logmag, negative, guard)
+    return logmag, negative
+
+
+def _split(a):
+    """(high, low) halves of a with at most 26 significant bits each (Veltkamp)."""
+    c = 134217729.0 * a
+    top = c - (c - a)
+    return top, a - top
+
+
+def _grid_steps(h: float, zeros: np.ndarray):
+    """The angle steps h/zeros as (d rounded, d's high half, d's low half, error).
+
+    The error of d comes from the exact residual h - d zeros (Dekker's
+    product), so d + error carries h/zeros to about twice working precision.
+    """
+    d = h / zeros
+    d_top, d_low = _split(d)
+    z_top, z_low = _split(zeros)
+    p = d * zeros
+    err = ((d_top * z_top - p) + d_top * z_low + d_low * z_top) + d_low * z_low
+    return d, d_top, d_low, ((h - p) - err) / zeros
+
+
+def _angle_table(k: np.ndarray, steps):
+    """(sin, cos) of k h/zeros for integers 0 <= k < 2^26, one row per zero.
+
+    k d is its rounded value plus an error that is exact but for terms of
+    order k d eps^2 and enters to first order, so the table is as accurate
+    as one sin of the exact angle.
+    """
+    d, d_top, d_low, d_err = (s[:, None] for s in steps)
+    angle = k * d
+    err = k * d_top - angle  # exact: k d_top has at most 52 bits
+    err += k * (d_low + d_err)
+    s, c = np.sin(angle), np.cos(angle)
+    return s + err * c, c - err * s
+
+
+def _pow16(j: np.ndarray):
+    """(j^16 rounded, its relative rounding error) for integers 0 <= j < 2^26.
+
+    Squares in double-double arithmetic from the exact j^2.  The error is
+    shared by every block of a point, so it is taken out once per point.
+    j = 0 gives a NaN error, which the x = 0 guard overwrites.
+    """
+    hi, lo = j * j, 0.0
+    for _ in range(3):
+        top, low = _split(hi)
+        sq = hi * hi
+        lo = ((top * top - sq) + 2.0 * top * low) + low * low + 2.0 * hi * lo
+        hi = sq
+    return hi, lo / hi
+
+
+def _uniform_tables(h: float, zeros: np.ndarray):
+    """Zero-side tables of the grid j h, shared by all its tiles.
+
+    (h, angle steps d = h/zeros as _grid_steps gives them, [cos b; sin b;
+    b cos b; b sin b] at b = q d for q < _ANGLE_STEP per zero, prod d per
+    block of _SIN_BLOCK zeros).
+    """
+    steps = _grid_steps(h, zeros)
+    q = np.arange(_ANGLE_STEP, dtype=float)
+    sb, cb = _angle_table(q, steps)
+    b = q * steps[0][:, None]
+    width = -(-zeros.size // _SIN_BLOCK) * _SIN_BLOCK
+    d, rel = np.ones(width), np.zeros(width)
+    d[: zeros.size], rel[: zeros.size] = steps[0], steps[3] / steps[0]
+    d_prods = d.reshape(-1, _SIN_BLOCK).prod(axis=1)
+    d_prods *= 1.0 + rel.reshape(-1, _SIN_BLOCK).sum(axis=1)  # d + error, to first order
+    return h, steps, np.stack([cb, sb, b * cb, b * sb], axis=1), d_prods
+
+
+def _log_abs_M_uniform_rows(spec: MultiplierSpec, zeros: np.ndarray, x: np.ndarray,
+                            j0: int, tables):
+    """_log_abs_M_rows at x = (j0 + i) h, the sines by angle addition.
+
+    With j = j0 + _ANGLE_STEP p + q, sin(j d) = sin a_p cos b_q + cos a_p
+    sin b_q for a_p = (j0 + _ANGLE_STEP p) d and b_q = q d: the tile takes
+    one sin and one cos per zero and per p, and a batched matrix product
+    with inner dimension 2 forms every entry from them and the b_q tables.
+    x is j h rounded, and its offset s h = x - j h (exact, by Dekker's
+    product) enters to first order: sinc((j + s) d) = sinc(j d) (1 + (s/j)
+    (theta cot theta - 1)) at theta = j d, so each sine gains (s/j) (theta
+    cos theta - sin theta), which a second product with inner dimension 4
+    forms from the same tables.  A block's prod theta is j^16 prod d in
+    closed form, and the rounding of j^16 is taken out once per point.
+    """
+    h, steps, rhs, d_prods = tables
+    logmag, negative, guard = _a0_factor(spec, x)
+    n_p = -(-x.size // _ANGLE_STEP)
+    sines = np.empty((_LATTICE_CHUNK, n_p * _ANGLE_STEP))
+    offsets = np.empty_like(sines)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = j0 + np.arange(x.size, dtype=float)
+        j16, j16_err = _pow16(j)
+        h_top, h_low = _split(h)
+        rel_shift = np.zeros(n_p * _ANGLE_STEP)  # s/j, and 0 at j = 0
+        rel_shift[: x.size] = ((x - j * h_top) - j * h_low) / (h * np.maximum(j, 1.0))
+        m = j0 + _ANGLE_STEP * np.arange(n_p, dtype=float)
+        for lo in range(0, zeros.size, _LATTICE_CHUNK):
+            chunk = slice(lo, lo + _LATTICE_CHUNK)
+            size = zeros[chunk].size
+            width = -(-size // _SIN_BLOCK) * _SIN_BLOCK
+            sa, ca = _angle_table(m, [s[chunk] for s in steps])
+            np.matmul(np.stack([sa, ca], axis=2), rhs[chunk, :2],
+                      out=sines[:size].reshape(size, n_p, _ANGLE_STEP))
+            # theta cos theta - sin theta with theta = (m + q) d, on the rows
+            # that reach theta = 1/2: below it |s/j| <= 2^-52 makes the
+            # offset, at most 2^-52 theta^3/3, less than half an ulp of sin theta
+            wide = int(np.count_nonzero(steps[0][chunk] * j[-1] > 0.5))
+            a = m * steps[0][lo: lo + wide, None]
+            sa, ca = sa[:wide], ca[:wide]
+            np.matmul(np.stack([a * ca - sa, -a * sa - ca, ca, -sa], axis=2),
+                      rhs[lo: lo + wide], out=offsets[:wide].reshape(wide, n_p, _ANGLE_STEP))
+            offsets[:wide] *= rel_shift
+            sines[:wide] += offsets[:wide]
+            sines[size:width] = 1.0
+            theta_prods = np.multiply.outer(
+                d_prods[lo // _SIN_BLOCK: (lo + width) // _SIN_BLOCK], j16)
+            if width > size:  # the last block holds size % 16 factors
+                theta_prods[-1] = d_prods[-1] * j ** (size + _SIN_BLOCK - width)
+            _add_blocks(sines[:width, : x.size], theta_prods, logmag, negative, guard)
+        logmag -= (zeros.size // _SIN_BLOCK) * j16_err
+    _redo_guarded(spec, zeros, x, logmag, negative, guard)
     return logmag, negative
 
 
@@ -252,17 +396,25 @@ def _log_abs_M_real_array(spec: MultiplierSpec, xs: np.ndarray):
     """(ln|M(x)|, sign) on a real grid, sharing the lattice across the grid.
 
     Zeros up to the cutoff of max|x| are taken directly, in blocks of sines
-    (see _log_abs_M_rows); the sign is the parity of the negative sines.  The
-    lattice beyond is the tail series of log_M.
+    (see _add_blocks); the sign is the parity of the negative sines.  On the
+    uniform grid xs = xs[1] * arange(n) the sines come by angle addition
+    (_log_abs_M_uniform_rows).  The lattice beyond is the tail series of log_M.
     """
     xs = np.abs(np.asarray(xs, dtype=float))
     m_big = _lattice_cutoff(spec, float(np.max(xs, initial=0.0)))
     zeros = spec.lattice_zero(np.arange(spec.m_start, m_big + 1))
+    uniform = xs.size > 1 and xs[1] > 0 and np.array_equal(xs, xs[1] * np.arange(xs.size))
+    if uniform:
+        tables = _uniform_tables(float(xs[1]), zeros)
     logmag = np.empty_like(xs)
     negative = np.empty(xs.shape, dtype=int)
     for lo in range(0, xs.size, _ROW_CHUNK):
         rows = slice(lo, lo + _ROW_CHUNK)
-        logmag[rows], negative[rows] = _log_abs_M_rows(spec, zeros, xs[rows])
+        if uniform:
+            logmag[rows], negative[rows] = _log_abs_M_uniform_rows(
+                spec, zeros, xs[rows], lo, tables)
+        else:
+            logmag[rows], negative[rows] = _log_abs_M_rows(spec, zeros, xs[rows])
 
     coef = _log_sinc_tail_powers(spec, max(m_big, spec.m_start - 1))
     xx = xs * xs
@@ -544,10 +696,10 @@ class GnEvaluator:
         X = self.tail_cut(rel_tol)
         h = math.pi / (4.0 * max(self.tau, 0.25))
         n = min(int(X / h) + 2, 4_000_001)
-        xs = np.linspace(0.0, X, n)
-        lm, _ = self.log_G_array(xs)
+        dx = X / (n - 1)
+        lm, _ = self.log_G_array(dx * np.arange(n))
         peak = float(np.max(lm))
         vals = np.exp(2.0 * (lm - peak))
-        integral = 2.0 * np.trapezoid(vals, dx=float(xs[1] - xs[0]))
+        integral = 2.0 * np.trapezoid(vals, dx=dx)
         return 2.0 * peak + math.log(integral), X
 

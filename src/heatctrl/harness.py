@@ -70,7 +70,7 @@ class CostReport:
     def row(self) -> str:
         return (f"{self.T:.17g},{self.L:.17g},{self.cost_log:.17g},"
                 f"{self.alpha_eff:.17g},{self.n_modes},"
-                f"{self.terminal_residual:.17g},{self.status}\n")
+                f"{self.terminal_residual:.3g},{self.status}\n")
 
 
 @dataclass

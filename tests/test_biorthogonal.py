@@ -560,6 +560,40 @@ def test_gram_condition_threshold_raises(basis64, gram12):
     assert err.value.cond == reached
 
 
+def test_gram_short_window_solves_again_at_twice_the_digits(gram12):
+    # 12 rates 0.5 + 0.3k at T = 0.1: the digit rule's 96 digits leave a
+    # residual of 2.7e-46 against the gate 1e-48; 192 digits pass
+    lams = 0.5 + 0.3 * np.arange(12)
+    first = biorthogonal._gram_dps(lams, 0.1)
+    fam = gram_minimal_family(lams, 12, 0.1)
+    assert fam.meta["dps"] == 2 * first
+    assert fam.meta["residual"] <= 10.0 ** (-(fam.meta["dps"] // 2))
+    assert all(s.blocks[0].dps == fam.meta["dps"] for s in fam.signals)
+    B = biorthogonality_matrix(fam, 12)
+    assert np.max(np.abs(B - np.eye(12))) <= 1e-10
+    # families that pass the gate at the rule's digits keep them
+    for T, fam in gram12.items():
+        assert fam.meta["dps"] == biorthogonal._gram_dps(fam.lambdas, T)
+
+
+def test_gram_residual_gate_solves_again_once(monkeypatch, basis64):
+    # an inverse off by 1e-20 fails the gate at any precision: one more
+    # solve at twice the digits, then the residual error
+    solve = biorthogonal._spd_inverse
+    calls = []
+
+    def perturbed(A):
+        calls.append(mp.mp.dps)
+        return [[v * (1 + mp.mpf(10) ** -20) for v in row] for row in solve(A)]
+
+    monkeypatch.setattr(biorthogonal, "_spd_inverse", perturbed)
+    lams = basis64.lambdas[:4]
+    first = biorthogonal._gram_dps(lams, 1.0)
+    with pytest.raises(IllConditionedError, match=f"residual .* at dps={2 * first}$"):
+        gram_minimal_family(lams, 4, 1.0)
+    assert calls == [first, 2 * first]
+
+
 def test_gram_too_few_digits_is_a_typed_error(monkeypatch, basis64):
     # at 8 digits the 12-mode T = 1 Gram matrix (cond ~ 2.4e12) is not
     # positive definite in the working precision: a pivot goes non-positive

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heatctrl.entire import (
     ALPHA_2,
@@ -17,6 +17,8 @@ from heatctrl.entire import (
     make_multiplier,
     sigma_star,
 )
+from heatctrl import entire
+from heatctrl.biorthogonal import invert_to_time
 from heatctrl.entire import (
     _ROW_CHUNK,
     _log_abs_M_real_array,
@@ -262,6 +264,57 @@ def test_log_M_array_matches_scalar(eps, tau, xs, data):
         want, want_sign = _scalar_log_abs_M(sp, float(x))
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (x, got, want)
         assert sign == want_sign, x
+
+
+def _per_entry_log_abs_M(spec, xs):
+    """_log_abs_M_real_array on the reversed grid, which is not uniform."""
+    lm, sg = _log_abs_M_real_array(spec, xs[::-1])
+    return lm[::-1], sg[::-1]
+
+
+# zero counts 372, 125, 51, 393 (not multiples of 16, two above one lattice
+# chunk of 256), 112 (whole blocks); n off and on multiples of 64 and 4096
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.02, 0.2), st.floats(0.1, 2.0), st.floats(0.05, 5.0),
+       st.integers(2, 9000), st.data())
+@example(0.05, 0.25, 3.7, 9000, None)
+@example(0.125, 0.5, 0.9, 4097, None)
+@example(0.2, 1.0, 2.0, 300, None)
+@example(0.1, 0.1, 4.9, 8191, None)
+@example(0.05, 2.0, 0.7, 4160, None)
+def test_log_M_uniform_grid_matches_scalar_and_per_entry(eps, tau, h, n, data):
+    sp = make_multiplier(math.pi + 2.0 * eps, tau)
+    xs = h * np.arange(n)
+    lm, sg = _log_abs_M_real_array(sp, xs)
+    want, want_sign = _per_entry_log_abs_M(sp, xs)
+    assert np.all(np.abs(lm - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(sg, want_sign)
+    # scalar log_M at x = 0, across the angle-addition and tile seams, the
+    # last point and a few drawn ones
+    picks = {0, 63, 64, 65, _ROW_CHUNK - 1, _ROW_CHUNK, n - 1}
+    if data is not None:
+        picks |= set(data.draw(st.lists(st.integers(0, n - 1), max_size=8)))
+    for i in sorted(k for k in picks if k < n):
+        want_i, want_sign_i = _scalar_log_abs_M(sp, float(xs[i]))
+        assert abs(lm[i] - want_i) <= 1e-9 * max(1.0, abs(want_i)), (i, lm[i], want_i)
+        assert sg[i] == want_sign_i, i
+
+
+def test_uniform_grids_skip_the_per_entry_kernel(monkeypatch, basis64):
+    ev = GnEvaluator.build(basis64, 3, T=1.0, eps=0.125)
+    sp = ev.spec
+
+    def refuse(*args):
+        raise AssertionError("per-entry ln|M| kernel called on a uniform grid")
+
+    monkeypatch.setattr(entire, "_log_abs_M_rows", refuse)
+    for h, n in ((0.37, 5000), (2.0, 4096), (1.0, 2)):
+        lm, _ = _log_abs_M_real_array(sp, h * np.arange(n))
+        assert np.all(np.isfinite(lm))
+    invert_to_time(ev, 1.0)
+    ev.norm_freq_sq()
+    with pytest.raises(AssertionError, match="per-entry"):
+        _log_abs_M_real_array(sp, np.array([0.0, 1.0, 2.5]))
 
 
 def test_multiplier_envelope_across_tau():

@@ -102,6 +102,13 @@ def test_fit_small_time_slope_policy():
     assert fit["rows_within_bound"]
 
 
+def test_cost_row_prints_residual_to_three_digits():
+    row = CostReport(T=0.5, L=math.pi, cost_log=16.068114614471455, alpha_eff=8.0341,
+                     n_modes=64, terminal_residual=7.6433215e-7, status="ok").row()
+    assert row == ("0.5,3.1415926535897931,16.068114614471455,8.0341000000000005,"
+                   "64,7.64e-07,ok\n")
+
+
 def test_cli_usage_errors(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
