@@ -193,7 +193,8 @@ def log_M(spec: MultiplierSpec, z: complex) -> LogComplex:
 
 
 # The real-axis kernel works on tiles of _ROW_CHUNK grid points by
-# _LATTICE_CHUNK lattice zeros (the ln|f| grid tiles its modes alike) and
+# _LATTICE_CHUNK lattice zeros (a numeric spectrum's ln|f| grid tiles its
+# modes alike; an exact one is a Gamma ratio per point) and
 # takes one log per block of _SIN_BLOCK factors.  A point with a block
 # product below _UNDERFLOW (x = 0 among them) is recomputed factor by factor.
 # On the uniform grid the sines come by angle addition over _ANGLE_STEP points.
@@ -553,24 +554,37 @@ def log_F_n_alt(basis: SpectralBasis, n: int, z: complex, tol: float = 1e-10) ->
 # shared real-axis grid evaluation
 
 
-def _log_f_all_imag_array(basis: SpectralBasis, xs: np.ndarray, tol: float = 1e-10):
-    """(logmag, phase) of  prod_{k>=1} (1 - (-ix)/lambda_k)  over a real grid.
+def _log_f_mode_tiles(lam: np.ndarray, xs: np.ndarray):
+    """(sum_k ln|1 + i x/lambda_k|, sum_k arctan(x/lambda_k)) over given modes.
 
-    The hot path of the Fourier-side synthesis: tiles of _ROW_CHUNK grid
-    points by _LATTICE_CHUNK modes (stored, then model), Gamma tail beyond.
+    Tiles of _ROW_CHUNK grid points by _LATTICE_CHUNK modes.
     """
-    xs = np.asarray(xs, dtype=float)
-    K = _tail_start(basis, float(np.max(np.abs(xs), initial=0.0)), tol)
     logmag = np.zeros_like(xs)
     phase = np.zeros_like(xs)
-    lam = basis.lam_extended(np.arange(1, K + 1))
     for row in range(0, xs.size, _ROW_CHUNK):
         rows = slice(row, row + _ROW_CHUNK)
-        for lo in range(0, K, _LATTICE_CHUNK):
+        for lo in range(0, lam.size, _LATTICE_CHUNK):
             r = xs[rows, None] / lam[None, lo: lo + _LATTICE_CHUNK]
             logmag[rows] += 0.5 * np.sum(np.log1p(r * r), axis=1)
             phase[rows] += np.sum(np.arctan(r), axis=1)
+    return logmag, phase
 
+
+def _log_f_all_imag_array(basis: SpectralBasis, xs: np.ndarray, tol: float = 1e-10):
+    """(logmag, phase) of  prod_{k>=1} (1 - (-ix)/lambda_k)  over a real grid.
+
+    The hot path of the Fourier-side synthesis.  An exact spectrum is its
+    model lambda_k = a (k+b)^2 + s for every k, so the whole product is the
+    Gamma ratio from k = 1, one per grid point.  A numeric Sturm-Liouville
+    spectrum takes its first K modes (stored, then model) factor by factor
+    and the Gamma tail beyond.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if basis.tail.exact:
+        total = _model_tail(basis, 0, -1j * xs)
+        return total.real, wrap_phase_array(total.imag)
+    K = _tail_start(basis, float(np.max(np.abs(xs), initial=0.0)), tol)
+    logmag, phase = _log_f_mode_tiles(basis.lam_extended(np.arange(1, K + 1)), xs)
     tail = _model_tail(basis, K, -1j * xs)
     return logmag + tail.real, wrap_phase_array(phase + tail.imag)
 

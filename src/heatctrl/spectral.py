@@ -159,6 +159,12 @@ class SpectralBasis:
             raise InvariantViolation("eigenvalues must be strictly increasing")
         if np.any(np.asarray(self.traces) == 0.0):
             raise InvariantViolation("boundary traces must be nonzero")
+        if self.tail.exact:
+            # the closed-form products take every lambda_k from the model
+            gap = np.abs(lam - self.tail.lam(np.arange(1, lam.size + 1)))
+            if np.any(gap > 1e-13 * np.maximum(1.0, np.abs(lam))):
+                raise InvariantViolation(
+                    f"exact tail model misses a stored eigenvalue by {np.max(gap):.3g}")
 
     @property
     def n_modes(self) -> int:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,7 @@ from heatctrl.entire import (
     sigma_star,
 )
 from heatctrl import entire
-from heatctrl.biorthogonal import invert_to_time
+from heatctrl.biorthogonal import build_multiplier_family, invert_to_time
 from heatctrl.entire import (
     _ROW_CHUNK,
     _log_abs_M_real_array,
@@ -28,7 +29,12 @@ from heatctrl.entire import (
 )
 from heatctrl.errors import ConfigurationError, TruncationError
 from heatctrl.logdomain import wrap_phase_array
-from heatctrl.spectral import build_sturm_liouville_basis, ParabolicProblem
+from heatctrl.spectral import (
+    ParabolicProblem,
+    build_interval_basis,
+    build_sturm_liouville_basis,
+    reduce_to_canonical,
+)
 
 
 # ---- eigenvalue products ---------------------------------------------------
@@ -62,22 +68,118 @@ def test_f_all_matches_sinc_product(basis64):
             cmath.exp(1j * float(want.imag)), abs=1e-8)
 
 
-def test_f_all_row_tiles_match_the_untiled_sum(basis64):
+def test_f_all_matches_cosine_product():
+    # lambda_k = (k - 1/2)^2 gives  prod (1 - z/(k - 1/2)^2) = cos(pi sqrt z)
+    nd = build_interval_basis("ND", math.pi, 64)
+    for x in [0.3, 42.0, 9876.5, 3.3e5]:
+        lm, ph = _log_f_all_imag_array(nd, np.array([x]))
+        with mp.workdps(40):
+            want = mp.log(mp.cos(mp.pi * mp.sqrt(mp.mpc(0, -x))))
+        assert lm[0] == pytest.approx(float(want.real), abs=1e-8)
+        assert cmath.exp(1j * ph[0]) == pytest.approx(
+            cmath.exp(1j * float(want.imag)), abs=1e-8)
+
+
+def _numeric(basis):
+    """The same spectrum with its model marked inexact: stored modes are data."""
+    return replace(basis, tail=replace(basis.tail, exact=False))
+
+
+def test_f_all_row_tiles_match_the_untiled_sum():
     # more than one row tile and more than one 256-mode block: K = 265 here
+    basis = _numeric(build_interval_basis("DD", math.pi, 300))
     xs = 7.0 * np.arange(_ROW_CHUNK + 905)
-    K = _tail_start(basis64, float(xs[-1]), 1e-9)
-    lam = basis64.lam_extended(np.arange(1, K + 1))
+    K = _tail_start(basis, float(xs[-1]), 1e-9)
+    lam = basis.lam_extended(np.arange(1, K + 1))
     logmag = np.zeros_like(xs)
     phase = np.zeros_like(xs)
     for lo in range(0, K, 256):
         r = xs[:, None] / lam[None, lo: lo + 256]
         logmag += 0.5 * np.sum(np.log1p(r * r), axis=1)
         phase += np.sum(np.arctan(r), axis=1)
-    tail = _model_tail(basis64, K, -1j * xs)
-    lm, ph = _log_f_all_imag_array(basis64, xs, tol=1e-9)
+    tail = _model_tail(basis, K, -1j * xs)
+    lm, ph = _log_f_all_imag_array(basis, xs, tol=1e-9)
     assert K > 256
     assert np.array_equal(lm, logmag + tail.real)
     assert np.array_equal(ph, wrap_phase_array(phase + tail.imag))
+
+
+def _product_reference(tail, x):
+    """prod_k (1 + ix/lambda_k) for lambda_k = a (k+b)^2 + s, at 30 digits.
+
+    prod_k (1 - Z/(a (k+b)^2)) is sin(pi w)/(pi w) for b = 0 and cos(pi w)
+    for b = -1/2 (w = sqrt(Z/a)); the shift s divides out as g(z - s)/g(-s).
+    """
+    with mp.workdps(30):
+        a, s = mp.mpf(tail.a), mp.mpf(tail.s)
+
+        def g(Z):
+            w = mp.pi * mp.sqrt(Z / a)
+            if tail.b == -0.5:
+                return mp.cos(w)
+            return mp.sin(w) / w if w != 0 else mp.mpf(1)
+
+        v = mp.log(g(mp.mpc(-s, -x)) / g(-s))
+        return float(v.real), float(v.imag)
+
+
+def _modes_needed(tail, x):
+    """Stored modes that let _tail_start cut at mu_{K+1} >= 2x, and no more."""
+    return max(16, int(math.ceil(math.sqrt(max(0.0, 2.0 * x - tail.s) / tail.a) - tail.b)))
+
+
+def _phase_gap(a, b):
+    return abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["DD", "ND"]), st.floats(0.3, 20.0), st.booleans(),
+       st.lists(st.floats(0.0, 3e5), min_size=1, max_size=4))
+def test_f_all_closed_form_matches_the_product(kind, X, reduced, extra):
+    basis = build_interval_basis(kind, X, 16)
+    if reduced:
+        basis, _ = reduce_to_canonical(basis, 0.5)
+    t = basis.tail
+    # x = 0, tiny x, the 256-mode block seams of the per-mode path, x up to 3e5
+    seams = [(t.a * (256 * m + t.b) ** 2 + t.s) / 2.0 for m in (1, 2)]
+    seams = [x for x in seams if 0.0 < x <= 3e5]
+    pts = np.array([0.0, 5e-324, 1e-300, 1e-9, 1.0, 3e5]
+                   + [np.nextafter(x, d) for x in seams for d in (0.0, np.inf)]
+                   + extra)
+    # the points straddle a row seam of a longer grid
+    xs = np.linspace(0.0, 3e5, _ROW_CHUNK + len(pts))
+    at = slice(_ROW_CHUNK - 3, _ROW_CHUNK - 3 + len(pts))
+    xs[at] = pts
+    lm, ph = (v[at] for v in _log_f_all_imag_array(basis, xs))
+    for x, got_lm, got_ph in zip(pts, lm, ph):
+        want_lm, want_ph = _product_reference(t, x)
+        scale = max(1.0, abs(want_lm))
+        assert abs(got_lm - want_lm) <= 1e-13 * scale
+        assert _phase_gap(got_ph, want_ph) <= 1e-13 * scale
+    # the per-mode path on the same spectrum, with the modes x needs stored
+    for x, got_lm, got_ph in zip(pts, lm, ph):
+        full = build_interval_basis(kind, X, _modes_needed(t, x))
+        if reduced:
+            full, _ = reduce_to_canonical(full, 0.5)
+        (n_lm,), (n_ph,) = _log_f_all_imag_array(_numeric(full), np.array([x]))
+        scale = max(1.0, abs(got_lm))
+        assert abs(got_lm - n_lm) <= 1e-12 * scale
+        assert _phase_gap(got_ph, n_ph) <= 1e-12 * scale
+
+
+def test_exact_spectra_do_no_per_mode_work(monkeypatch, basis64):
+    def refuse(*args):
+        raise AssertionError("per-mode ln|f| tiles on an exact spectrum")
+
+    monkeypatch.setattr(entire, "_log_f_mode_tiles", refuse)
+    for b in (basis64, build_interval_basis("ND", 2.2, 64),
+              reduce_to_canonical(build_interval_basis("ND", 2.2, 64), 0.5)[0]):
+        lm, _ = _log_f_all_imag_array(b, 7.0 * np.arange(5000))
+        assert np.all(np.isfinite(lm))
+    fam = build_multiplier_family(basis64, 1.0, 2, eps=0.125)  # envelope fits, family grid
+    fam.evaluators[0].norm_freq_sq()
+    with pytest.raises(AssertionError, match="per-mode"):
+        _log_f_all_imag_array(_numeric(basis64), np.array([0.0, 1.0, 2.5]))
 
 
 def test_F_n_interpolation_data(basis64):

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatctrl.biorthogonal import ControlSignal, MpBlock
 from heatctrl.errors import ConfigurationError, InvariantViolation, NumericError
@@ -161,6 +163,22 @@ def test_verify_rejects_gap_violation(basis64):
                       eigfun=basis64.eigfun)
 
 
+def test_exact_tail_must_hold_on_every_stored_mode(basis64):
+    def with_lambdas(lam, tail=basis64.tail):
+        return SpectralBasis(kind="exact-DD", X=math.pi, lambdas=lam,
+                             traces=basis64.traces, nu=0.0, L=math.pi,
+                             tail=tail, basis_id="probe", eigfun=basis64.eigfun)
+
+    lam = basis64.lambdas.copy()
+    lam[40] *= 1.0 + 1e-15  # roundoff: the model still holds
+    with_lambdas(lam)
+    lam[40] *= 1.0 + 1e-11
+    with pytest.raises(InvariantViolation, match="exact tail model"):
+        with_lambdas(lam)
+    # a numeric spectrum's stored eigenvalues are data, not the model
+    with_lambdas(lam, tail=replace(basis64.tail, exact=False, delta=1e-8))
+
+
 def test_verify_needs_ten_modes():
     b = build_interval_basis("DD", math.pi, 5)
     with pytest.raises(ConfigurationError):
@@ -186,6 +204,29 @@ def test_reduction_shift_forced():
     red, sched = reduce_to_canonical(shifted, 1.0)
     assert sched.lam == pytest.approx(4.0)
     assert red.lambdas[0] == pytest.approx(1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["DD", "ND"]), st.floats(0.3, 20.0), st.floats(0.1, 2.0),
+       st.one_of(st.none(), st.floats(-5.0, 0.99)))
+def test_reduction_round_trip(kind, X, T, lam1):
+    b = build_interval_basis(kind, X, 24)
+    if lam1 is not None:  # pre-shifted so that lambda_1 = lam1 < 1
+        s = lam1 - float(b.lambdas[0])
+        b = replace(b, lambdas=b.lambdas + s, tail=replace(b.tail, s=s))
+    red, sched = reduce_to_canonical(b, T)
+    k = np.arange(1, b.n_modes + 1)
+    assert red.tail.exact
+    # the shift lifts lambda_1 to 1 before the rescale by sigma
+    assert b.lambdas[0] + sched.lam >= 1.0 - 1e-13
+    assert sched.sigma == (math.pi / b.L) ** 2 and red.L == math.pi
+    assert sched.lam == red.shift - b.shift
+    # the reduced model still gives every stored eigenvalue
+    assert np.all(np.abs(red.tail.lam(k) - red.lambdas)
+                  <= 1e-13 * np.maximum(1.0, np.abs(red.lambdas)))
+    # and the schedule undoes the reduction
+    back = red.lambdas * sched.sigma - sched.lam
+    assert np.all(np.abs(back - b.lambdas) <= 1e-13 * np.maximum(1.0, np.abs(b.lambdas)))
 
 
 def test_reduction_rescale_and_cost_factor():
