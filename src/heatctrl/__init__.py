@@ -14,7 +14,6 @@ from .entire import (
     GnEvaluator,
     MultiplierSpec,
     log_F_n,
-    log_F_n_alt,
     log_M,
     log_f_n,
     make_multiplier,

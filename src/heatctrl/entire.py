@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import loggamma, polygamma, zeta
 
 from .errors import ConfigurationError, TruncationError
 from .logdomain import LogComplex, log_sinc, wrap_phase_array
@@ -41,12 +40,116 @@ __all__ = [
     "log_M",
     "log_f_n",
     "log_F_n",
-    "log_F_n_alt",
     "ALPHA_2",
 ]
 
 ALPHA_2 = 2.0 * (36.0 / 37.0) ** 2
 _SLOPE_RATIO = 37.0 / 18.0  # d/A floor from the small-x multiplier estimate
+
+
+# ---------------------------------------------------------------------------
+# special functions
+
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                       -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                       -236364091 / 2730])  # B_2j for j = 1..12
+_TWO_J = 2.0 * np.arange(1, _BERNOULLI.size + 1)
+_STIRLING = (_BERNOULLI / (_TWO_J * (_TWO_J - 1.0)))[:9]  # B_2j / (2j (2j-1))
+_EULER_MACLAURIN = _BERNOULLI / np.array([math.factorial(int(j)) for j in _TWO_J])
+_ZETA_TERMS = np.arange(9.0, -1.0, -1.0)  # q + k for k = 9..0, the smallest term first
+_ZETA_WEIGHTS = np.r_[0.5, np.ones(9)]
+_STIRLING_ZONE = 7.0
+_SHIFTS = np.arange(_STIRLING_ZONE)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+
+
+def _hurwitz_zeta(s, q):
+    """zeta(s, q) = sum_{k>=0} (q+k)^-s for s > 1, q > 0, broadcast over s and q.
+
+    Euler-Maclaurin at w = q + 9: the direct sum up to w with its last term
+    halved, the integral w^{1-s}/(s-1), and twelve terms B_2j/(2j)!
+    s (s+1) ... (s+2j-2) w^{1-s-2j}, whose rising factorials over w^{2j-1}
+    are one cumprod.
+    """
+    s = np.asarray(s, dtype=float)[..., None]
+    w = np.asarray(q, dtype=float)[..., None] + _ZETA_TERMS
+    direct = w ** -s
+    w = w[..., :1]
+    steps = (s + _TWO_J - 3.0) * (s + _TWO_J - 2.0) / (w * w)
+    steps[..., :1] = s / w
+    bernoulli = np.cumprod(steps, axis=-1) @ _EULER_MACLAURIN
+    last, w, s = direct[..., 0], w[..., 0], s[..., 0]
+    return (direct @ _ZETA_WEIGHTS + last * (w / (s - 1.0) + bernoulli))[()]
+
+
+# c_j = zeta(2j) / (j pi^{2j}), log sinc t = -sum_j c_j t^{2j}; sigma_star sums up to 401
+_J = np.arange(1.0, 402.0)
+_LOG_SINC_COEF = _hurwitz_zeta(2.0 * _J, 1.0) * np.pi ** (-2.0 * _J) / _J
+
+
+def _sin_pi(z: np.ndarray) -> np.ndarray:
+    """sin(pi z), with Re z reduced exactly by its nearest integer n."""
+    n = np.rint(z.real)
+    sign = np.where(np.fmod(n, 2.0) == 0.0, 1.0, -1.0)
+    r, y = np.pi * (z.real - n), np.pi * z.imag
+    out = np.empty_like(z)  # parts set one by one keep the sign of a zero Im
+    out.real = sign * np.sin(r) * np.cosh(y)
+    out.imag = sign * np.cos(r) * np.sinh(y)
+    return out
+
+
+def _loggamma_stirling(z):
+    """Stirling series (DLMF 5.11.1) with nine Bernoulli terms."""
+    rzz = 1.0 / (z * z)
+    acc = _STIRLING[-1] * rzz
+    for c in _STIRLING[-2:0:-1]:
+        acc = (acc + c) * rzz
+    log_z = np.log(np.hypot(z.real, z.imag)) + 1j * np.arctan2(z.imag, z.real)
+    return (z - 0.5) * log_z - z + (_HALF_LOG_2PI + (acc + _STIRLING[0]) / z)
+
+
+def _loggamma_recurrence(z):
+    """ln Gamma(z) for Re z >= 1/2 by the upward recurrence.
+
+    ln Gamma(z) = ln Gamma(z + 7) - sum_{k<7} ln(z + k) with principal logs:
+    the real parts are ln|z + k|, and the imaginary part is the sum of the
+    seven principal arguments, the branch that Hare's Prop. 2.2 recovers
+    from one log of the product by counting sign flips of its running Im.
+    """
+    xk = z.real + _SHIFTS[:, None]
+    mod2 = xk * xk
+    mod2 += z.imag * z.imag
+    log_prod = 0.5 * np.sum(np.log(mod2), axis=0) + 1j * np.sum(np.arctan2(z.imag, xk), axis=0)
+    return _loggamma_stirling(z + _STIRLING_ZONE) - log_prod
+
+
+def _loggamma(z):
+    """Principal branch of ln Gamma(z), continuous off the negative real axis.
+
+    The algorithm of scipy.special.loggamma (D. E. G. Hare, J. Algorithms
+    25, 1997): Stirling where Re z >= 7 or |Im z| >= 7; below that the
+    upward recurrence for Re z >= 1/2, and for Re z < 1/2 the reflection
+    ln pi - ln sin(pi z) - ln Gamma(1-z) with the branch correction
+    2 pi i sgn(Im z) floor(Re z / 2 + 1/4) (Hare, Prop. 3.1).
+    """
+    z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
+    out = np.empty_like(z)
+    far = (z.real >= _STIRLING_ZONE) | (np.abs(z.imag) >= _STIRLING_ZONE)
+    if np.any(far):
+        out[far] = _loggamma_stirling(z[far])
+    if not np.all(far):
+        zn = z[~far]
+        left = zn.real < 0.5
+        near = _loggamma_recurrence(np.where(left, 1.0 - zn, zn))
+        if np.any(left):
+            zl = zn[left]
+            branch = np.copysign(2.0 * np.pi, zl.imag) * np.floor(0.5 * zl.real + 0.25)
+            with np.errstate(divide="ignore"):  # sin(pi z) = 0 at the poles
+                near[left] = _LOG_PI + 1j * branch - np.log(_sin_pi(zl)) - near[left]
+        out[~far] = near
+    return out.reshape(shape)[()]
 
 
 def sigma_star(tol: float = 1e-12):
@@ -59,16 +162,11 @@ def sigma_star(tol: float = 1e-12):
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    total = 0.0
-    k = 1
-    while True:
-        term = zeta(2.0 * k) / (k * (4.0 * k - 1.0) * math.pi ** (2 * k))
-        total += term
-        if term < tol / 10.0 or k > 400:
-            # remaining terms are below term * r / (1 - r) with r ~ pi^-2
-            total += term * 0.113
-            break
-        k += 1
+    terms = _LOG_SINC_COEF / (4.0 * _J - 1.0)
+    small = np.flatnonzero(terms[:400] < tol / 10.0)
+    k = small[0] if small.size else 400
+    # remaining terms are below term * r / (1 - r) with r ~ pi^-2
+    total = np.cumsum(terms[: k + 1])[-1] + terms[k] * 0.113
     alpha1 = 4.0 / (2.0 + total)
     return total, alpha1, ALPHA_2
 
@@ -118,7 +216,7 @@ class MultiplierSpec:
 
     def type_sum(self):
         """(sum_n 1/a_n computed exactly, the budget tau)."""
-        exact = self.K / self.a0 + self.A**2 * float(polygamma(1, self.m_start))
+        exact = self.K / self.a0 + self.A**2 * float(_hurwitz_zeta(2.0, self.m_start))
         return exact, self.tau
 
     def zeros(self, count: int) -> np.ndarray:
@@ -158,10 +256,8 @@ def _log_sinc_tail_powers(spec: MultiplierSpec, m_big: int, n_terms: int = 12):
     From log sinc t = -sum_j zeta(2j)/(j pi^{2j}) t^{2j} and a_m = (m/A)^2:
     c_j = -zeta(2j)/(j pi^{2j}) A^{4j} zeta_H(4j, m_big+1).
     """
-    js = np.arange(1, n_terms + 1, dtype=float)
-    coef = -(zeta(2 * js) / (js * np.pi ** (2 * js)))
-    coef = coef * spec.A ** (4 * js) * zeta(4 * js, m_big + 1)
-    return coef
+    js = _J[:n_terms]
+    return -_LOG_SINC_COEF[:n_terms] * spec.A ** (4 * js) * _hurwitz_zeta(4 * js, m_big + 1)
 
 
 def log_M(spec: MultiplierSpec, z: complex) -> LogComplex:
@@ -445,7 +541,9 @@ def _gamma_tail_quadratic(a: float, b: float, K: int, Z) -> np.ndarray:
     """
     B = K + b
     w = np.sqrt(np.asarray(Z, dtype=complex) / a)
-    return 2.0 * loggamma(1.0 + B) - loggamma(1.0 + B + w) - loggamma(1.0 + B - w)
+    lg = _loggamma(1.0 + B + np.stack([w, -w]))
+    # 1 + B > 0 for every increasing model (b > -1), where lgamma is ln Gamma
+    return 2.0 * math.lgamma(1.0 + B) - lg[0] - lg[1]
 
 
 def _model_tail(basis: SpectralBasis, K: int, z) -> np.ndarray:
@@ -478,7 +576,7 @@ def _tail_start(basis: SpectralBasis, absz: float, tol: float, n_protect: int = 
         raise TruncationError(
             f"|z| = {absz:.3g} needs modes beyond the stored {basis.n_modes} "
             "and the tail model is not exact", achieved=None)
-    err = products * float(t.delta * 2.0 * absz * zeta(4.0, K + 1 + t.b) / t.a**2)
+    err = products * float(t.delta * 2.0 * absz * _hurwitz_zeta(4.0, K + 1 + t.b) / t.a**2)
     if err > tol:
         raise TruncationError(
             f"tail model error bound {err:.2e} exceeds tol {tol:.2e}", achieved=err)
@@ -518,36 +616,6 @@ def log_F_n(basis: SpectralBasis, n: int, z: complex, tol: float = 1e-10) -> Log
     num = log_f_n(basis, n, -1j * complex(z), tol=tol)
     den = log_f_n(basis, n, complex(basis.lambdas[n - 1]), tol=tol)
     return num / den
-
-
-def log_F_n_alt(basis: SpectralBasis, n: int, z: complex, tol: float = 1e-10) -> LogComplex:
-    """log of  prod_{k != n} [1 - ((z - lambda_n)/(lambda_k - lambda_n))^2].
-
-    Cross-check family with the same zeros along the shifted real axis and
-    growth 2 pi sqrt|z - lambda_n|; normalized to 1 at z = lambda_n.
-    """
-    if not 1 <= n <= basis.n_modes:
-        raise ConfigurationError(f"mode index {n} outside stored range")
-    z = complex(z)
-    lam_n = float(basis.lambdas[n - 1])
-    w = z - lam_n
-    K = _tail_start(basis, abs(w) + abs(lam_n), tol, n_protect=n, products=2)
-    ks = np.arange(1, K + 1)
-    lam = basis.lam_extended(ks)
-    gaps = lam[ks != n] - lam_n
-    if w.imag == 0.0:
-        factors = (1.0 - (w.real / gaps) ** 2).astype(complex)
-    else:
-        factors = 1.0 - (w / gaps) ** 2
-    if np.any(factors == 0.0):
-        return LogComplex.zero()
-    total = complex(np.sum(np.log(factors)))
-    # tail: split each quadratic factor into (1 -+ w/(mu_k - lambda_n))
-    t = basis.tail
-    for ww in (w, -w):
-        total += complex(_gamma_tail_quadratic(t.a, t.b, K, ww + (lam_n - t.s))
-                         - _gamma_tail_quadratic(t.a, t.b, K, lam_n - t.s))
-    return LogComplex(total.real, total.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +666,8 @@ class GnEvaluator:
     """Evaluator of G_n = F_n M_n with its normalizers and fitted envelope.
 
     The envelope  ln|G_n(x)| <= env_const - eps sqrt|x|  is fitted once on a
-    log grid at construction and drives every later truncation decision.
+    log grid at construction; only envelope() reads env_const.  Truncation
+    does not: tail_cut depends on eps alone.
     """
 
     basis: SpectralBasis
@@ -665,6 +734,8 @@ class GnEvaluator:
             lm, ph = self.log_G_array(np.array([z.real]))
             return LogComplex(float(lm[0]), float(ph[0]))
         fn = log_f_n(self.basis, self.n, -1j * z, tol=self.tol)
+        if fn.is_zero:  # i lambda_k, k != n: the product is zero whatever M is
+            return fn
         m = log_M(self.spec, z)
         return (fn / self.log_fn_lam) * m / LogComplex(self.log_M_ilam, 0.0)
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
+from numpy.random import default_rng  # numpy 2 loads numpy.random on first use
 
 from .biorthogonal import assemble_control, build_multiplier_family
 from .entire import ALPHA_2
@@ -201,7 +202,7 @@ def lower_bound_reports(config: "ExperimentConfig", basis: SpectralBasis,
 
 def _basket(basis: SpectralBasis, seed: int, n_unit: int = 10, n_random: int = 5):
     """Unit modes e_1..e_10 plus seeded random 10-mode states."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     states = []
     for j in range(n_unit):
         c = np.zeros(n_unit)

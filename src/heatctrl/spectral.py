@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError, InvariantViolation, NumericError
 
@@ -50,6 +48,8 @@ def _as_coefficient(spec, X: float, name: str) -> Callable[[np.ndarray], np.ndar
     samples = np.asarray(spec, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
         raise ConfigurationError(f"{name}: need a scalar, callable, or 1D sample array")
+    from scipy.interpolate import CubicSpline  # scipy loads only for Sturm-Liouville data
+
     grid = np.linspace(0.0, X, samples.size)
     spline = CubicSpline(grid, samples)
     return lambda x: spline(np.asarray(x, dtype=float))
@@ -266,6 +266,8 @@ def build_interval_basis(kind: str, X: float, count: int) -> SpectralBasis:
 
 def _sl_eigen_grid(problem: ParabolicProblem, count: int, m: int):
     """First `count` eigenpairs of the m-cell symmetric FD discretization."""
+    from scipy.linalg import eigh_tridiagonal
+
     X = problem.X
     h = X / m
     xs = np.linspace(0.0, X, m + 1)
@@ -350,6 +352,8 @@ def build_sturm_liouville_basis(problem: ParabolicProblem, count: int,
             f"eigenvalue refinement stalled at relative residual {worst:.3e} > {rtol:.1e}",
             residual=worst,
         )
+
+    from scipy.interpolate import CubicSpline
 
     splines = [CubicSpline(xs, vecs[:, j]) for j in range(count)]
 
@@ -476,7 +480,13 @@ class ReductionSchedule:
 
 
 def reduce_to_canonical(basis: SpectralBasis, T: float):
-    """Normalize a basis to lambda_1 >= 1, effective length pi, centered window."""
+    """Normalize a basis to effective length pi and a centered window.
+
+    The shift comes first, so that lambda_1 + shift >= 1, and the rescale by
+    sigma = (pi/L)^2 after it: the reduced lambda_1 is (lambda_1 + shift) /
+    sigma, positive but below 1 when sigma > lambda_1 + shift (ND on [0, 1]
+    reduces to 1/4).
+    """
     lam1 = float(basis.lambdas[0])
     shift = max(0.0, -lam1 + 1.0)
     sigma = (math.pi / basis.L) ** 2

@@ -5,14 +5,14 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.special import loggamma as scipy_loggamma
 
 from heatctrl.entire import (
     ALPHA_2,
     GnEvaluator,
     MultiplierSpec,
     log_F_n,
-    log_F_n_alt,
     log_M,
     log_f_n,
     make_multiplier,
@@ -21,14 +21,18 @@ from heatctrl.entire import (
 from heatctrl import entire
 from heatctrl.biorthogonal import build_multiplier_family, invert_to_time
 from heatctrl.entire import (
+    _LOG_SINC_COEF,
     _ROW_CHUNK,
+    _gamma_tail_quadratic,
+    _hurwitz_zeta,
     _log_abs_M_real_array,
     _log_f_all_imag_array,
+    _loggamma,
     _model_tail,
     _tail_start,
 )
 from heatctrl.errors import ConfigurationError, TruncationError
-from heatctrl.logdomain import wrap_phase_array
+from heatctrl.logdomain import LogComplex, wrap_phase_array
 from heatctrl.spectral import (
     ParabolicProblem,
     build_interval_basis,
@@ -195,6 +199,36 @@ def test_F_n_growth_bound(basis64):
     for x in (1e2, 1e4):
         v = log_F_n(basis64, 1, x)
         assert v.logmag <= 3.3 * math.sqrt(x)
+
+
+def log_F_n_alt(basis, n, z, tol=1e-10):
+    """log of  prod_{k != n} [1 - ((z - lambda_n)/(lambda_k - lambda_n))^2].
+
+    Cross-check family with the same zeros along the shifted real axis and
+    growth 2 pi sqrt|z - lambda_n|; normalized to 1 at z = lambda_n.
+    """
+    if not 1 <= n <= basis.n_modes:
+        raise ConfigurationError(f"mode index {n} outside stored range")
+    z = complex(z)
+    lam_n = float(basis.lambdas[n - 1])
+    w = z - lam_n
+    K = _tail_start(basis, abs(w) + abs(lam_n), tol, n_protect=n, products=2)
+    ks = np.arange(1, K + 1)
+    lam = basis.lam_extended(ks)
+    gaps = lam[ks != n] - lam_n
+    if w.imag == 0.0:
+        factors = (1.0 - (w.real / gaps) ** 2).astype(complex)
+    else:
+        factors = 1.0 - (w / gaps) ** 2
+    if np.any(factors == 0.0):
+        return LogComplex.zero()
+    total = complex(np.sum(np.log(factors)))
+    # tail: split each quadratic factor into (1 -+ w/(mu_k - lambda_n))
+    t = basis.tail
+    for ww in (w, -w):
+        total += complex(_gamma_tail_quadratic(t.a, t.b, K, ww + (lam_n - t.s))
+                         - _gamma_tail_quadratic(t.a, t.b, K, lam_n - t.s))
+    return LogComplex(total.real, total.imag)
 
 
 def test_alt_product_matches_partial_product_oracle(basis64):
@@ -431,6 +465,80 @@ def test_multiplier_envelope_across_tau():
         Ds.append(float(np.max(lm + d * np.sqrt(xs) - ALPHA_2 * d * d / (2.0 * tau))))
     assert all(Dt <= Ds[0] + 1e-9 for Dt in Ds[1:])
     assert max(Ds) < 5.0
+
+
+# ---- special functions -----------------------------------------------------
+
+
+def _check_loggamma(z):
+    """_loggamma at z, as a scalar and as a one-point array, against scipy
+    and a 30-digit mpmath value, imaginary part included: a 2 pi offset of
+    the branch fails by far."""
+    with mp.workdps(30):
+        exact = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+    tol = 1e-13 * max(1.0, abs(exact))
+    for got in (complex(_loggamma(z)), complex(_loggamma(np.array([z]))[0])):
+        assert abs(got - exact) <= tol, (z, got, exact)
+        assert abs(got - complex(scipy_loggamma(z))) <= tol, (z, got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-40.0, 40.0, allow_subnormal=False),
+       st.floats(-40.0, 40.0, allow_subnormal=False))
+@example(-7.5, 3.39)  # reflection where sin(pi Re z) < 0 at Re z < 0
+@example(-2.5, 1e-300)
+@example(0.5, -3.0)
+@example(6.999999, 6.999999)
+def test_loggamma_principal_branch(x, y):
+    # the negative real axis is the branch cut; mpmath has no signed zero
+    # there.  (At subnormal |z| sin(pi z) loses digits, in scipy as here.)
+    assume(y != 0.0 or x > 0.0)
+    _check_loggamma(complex(x, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-1e-6, 1e-6), st.floats(-7.0, 7.0).filter(lambda y: y != 0.0))
+def test_loggamma_reflection_seam(dx, y):
+    _check_loggamma(complex(0.5 + dx, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-1e-3, 1e-3), st.floats(-7.5, 7.5).filter(lambda v: v != 0.0),
+       st.booleans())
+def test_loggamma_stirling_border(d, other, real_side):
+    # Re z or |Im z| within 1e-3 of 7, where Stirling takes over
+    z = complex(7.0 + d, other) if real_side else complex(other, math.copysign(7.0 + d, other))
+    _check_loggamma(z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 2.2e5), st.floats(0.05, 4.0), st.sampled_from([0.0, -0.5, 7.3, 8.0]),
+       st.booleans())
+def test_loggamma_on_the_grid_arguments(x, a, B, plus):
+    # 1 + B +- sqrt(-i x / a), the arguments of the closed-form ln|f| grid
+    w = cmath.sqrt(-1j * x / a)
+    _check_loggamma(1.0 + B + (w if plus else -w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.floats(1.0, 1e6))
+@example(24, 3e4)
+def test_hurwitz_zeta_matches_mpmath(j, q):
+    s = 2.0 * j
+    with mp.workdps(320):  # mp.zeta loses digits at large q and s below this
+        want = float(mp.zeta(2 * j, mp.mpf(q)))
+    assert _hurwitz_zeta(s, q) == pytest.approx(want, rel=2e-15)
+    # broadcast over s as _log_sinc_tail_powers calls it
+    batch = _hurwitz_zeta(np.array([2.0, s, 48.0]), q)
+    assert batch[1] == pytest.approx(want, rel=2e-15)
+
+
+def test_log_sinc_table_matches_mpmath():
+    # zeta(2j)/(j pi^{2j}); the float pi^{-2j} alone is off by 2j * 4e-17
+    with mp.workdps(30):
+        want = [float(mp.zeta(2 * j) / (j * mp.pi ** (2 * j))) for j in range(1, 41)]
+    assert np.allclose(_LOG_SINC_COEF[:40], want, rtol=4e-15, atol=0.0)
+    assert _LOG_SINC_COEF[0] == pytest.approx(1.0 / 6.0, rel=1e-16)
 
 
 # ---- sigma star ------------------------------------------------------------

@@ -220,6 +220,8 @@ def test_reduction_round_trip(kind, X, T, lam1):
     # the shift lifts lambda_1 to 1 before the rescale by sigma
     assert b.lambdas[0] + sched.lam >= 1.0 - 1e-13
     assert sched.sigma == (math.pi / b.L) ** 2 and red.L == math.pi
+    assert red.lambdas[0] > 0
+    assert red.lambdas[0] == (b.lambdas[0] + sched.lam) / sched.sigma
     assert sched.lam == red.shift - b.shift
     # the reduced model still gives every stored eigenvalue
     assert np.all(np.abs(red.tail.lam(k) - red.lambdas)
