@@ -537,7 +537,7 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     evs = [GnEvaluator.build(basis, n, tau=tau, eps=eps, tol=tol)
            for n in range(1, count + 1)]
     spec = evs[0].spec
-    X_max = max(ev.tail_cut(tol) for ev in evs)
+    X_max = evs[0].tail_cut(tol)  # the same eps for every mode
     tau_type = spec.type_sum()[0]
     h, n_freq = _frequency_grid(tau_type, T, X_max)
     xs = h * np.arange(n_freq)

@@ -663,11 +663,11 @@ def _log_f_all_imag_array(basis: SpectralBasis, xs: np.ndarray, tol: float = 1e-
 
 @dataclass(frozen=True)
 class GnEvaluator:
-    """Evaluator of G_n = F_n M_n with its normalizers and fitted envelope.
+    """Evaluator of G_n = F_n M_n with its two normalizers, ln f_n(lambda_n)
+    and ln|M(i lambda_n)|.
 
-    The envelope  ln|G_n(x)| <= env_const - eps sqrt|x|  is fitted once on a
-    log grid at construction; only envelope() reads env_const.  Truncation
-    does not: tail_cut depends on eps alone.
+    The family build reads log_G_from_grids and tail_cut, whose cut depends
+    on eps alone; the moments read log_G at i lambda_k.
     """
 
     basis: SpectralBasis
@@ -677,7 +677,6 @@ class GnEvaluator:
     spec: MultiplierSpec
     log_fn_lam: LogComplex = field(repr=False)
     log_M_ilam: float
-    env_const: float
     tol: float
 
     @staticmethod
@@ -689,19 +688,11 @@ class GnEvaluator:
             if T is None:
                 raise ConfigurationError("give either T or tau")
             tau = T / 2.0
-        d = math.pi + 2.0 * eps
-        spec = make_multiplier(d, tau)
-        log_fn_lam = log_f_n(basis, n, complex(basis.lambdas[n - 1]), tol=tol)
+        spec = make_multiplier(math.pi + 2.0 * eps, tau)
         lam_n = float(basis.lambdas[n - 1])
-        log_M_ilam = log_M(spec, 1j * lam_n).logmag
-
-        ev = GnEvaluator(basis=basis, n=n, eps=eps, tau=tau, spec=spec,
-                         log_fn_lam=log_fn_lam, log_M_ilam=log_M_ilam,
-                         env_const=math.inf, tol=tol)
-        env = ev._fit_envelope()
         return GnEvaluator(basis=basis, n=n, eps=eps, tau=tau, spec=spec,
-                           log_fn_lam=log_fn_lam, log_M_ilam=log_M_ilam,
-                           env_const=env, tol=tol)
+                           log_fn_lam=log_f_n(basis, n, complex(lam_n), tol=tol),
+                           log_M_ilam=log_M(spec, 1j * lam_n).logmag, tol=tol)
 
     # -- evaluation -----------------------------------------------------
 
@@ -730,38 +721,19 @@ class GnEvaluator:
     def log_G(self, z: complex) -> LogComplex:
         """G_n at a single point, real or complex (i lambda_k reachable)."""
         z = complex(z)
-        if z.imag == 0.0:
-            lm, ph = self.log_G_array(np.array([z.real]))
-            return LogComplex(float(lm[0]), float(ph[0]))
         fn = log_f_n(self.basis, self.n, -1j * z, tol=self.tol)
         if fn.is_zero:  # i lambda_k, k != n: the product is zero whatever M is
             return fn
         m = log_M(self.spec, z)
         return (fn / self.log_fn_lam) * m / LogComplex(self.log_M_ilam, 0.0)
 
-    def envelope(self, x) -> np.ndarray:
-        """Upper bound for ln|G_n| on the real axis."""
-        return self.env_const - self.eps * np.sqrt(np.abs(np.asarray(x, dtype=float)))
-
-    def _fit_envelope(self) -> float:
-        lam_n = float(self.basis.lambdas[self.n - 1])
-        hi = max(64.0 * self.spec.a0, 16.0 * lam_n, 1e3)
-        while True:
-            xs = np.geomspace(1e-2, hi, 600)
-            lm, _ = self.log_G_array(xs)
-            resid = lm + self.eps * np.sqrt(xs)
-            k = int(np.argmax(resid))
-            if k < len(xs) - 10 or hi > 1e14:
-                break
-            hi *= 16.0
-        # small additive margin over the sampled sup
-        return float(resid[k]) + 0.5
-
     def tail_cut(self, rel_tol: float) -> float:
-        """X so the envelope mass beyond X is below rel_tol of the total.
+        """X so the mass of the envelope e^{c - eps sqrt|x|} of |G_n| beyond X
+        is below rel_tol of the total.
 
         Uses int_X^inf e^{c - eps sqrt x} dx = e^c (2/eps^2) (1 + eps sqrt X)
-        e^{-eps sqrt X} against the full-line value e^c (2/eps^2) * 2.
+        e^{-eps sqrt X} against the full-line value e^c (2/eps^2) * 2; c
+        cancels, so X depends on eps alone.
         """
         if not 0 < rel_tol < 1:
             raise ConfigurationError("rel_tol must be in (0, 1)")
@@ -769,22 +741,3 @@ class GnEvaluator:
         for _ in range(60):
             u = -math.log(2.0 * rel_tol / (1.0 + u))
         return (u / self.eps) ** 2
-
-    def norm_freq_sq(self, rel_tol: float = 1e-9):
-        """integral of |G_n|^2 over the real line by envelope-cut trapezoid.
-
-        Returns (log of the integral, X_max used).  |G|^2 is band-limited to
-        [-2 tau_M, 2 tau_M] (autocorrelation support), so the trapezoid sum
-        is alias-free once the spacing is below pi / tau_M; only the X cut
-        and value roundoff remain.
-        """
-        X = self.tail_cut(rel_tol)
-        h = math.pi / (4.0 * max(self.tau, 0.25))
-        n = min(int(X / h) + 2, 4_000_001)
-        dx = X / (n - 1)
-        lm, _ = self.log_G_array(dx * np.arange(n))
-        peak = float(np.max(lm))
-        vals = np.exp(2.0 * (lm - peak))
-        integral = 2.0 * np.trapezoid(vals, dx=dx)
-        return 2.0 * peak + math.log(integral), X
-

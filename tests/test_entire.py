@@ -180,8 +180,7 @@ def test_exact_spectra_do_no_per_mode_work(monkeypatch, basis64):
               reduce_to_canonical(build_interval_basis("ND", 2.2, 64), 0.5)[0]):
         lm, _ = _log_f_all_imag_array(b, 7.0 * np.arange(5000))
         assert np.all(np.isfinite(lm))
-    fam = build_multiplier_family(basis64, 1.0, 2, eps=0.125)  # envelope fits, family grid
-    fam.evaluators[0].norm_freq_sq()
+    build_multiplier_family(basis64, 1.0, 2, eps=0.125)  # the family grid
     with pytest.raises(AssertionError, match="per-mode"):
         _log_f_all_imag_array(_numeric(basis64), np.array([0.0, 1.0, 2.5]))
 
@@ -448,7 +447,6 @@ def test_uniform_grids_skip_the_per_entry_kernel(monkeypatch, basis64):
         lm, _ = _log_abs_M_real_array(sp, h * np.arange(n))
         assert np.all(np.isfinite(lm))
     invert_to_time(ev, 1.0)
-    ev.norm_freq_sq()
     with pytest.raises(AssertionError, match="per-entry"):
         _log_abs_M_real_array(sp, np.array([0.0, 1.0, 2.5]))
 
@@ -580,18 +578,41 @@ def test_gn_zero_placement_and_normalization(basis64):
 
 
 def test_gn_point_eval_matches_grid(basis64):
+    # the scalar path (log_f_n, log_M) against the grid kernels
     ev = GnEvaluator.build(basis64, 1, T=1.0, eps=0.05)
-    x = 17.3
-    lm, ph = ev.log_G_array(np.array([x]))
-    v = ev.log_G(x)
-    assert v.logmag == pytest.approx(lm[0], abs=1e-12)
+    xs = np.array([0.0, 1e-2, 17.3, 3e4])
+    lm, ph = ev.log_G_array(xs)
+    for x, want_lm, want_ph in zip(xs, lm, ph):
+        v = ev.log_G(x)
+        scale = max(1.0, abs(want_lm))
+        assert abs(v.logmag - want_lm) <= 1e-12 * scale, x
+        assert _phase_gap(v.phase, want_ph) <= 1e-12 * scale, x
+
+
+def _fit_envelope(ev):
+    """c with ln|G_n(x)| <= c - eps sqrt x, from the sup over a log grid plus 0.5.
+
+    The grid is extended sixteenfold while the sup sits at its top end.
+    """
+    lam_n = float(ev.basis.lambdas[ev.n - 1])
+    hi = max(64.0 * ev.spec.a0, 16.0 * lam_n, 1e3)
+    while True:
+        xs = np.geomspace(1e-2, hi, 600)
+        lm, _ = ev.log_G_array(xs)
+        resid = lm + ev.eps * np.sqrt(xs)
+        k = int(np.argmax(resid))
+        if k < len(xs) - 10 or hi > 1e14:
+            break
+        hi *= 16.0
+    return float(resid[k]) + 0.5
 
 
 def test_gn_envelope_holds_on_fresh_grid(basis64):
     ev = GnEvaluator.build(basis64, 2, T=0.5, eps=0.05)
+    c = _fit_envelope(ev)
     xs = np.geomspace(0.3, 5e5, 700)
     lm, _ = ev.log_G_array(xs)
-    assert np.all(lm <= ev.envelope(xs) + 1e-9)
+    assert np.all(lm <= c - ev.eps * np.sqrt(xs) + 1e-9)
 
 
 def test_gn_conjugate_symmetry(basis64):
@@ -604,13 +625,14 @@ def test_gn_conjugate_symmetry(basis64):
 
 
 def test_gn_norm_growth_shape(basis64):
-    # ln ||G_n|| <= eps sqrt(lambda_n) + alpha2 d^2 / (2 tau) + fitted const
+    # ln ||G_n|| <= eps sqrt(lambda_n) + alpha2 d^2 / (2 tau) + fitted const;
+    # the family signal s_n has the norm ||G_n|| / sqrt(2 pi)
     eps = 0.05
+    fam = build_multiplier_family(basis64, 1.0, 6, eps=eps)
+    d = math.pi + 2 * eps
     consts = []
     for n in (1, 3, 6):
-        ev = GnEvaluator.build(basis64, n, T=1.0, eps=eps)
-        ln2, _ = ev.norm_freq_sq(1e-8)
-        d = math.pi + 2 * eps
-        consts.append(0.5 * ln2 - eps * math.sqrt(basis64.lambdas[n - 1])
-                      - ALPHA_2 * d * d / (2.0 * ev.tau))
+        ln_norm = math.log(fam.norms[n - 1]) + 0.5 * math.log(2.0 * math.pi)
+        consts.append(ln_norm - eps * math.sqrt(basis64.lambdas[n - 1])
+                      - ALPHA_2 * d * d / (2.0 * fam.evaluators[n - 1].tau))
     assert max(consts) < 10.0

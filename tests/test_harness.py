@@ -131,6 +131,37 @@ def test_cli_cost_sweep_outputs(tmp_path):
     assert "ln_C" in fitdoc
 
 
+def test_cli_synthesize_dump_envelope(tmp_path):
+    from heatctrl import cli
+
+    build = cli.build_multiplier_family
+    made = []
+
+    def record(*args, **kwargs):
+        made.append(build(*args, **kwargs))
+        return made[-1]
+
+    cfg = _write_cfg(tmp_path)
+    dumps = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        with mock.patch("heatctrl.cli.build_multiplier_family", side_effect=record):
+            assert main(["synthesize", "--config", cfg, "--out", str(out),
+                         "--dump-envelope"]) == 0
+        dumps.append((out / "envelope.csv").read_bytes())
+    assert dumps[0] == dumps[1]
+    text = dumps[0].decode()
+    assert text.startswith("x,ln_abs_G\n")
+    rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+    assert rows.shape == (400, 2) and np.all(np.isfinite(rows))
+    # %.17g round-trips, so the rows are the evaluator's grid values exactly
+    ev = made[0].evaluators[0]
+    xs = np.geomspace(1.0, max(16.0 * ev.spec.a0, 1e4), 400)
+    lm, _ = ev.log_G_array(xs)
+    assert np.array_equal(rows[:, 0], xs)
+    assert np.array_equal(rows[:, 1], lm)
+
+
 def test_cli_lower_bound(tmp_path):
     cfg = _write_cfg(tmp_path, modes=128, T_grid=[0.2, 0.1])
     out = tmp_path / "out"
