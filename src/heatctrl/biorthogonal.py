@@ -291,8 +291,11 @@ class MpBlock:
         with mp.workdps(self.dps):
             lo_, hi_, e_lo, e_hi = self._ends(lo, hi)
             atoms = list(zip(self.coeffs, self.rates, e_lo, e_hi))
-            total = mp.fsum(cj * ck * _mp_atom_integral(lj * lk, hj * hk, zj + zk, hi_ - lo_)
-                            for cj, zj, lj, hj in atoms for ck, zk, lk, hk in atoms)
+            # a symmetric form: each pair k > j once, doubled exactly by ldexp
+            total = mp.fsum(mp.ldexp(cj * ck * _mp_atom_integral(lj * lk, hj * hk, zj + zk,
+                                                                 hi_ - lo_), k > j)
+                            for j, (cj, zj, lj, hj) in enumerate(atoms)
+                            for k, (ck, zk, lk, hk) in enumerate(atoms[j:], j))
             # the quadratic form can round to a tiny negative for a zero signal
             return float(mp.sqrt(max(total, mp.mpf(0))))
 
@@ -608,6 +611,35 @@ def _norm1(A):
     return max(mp.fsum((row[k] for row in A), absolute=True) for k in range(len(A[0])))
 
 
+def _fixed_point(vec, bits):
+    """(ints, e) with vec[j] ~ ints[j] 2^e: each mpf truncated toward zero
+    `bits` bits below the leading bit of the vector's largest entry."""
+    parts = [v._mpf_ for v in vec]
+    e = max((x + bc for _, m, x, bc in parts if m), default=0) - bits
+    return [(-1) ** s * (m << (x - e) if x >= e else m >> (e - x))
+            for s, m, x, _ in parts], e
+
+
+def _gram_residual(R, G0, cond):
+    """(||R G0 - I||_1, bound) for a symmetric G0, at the current precision.
+
+    Rows of R and of G0 (its columns) go to b-bit fixed point, so each entry
+    of R G0 is one exact integer dot product.  Truncation and the rounding of
+    entries and sums change the column 1-norm by at most bound =
+    5 N^2 cond 2^-b.  b keeps bound at or below 10^-(dps//2 + 20), twenty
+    digits under the gate, and is capped at the working precision.
+    """
+    n = len(R)
+    bits = min(mp.mp.prec, math.ceil((mp.mp.dps // 2 + 20) * math.log2(10)
+                                  + float(mp.log(5 * n * n * cond, 2))))
+    rows = [_fixed_point(r, bits) for r in R]
+    cols = [_fixed_point(g, bits) for g in G0]
+    resid = max(mp.fsum((mp.mpf((sum(map(int.__mul__, ri, gk)), ei + ek)) - int(i == k)
+                         for i, (ri, ei) in enumerate(rows)), absolute=True)
+                for k, (gk, ek) in enumerate(cols))
+    return resid, mp.ldexp(5 * n * n * cond, -bits)
+
+
 def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
                         cond_threshold: float = 1e250) -> BiorthogonalFamily:
     """Minimal-norm biorthogonal family on the span of the first N exponentials.
@@ -621,6 +653,11 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
     residual; a residual that fails is solved once more at twice the digits
     (at most 2000), and meta["dps"] holds the digits used.  Norms obey
     ||g_n||^2 = e^{-lambda_n T} (Gamma0^{-1})_{nn}.
+
+    meta["residual"] is ||R Gamma0 - I||_1 as _gram_residual computes it, to
+    within its bound (10^-(dps//2 + 20) or less); the inverse is accepted when
+    residual plus bound is at most the gate 10^-(dps//2).  Its truncation
+    dominates, so it reads a few digits under the bound, not the true residual.
     """
     lams = np.asarray(lambdas, dtype=float)[:count]
     if len(lams) < count:
@@ -639,21 +676,22 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
             lm = [mp.mpf(float(v)) for v in lams]
             half = [mp.exp(-v * mp.mpf(T) / 2) for v in lm]  # e^{-lambda_j T/2}
             e = [h * h for h in half]
-            G0 = [[(1 - ej * ek) / (lj + lk) for ek, lk in zip(e, lm)]
-                  for ej, lj in zip(e, lm)]
+            G0 = [[None] * count for _ in range(count)]
+            for j in range(count):  # symmetric: products and sums commute
+                for k in range(j, count):
+                    G0[j][k] = G0[k][j] = (1 - e[j] * e[k]) / (lm[j] + lm[k])
             R = _spd_inverse(G0)
             if R is None:
                 raise IllConditionedError(
                     f"Gram matrix not positive definite at dps={dps}", cond=math.inf)
-            resid = max(mp.fsum((mp.fdot(R[i], G0[k]) - int(i == k) for i in range(count)),
-                                absolute=True) for k in range(count))
             # crude 1-norm condition estimate
             cond = _norm1(G0) * _norm1(R)
             if float(cond) > cond_threshold:
                 raise IllConditionedError(
                     f"Gram matrix condition {mp.nstr(cond, 3)} above threshold",
                     cond=float(cond))
-            if resid <= mp.mpf(10) ** (-(dps // 2)):
+            resid, bound = _gram_residual(R, G0, cond)
+            if resid + bound <= mp.mpf(10) ** (-(dps // 2)):
                 break
     else:
         raise IllConditionedError(

@@ -509,6 +509,23 @@ def test_mp_block_norm_matches_quadrature(b, lo, length):
     assert b.norm(lo, lo + length) == pytest.approx(want, rel=1e-10, abs=1e-14)
 
 
+def _mp_norm_full_sum(b, lo, hi):
+    """MpBlock.norm over all N^2 ordered pairs (j, k), the form unfolded."""
+    with mp.workdps(b.dps):
+        lo_, hi_, e_lo, e_hi = b._ends(lo, hi)
+        atoms = list(zip(b.coeffs, b.rates, e_lo, e_hi))
+        total = mp.fsum(cj * ck * biorthogonal._mp_atom_integral(lj * lk, hj * hk, zj + zk,
+                                                                 hi_ - lo_)
+                        for cj, zj, lj, hj in atoms for ck, zk, lk, hk in atoms)
+        return float(mp.sqrt(max(total, mp.mpf(0))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mp_blocks(), _reals(-1, 0), _reals(0.1, 2.0))
+def test_mp_block_norm_equals_full_pair_sum(b, lo, length):
+    assert b.norm(lo, lo + length) == _mp_norm_full_sum(b, lo, lo + length)
+
+
 # ---- gram arithmetic and its gates -------------------------------------------
 
 
@@ -548,6 +565,50 @@ def test_gram_cholesky_matches_inverse_reference(spectrum):
     want = _gram_norms_by_inverse(lams, T, dps)
     assert np.max(np.abs(fam.norms - want) / want) <= 1e-13
     assert fam.meta["residual"] <= 10.0 ** (-(dps // 2))
+
+
+def _gram_system(lams, T, dps):
+    """The [0, T] Gram matrix in full, its Cholesky inverse and the 1-norm
+    residual ||R G0 - I||_1 with one mp.fdot per entry, at dps digits."""
+    n = len(lams)
+    with mp.workdps(dps):
+        lm = [mp.mpf(float(v)) for v in lams]
+        e = [h * h for h in (mp.exp(-v * mp.mpf(T) / 2) for v in lm)]
+        G0 = [[(1 - e[j] * e[k]) / (lm[j] + lm[k]) for k in range(n)] for j in range(n)]
+        R = biorthogonal._spd_inverse(G0)
+        ref = max(mp.fsum((mp.fdot(R[i], G0[k]) - int(i == k) for i in range(n)),
+                          absolute=True) for k in range(n))
+    return G0, R, ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram_spectra())
+@example((np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 9.5, 10.5]), 0.5))  # capped bits
+def test_gram_residual_kernel_matches_fdot_reference(spectrum):
+    lams, T = spectrum
+    fam = gram_minimal_family(lams, len(lams), T)
+    dps = fam.meta["dps"]
+    G0, R, ref = _gram_system(lams, T, dps)
+    with mp.workdps(dps):
+        cond = biorthogonal._norm1(G0) * biorthogonal._norm1(R)
+        assert float(cond) == fam.meta["cond"]
+        resid, bound = biorthogonal._gram_residual(R, G0, cond)
+        assert float(resid) == fam.meta["residual"]
+        # twenty digits under the gate, unless that needs more bits than the
+        # working precision: then the bound is the one at the working precision
+        capped = mp.ldexp(5 * len(lams) ** 2 * cond, -mp.mp.prec)
+        assert bound <= max(mp.mpf(10) ** (-(dps // 2 + 20)), capped)
+        assert abs(resid - ref) <= bound
+        assert resid + bound <= mp.mpf(10) ** (-(dps // 2))
+
+
+def test_gram_condition_threshold_raises_before_the_residual(monkeypatch, basis64):
+    def unreachable(R, G0, cond):
+        raise AssertionError("residual kernel ran on a refused family")
+
+    monkeypatch.setattr(biorthogonal, "_gram_residual", unreachable)
+    with pytest.raises(IllConditionedError, match="above threshold"):
+        gram_minimal_family(basis64.lambdas[:12], 12, 1.0, cond_threshold=1e10)
 
 
 def test_gram_precision_ceiling_raises():
