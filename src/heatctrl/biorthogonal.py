@@ -536,8 +536,7 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
         raise ConfigurationError("count outside stored mode range")
     if basis.lambdas[0] <= 0:
         raise ConfigurationError("family needs a reduced basis with lambda_1 > 0")
-    tau = T / 2.0
-    evs = [GnEvaluator.build(basis, n, tau=tau, eps=eps, tol=tol)
+    evs = [GnEvaluator.build(basis, n, T=T, eps=eps, tol=tol)
            for n in range(1, count + 1)]
     spec = evs[0].spec
     X_max = evs[0].tail_cut(tol)  # the same eps for every mode

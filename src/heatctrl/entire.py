@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -680,14 +679,10 @@ class GnEvaluator:
     tol: float
 
     @staticmethod
-    def build(basis: SpectralBasis, n: int, T: Optional[float] = None,
-              eps: float = 0.05, tau: Optional[float] = None,
+    def build(basis: SpectralBasis, n: int, T: float, eps: float = 0.05,
               tol: float = 1e-10) -> "GnEvaluator":
-        """Construct for window length T (tau = T/2) or an explicit tau."""
-        if tau is None:
-            if T is None:
-                raise ConfigurationError("give either T or tau")
-            tau = T / 2.0
+        """Construct for window length T (type budget tau = T/2)."""
+        tau = T / 2.0
         spec = make_multiplier(math.pi + 2.0 * eps, tau)
         lam_n = float(basis.lambdas[n - 1])
         return GnEvaluator(basis=basis, n=n, eps=eps, tau=tau, spec=spec,

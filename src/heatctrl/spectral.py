@@ -146,7 +146,6 @@ class SpectralBasis:
     X: float
     lambdas: np.ndarray
     traces: np.ndarray
-    nu: float
     L: float
     tail: TailModel
     basis_id: str
@@ -231,8 +230,6 @@ def build_interval_basis(kind: str, X: float, count: int) -> SpectralBasis:
 
         def eigfun(j, xs, _amp=amp, _X=X):
             return _amp * np.sin(j * math.pi * np.asarray(xs, dtype=float) / _X)
-
-        nu = 0.0
     elif kind == "ND":
         omega = (n - 0.5) * (math.pi / X)
         lambdas = omega**2
@@ -242,8 +239,6 @@ def build_interval_basis(kind: str, X: float, count: int) -> SpectralBasis:
 
         def eigfun(j, xs, _amp=amp, _X=X):
             return _amp * np.cos((j - 0.5) * math.pi * np.asarray(xs, dtype=float) / _X)
-
-        nu = -0.5
     else:
         raise ConfigurationError(f"unsupported interval kind {kind!r}")
 
@@ -252,7 +247,6 @@ def build_interval_basis(kind: str, X: float, count: int) -> SpectralBasis:
         X=X,
         lambdas=lambdas,
         traces=traces,
-        nu=nu,
         L=X,
         tail=tail,
         basis_id=f"exact-{kind}-X{X:.12g}-n{count}",
@@ -387,7 +381,6 @@ def build_sturm_liouville_basis(problem: ParabolicProblem, count: int,
         X=X,
         lambdas=lam_rich,
         traces=traces,
-        nu=nu_fit,
         L=L,
         tail=TailModel(a=a_model, b=nu_fit, s=s_fit, exact=False, delta=delta),
         basis_id=f"numeric-SL-X{X:.9g}-n{count}-m{m}",

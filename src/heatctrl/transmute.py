@@ -49,6 +49,10 @@ __all__ = [
 
 from .entire import ALPHA_2
 
+_FAMILY_TOL = 1e-10  # tail tolerance of the two-end multiplier families
+_N_S_FUNDAMENTAL = 641  # s grid of the fundamental solution on [-L, L]
+_N_S_WAVE = 2049  # s grid of the wave trajectory on [0, S]
+
 
 def longest_avoiding_ray(region: ObservationRegion, X: float) -> float:
     """Length of the longest reflecting ray in [0, X] avoiding the region.
@@ -65,40 +69,38 @@ def longest_avoiding_ray(region: ObservationRegion, X: float) -> float:
 # two-end control built from the one-end syntheses
 
 
-def _one_end_control(kind: str, L: float, T: float, coeffs: np.ndarray,
-                     method: str, eps: float, tol: float,
-                     family_modes: int) -> tuple:
-    """Null-control at s = L for the [0, L] problem with BC `kind` at 0.
+def _one_end_control(basis: SpectralBasis, T: float, coeffs: np.ndarray,
+                     method: str, eps: float) -> tuple:
+    """Null-control at the end x = L of `basis`, a [0, L] basis.
 
-    Returns (signal on [0, T], basis, diagnostics).  `method` picks the
-    family: "multiplier" goes through the canonical reduction, "gram" solves
-    the minimal-norm system directly on the physical spectrum.
+    Returns (signal on [0, T], diagnostics).  `method` picks the family:
+    "multiplier" goes through the canonical reduction, "gram" solves the
+    minimal-norm system directly on the physical spectrum.
     """
-    basis = build_interval_basis(kind, L, max(family_modes, len(coeffs)))
-    state = HeatState(coeffs, basis.basis_id)
     if not np.any(coeffs != 0.0):
-        return ControlSignal(window=(0.0, T), blocks=[]), basis, {"terms": 0, "method": method}
+        return ControlSignal(window=(0.0, T), blocks=[]), {"terms": 0, "method": method}
+    state = HeatState(coeffs, basis.basis_id)
 
     # The family covers every requested mode: past its last covered mode the
     # control's exponential moments are no longer pinned at zero, and those
     # uncovered excitations dominate the terminal residual long before the
     # data weights do.
-    n_fam = min(family_modes, basis.n_modes)
+    n_fam = basis.n_modes
     if method == "gram":
-        fam = gram_minimal_family(basis.lambdas[:n_fam], n_fam, T)
+        fam = gram_minimal_family(basis.lambdas, n_fam, T)
         g_centered = assemble_control(basis, state, fam, T)
         # the centered window viewed on [0, T]: t -> t - T/2
         sig = g_centered.mapped(1.0, -T / 2.0, 0.0, (0.0, T))
-        return sig, basis, {"terms": n_fam, "method": "gram",
-                            "dps": fam.meta["dps"], "cond": fam.meta["cond"]}
+        return sig, {"terms": n_fam, "method": "gram",
+                     "dps": fam.meta["dps"], "cond": fam.meta["cond"]}
 
     reduced, sched = reduce_to_canonical(basis, T)
     fam = build_multiplier_family(reduced, sched.T_canonical, n_fam,
-                                  eps=eps, tol=tol)
+                                  eps=eps, tol=_FAMILY_TOL)
     g_hat = assemble_control(reduced, HeatState(coeffs, reduced.basis_id),
                              fam, sched.T_canonical)
-    return sched.physical_control(g_hat), basis, {"terms": n_fam, "method": "multiplier",
-                        "eps": eps, "cost_factor": sched.cost_factor}
+    return sched.physical_control(g_hat), {"terms": n_fam, "method": "multiplier",
+                                           "eps": eps, "cost_factor": sched.cost_factor}
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,16 @@ class TwoEndControl:
         """||(b-, b+)||, exact by the parallelogram identity for b-/+ = g -/+ f."""
         return math.sqrt(2.0 * (self.f_odd.norm() ** 2 + self.g_even.norm() ** 2))
 
+    def instance_operator_norm(self) -> float:
+        """sup(||f||/||odd||, ||g||/||even||) over the parities v0 carries."""
+        d = self.diagnostics
+        return max((sig.norm() / d[key] for sig, key in
+                    ((self.f_odd, "norm_odd"), (self.g_even, "norm_even")) if d[key] > 0),
+                   default=0.0)
+
 
 def two_end_control(v0: Callable, T: float, L: float, method: str = "auto",
-                    n_modes: int = 32, eps: float = 0.05, tol: float = 1e-10,
-                    ) -> TwoEndControl:
+                    n_modes: int = 32, eps: float = 0.05) -> TwoEndControl:
     """Steer v0 on [-L, L] to zero with Dirichlet controls at both ends.
 
     v0 splits into odd and even parts; the odd restriction is handled by the
@@ -147,26 +155,15 @@ def two_end_control(v0: Callable, T: float, L: float, method: str = "auto",
     if np.linalg.norm(cn) <= 1e-13 * scale:
         cn = np.zeros_like(cn)
 
-    f_sig, _, diag_d = _one_end_control("DD", L, T, cd, method, eps, tol, n_modes)
-    g_sig, _, diag_n = _one_end_control("ND", L, T, cn, method, eps, tol, n_modes)
+    f_sig, diag_d = _one_end_control(basis_d, T, cd, method, eps)
+    g_sig, diag_n = _one_end_control(basis_n, T, cn, method, eps)
 
     b_minus = _combine(g_sig, f_sig, -1.0, T)
     b_plus = _combine(g_sig, f_sig, +1.0, T)
-    norm_odd = float(np.linalg.norm(cd))
-    norm_even = float(np.linalg.norm(cn))
-    norm_f, norm_g = f_sig.norm(), g_sig.norm()
-    ratios = []
-    if norm_odd > 0:
-        ratios.append(norm_f / norm_odd)
-    if norm_even > 0:
-        ratios.append(norm_g / norm_even)
     diag = {
         "method": method,
-        "norm_odd": norm_odd,
-        "norm_even": norm_even,
-        "norm_f": norm_f,
-        "norm_g": norm_g,
-        "instance_operator_norm": max(ratios) if ratios else 0.0,
+        "norm_odd": float(np.linalg.norm(cd)),
+        "norm_even": float(np.linalg.norm(cn)),
         "D": diag_d,
         "N": diag_n,
     }
@@ -212,7 +209,7 @@ class FundamentalControlledSolution:
     L: float
     T: float
     eps: float
-    delta_truncation: int
+    modes: SpectralBasis  # Dirichlet modes of [-L, L], as [0, 2L] at x = s + L
     norm: float
     A: float
     alpha: float
@@ -220,31 +217,33 @@ class FundamentalControlledSolution:
     meta: dict = field(default_factory=dict)
 
     def field(self) -> np.ndarray:
-        E = _interval_modes(self.L, self.delta_truncation, self.s_grid)
-        return self.v_modal @ E
+        return self.v_modal @ self.modes.eigfun_matrix(self.s_grid + self.L)
 
     def v_final_norm(self) -> float:
         return float(np.linalg.norm(self.v_modal[-1]))
 
     def pair_with(self, phi: Callable) -> float:
         """<v(0, .), phi> at the stored truncation (modal partial sum)."""
-        E = _interval_modes(self.L, self.delta_truncation, self.s_grid)
+        E = self.modes.eigfun_matrix(self.s_grid + self.L)
         w = trapezoid_weights(self.s_grid)
         phi_vals = np.asarray(phi(self.s_grid), dtype=float)
         coeffs = E @ (w * phi_vals)
         return float(np.dot(self.v_modal[0], coeffs))
 
 
-def _interval_modes(L: float, J: int, s_grid: np.ndarray) -> np.ndarray:
-    """Dirichlet modes of [-L, L]: e_j(s) = sin(j pi (s+L) / (2L)) / sqrt(L)."""
-    j = np.arange(1, J + 1)[:, None]
-    return np.sin(j * math.pi * (s_grid[None, :] + L) / (2.0 * L)) / math.sqrt(L)
+def _end_slopes(modes: SpectralBasis) -> tuple:
+    """(e_j'(-L), e_j'(L)) for the Dirichlet modes of [-L, L] held as [0, 2L].
+
+    e_j'(L) is -traces; the parity e_j(-s) = (-1)^(j+1) e_j(s) gives
+    e_j'(-L) = (-1)^j e_j'(L).
+    """
+    slope_plus = -modes.traces
+    return (-1.0) ** np.arange(1, modes.n_modes + 1) * slope_plus, slope_plus
 
 
 def fundamental_solution(T: float, L: float, eps: float = 0.2,
                          n_modes: int = 64, method: str = "auto",
-                         n_times: int = 257, n_s: int = 641,
-                         ) -> FundamentalControlledSolution:
+                         n_times: int = 257) -> FundamentalControlledSolution:
     """Fundamental controlled solution on [0, T] x [-L, L].
 
     The Dirac mass at the origin is expanded over `n_modes` interval modes
@@ -258,17 +257,16 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
         raise ConfigurationError("eps must be in (0, 1)")
     if T > min(math.pi / 2.0, L) ** 2 + 1e-12:
         raise ConfigurationError("T must satisfy T <= min(pi/2, L)^2")
-    J = n_modes
-    lam = (np.arange(1, J + 1) * math.pi / (2.0 * L)) ** 2
-    e0 = np.sin(np.arange(1, J + 1) * math.pi / 2.0) / math.sqrt(L)  # e_j(0)
+    modes = build_interval_basis("DD", 2.0 * L, n_modes)
+    J, lam = n_modes, modes.lambdas
+    e0 = modes.eigfun_matrix(np.array([L]))[:, 0]  # e_j(0)
 
     t_free = eps * T
     T_ctrl = T - t_free
     v_smooth = e0 * np.exp(-lam * t_free)
 
     def v0(s):
-        E = _interval_modes(L, J, np.atleast_1d(np.asarray(s, dtype=float)))
-        return v_smooth @ E
+        return v_smooth @ modes.eigfun_matrix(np.atleast_1d(np.asarray(s, dtype=float)) + L)
 
     # synthesis coverage: half the Dirac truncation (the even modes carry no
     # Dirac weight).  Anything less leaves uncovered modes whose boundary
@@ -278,10 +276,7 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
 
     # modal Duhamel on [-L, L] with both boundary traces:
     #   vdot_j = -lam_j v_j + e_j'(-L) b_-(t') - e_j'(L) b_+(t')
-    j = np.arange(1, J + 1)
-    dj = (j * math.pi / (2.0 * L)) / math.sqrt(L)
-    e_prime_mL = dj  # cos(0) = 1
-    e_prime_pL = dj * np.cos(j * math.pi)  # (-1)^j
+    e_prime_mL, e_prime_pL = _end_slopes(modes)
 
     # trajectory rows: free rows explicit, control rows by the incremental
     # exponentially weighted trapezoid on one shared fine grid
@@ -309,7 +304,7 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     w_minus, w_plus = ControlSignal.integrals([ctrl.b_minus, ctrl.b_plus], lam, ref=T_ctrl)
     v_modal[-1] = v_smooth * np.exp(-lam * T_ctrl) + e_prime_mL * w_minus - e_prime_pL * w_plus
 
-    s_grid = np.linspace(-L, L, n_s)
+    s_grid = np.linspace(-L, L, _N_S_FUNDAMENTAL)
     # L2((0,T) x (-L,L)) norm: free phase analytic + control phase trapezoid
     free_sq = float(np.sum(e0**2 * (1.0 - np.exp(-2.0 * lam * t_free)) / (2.0 * lam)))
     mask = times >= t_free
@@ -321,7 +316,7 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     return FundamentalControlledSolution(
         times=times, s_grid=s_grid, v_modal=v_modal,
         b_minus=b_minus_rows, b_plus=b_plus_rows, L=L, T=T, eps=eps,
-        delta_truncation=J, norm=norm, A=A, alpha=alpha, boundary=ctrl,
+        modes=modes, norm=norm, A=A, alpha=alpha, boundary=ctrl,
         meta={"method": ctrl.diagnostics["method"], "T_ctrl": T_ctrl,
               "v0_norm": float(np.linalg.norm(v_smooth))},
     )
@@ -376,13 +371,14 @@ def _region_field(basis, region, coef, xs) -> np.ndarray:
     return (coef @ E) * ((xs >= region.a) & (xs <= region.b)).astype(float)[None, :]
 
 
-def _trig_int_ss(a, b, s):
-    """int_0^s sin(a r) sin(b r) dr, vectorized over s."""
+def _trig_int_pm(a, b, s, sign):
+    """int_0^s sin(a r) sin(b r) dr for sign -1, int_0^s cos(a r) cos(b r) dr
+    for sign +1, vectorized over s."""
     s = np.asarray(s, dtype=float)
     if abs(a - b) < 1e-12:
-        return s / 2.0 - np.sin(2.0 * a * s) / (4.0 * a)
+        return s / 2.0 + sign * np.sin(2.0 * a * s) / (4.0 * a)
     return (np.sin((a - b) * s) / (2.0 * (a - b))
-            - np.sin((a + b) * s) / (2.0 * (a + b)))
+            + sign * np.sin((a + b) * s) / (2.0 * (a + b)))
 
 
 def _trig_int_sc(a, b, s):
@@ -396,8 +392,7 @@ def _trig_int_sc(a, b, s):
 
 def wave_hum_control(basis: SpectralBasis, region: ObservationRegion,
                      u0: HeatState, S: float, N: int,
-                     cond_threshold: float = 1e12,
-                     n_s: int = 2049) -> WaveControlledTrajectory:
+                     cond_threshold: float = 1e12) -> WaveControlledTrajectory:
     """Minimal-norm interior control of the N-mode wave system over time S.
 
     State (w, w') of w''_j = -lambda_j w_j + (Q phi)_j with Q the region
@@ -424,14 +419,9 @@ def wave_hum_control(basis: SpectralBasis, region: ObservationRegion,
     Isc = np.empty((N, N))  # Isc[j,k] = int sin(om_j) cos(om_k)
     for jj in range(N):
         for kk in range(N):
-            Iss[jj, kk] = _trig_int_ss(om[jj], om[kk], S)
+            Iss[jj, kk] = _trig_int_pm(om[jj], om[kk], S, -1.0)
             Isc[jj, kk] = _trig_int_sc(om[jj], om[kk], S)
-            a, b = om[jj], om[kk]
-            if abs(a - b) < 1e-12:
-                Icc[jj, kk] = S / 2.0 + math.sin(2.0 * a * S) / (4.0 * a)
-            else:
-                Icc[jj, kk] = (math.sin((a - b) * S) / (2.0 * (a - b))
-                               + math.sin((a + b) * S) / (2.0 * (a + b)))
+            Icc[jj, kk] = _trig_int_pm(om[jj], om[kk], S, 1.0)
 
     inv_om = 1.0 / om
     W = np.empty((2 * N, 2 * N))
@@ -453,18 +443,18 @@ def wave_hum_control(basis: SpectralBasis, region: ObservationRegion,
     fnorm = math.sqrt(max(float(eta @ (W @ eta)), 0.0))
 
     # phi(s) = S(S-s) eta_w + C(S-s) eta_v  (the Q^{1/2} factors cancel)
-    s_grid = np.linspace(0.0, S, n_s)
+    s_grid = np.linspace(0.0, S, _N_S_WAVE)
     back = S - s_grid
     eta_w, eta_v = eta[:N], eta[N:]
     fcoef = (np.sin(np.outer(back, om)) / om[None, :]) * eta_w[None, :] \
         + np.cos(np.outer(back, om)) * eta_v[None, :]
 
     # w_j(s) by the exact variation-of-constants trigonometric integrals
-    w_modal = np.empty((n_s, N))
+    w_modal = np.empty((_N_S_WAVE, N))
     for jj in range(N):
         acc = np.cos(om[jj] * s_grid) * w0[jj]
         for kk in range(N):
-            Iss_s = _trig_int_ss(om[jj], om[kk], s_grid)
+            Iss_s = _trig_int_pm(om[jj], om[kk], s_grid, -1.0)
             Isc_s = _trig_int_sc(om[jj], om[kk], s_grid)
             # int_0^s sin(om_j (s-r)) sin(om_k (S-r)) dr and the cos companion,
             # expanded at c0 = S - s:
@@ -519,7 +509,7 @@ def transmute_control(v: FundamentalControlledSolution,
     w_ext = _interp_rows(wave.s_grid, wave.w_modal, np.abs(s))    # (n_s_v, N)
     f_ext = _interp_rows(wave.s_grid, wave.fcoef, np.abs(s))
 
-    E_v = _interval_modes(v.L, v.delta_truncation, s)             # (J, n_s_v)
+    E_v = v.modes.eigfun_matrix(s + v.L)                          # (J, n_s_v)
     # pairing P[i, k] = int e_i(s) w_ext_k(s) ds and likewise for f
     P_w = E_v @ (ws[:, None] * w_ext)                             # (J, N)
     P_f = E_v @ (ws[:, None] * f_ext)

@@ -158,7 +158,7 @@ def test_verify_rejects_gap_violation(basis64):
     lam[1] = lam[0]
     with pytest.raises(InvariantViolation):
         SpectralBasis(kind="exact-DD", X=math.pi, lambdas=lam,
-                      traces=basis64.traces, nu=0.0, L=math.pi,
+                      traces=basis64.traces, L=math.pi,
                       tail=basis64.tail, basis_id="broken",
                       eigfun=basis64.eigfun)
 
@@ -166,7 +166,7 @@ def test_verify_rejects_gap_violation(basis64):
 def test_exact_tail_must_hold_on_every_stored_mode(basis64):
     def with_lambdas(lam, tail=basis64.tail):
         return SpectralBasis(kind="exact-DD", X=math.pi, lambdas=lam,
-                             traces=basis64.traces, nu=0.0, L=math.pi,
+                             traces=basis64.traces, L=math.pi,
                              tail=tail, basis_id="probe", eigfun=basis64.eigfun)
 
     lam = basis64.lambdas.copy()
@@ -198,7 +198,7 @@ def test_reduction_identity_case():
 def test_reduction_shift_forced():
     b = build_interval_basis("DD", math.pi, 8)
     shifted = SpectralBasis(
-        kind=b.kind, X=b.X, lambdas=b.lambdas - 4.0, traces=b.traces, nu=b.nu,
+        kind=b.kind, X=b.X, lambdas=b.lambdas - 4.0, traces=b.traces,
         L=b.L, tail=TailModel(a=b.tail.a, b=b.tail.b, s=-4.0), basis_id="s",
         eigfun=b.eigfun)
     red, sched = reduce_to_canonical(shifted, 1.0)
@@ -244,7 +244,7 @@ def test_reduction_control_map_direction():
     # inverse of the damping factor, not the factor
     b = build_interval_basis("DD", math.pi, 8)
     shifted = SpectralBasis(
-        kind=b.kind, X=b.X, lambdas=b.lambdas - 2.0, traces=b.traces, nu=b.nu,
+        kind=b.kind, X=b.X, lambdas=b.lambdas - 2.0, traces=b.traces,
         L=b.L, tail=TailModel(a=b.tail.a, b=b.tail.b, s=-2.0), basis_id="sd",
         eigfun=b.eigfun)
     T = 0.6

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from heatctrl.biorthogonal import MpBlock
 from heatctrl.errors import ConfigurationError, IllConditionedError
 from heatctrl.heatsim import ObservationRegion, simulate_interior_control
-from heatctrl.spectral import HeatState
+from heatctrl import transmute
+from heatctrl.spectral import HeatState, build_interval_basis
 from heatctrl.transmute import (
     extended_control_norm,
     fit_cost_rate,
@@ -164,8 +165,31 @@ def test_two_end_instance_cost_inequality():
         xs = np.linspace(-L, L, 4001)
         v0_norm = math.sqrt(np.trapezoid(v0(xs) ** 2, xs))
         lhs = te.norm()
-        rhs = te.diagnostics["instance_operator_norm"] * v0_norm
+        rhs = te.instance_operator_norm() * v0_norm
         assert lhs <= rhs * (1 + 1e-6)
+
+
+def test_two_end_instance_operator_norm_from_recomputed_norms():
+    T, L = 0.5, 1.5
+
+    def v0(s):
+        s = np.asarray(s, dtype=float)
+        return np.sin(s) + np.cos(0.8 * s) + 0.3 * np.sin(2.0 * s + 0.4)
+
+    for f in (v0, lambda s: np.sin(np.asarray(s, dtype=float))):
+        te = two_end_control(f, T, L, method="gram", n_modes=16)
+        xs = np.linspace(0.0, L, 4097)
+        w = np.full(len(xs), xs[1] - xs[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        ratios = []
+        for kind, part, sig in (("DD", 0.5 * (f(xs) - f(-xs)), te.f_odd),
+                                ("ND", 0.5 * (f(xs) + f(-xs)), te.g_even)):
+            coeffs = build_interval_basis(kind, L, 16).eigfun_matrix(xs) @ (w * part)
+            if np.linalg.norm(coeffs) > 1e-12:
+                ratios.append(sig.norm() / np.linalg.norm(coeffs))
+        assert te.instance_operator_norm() == pytest.approx(max(ratios), rel=1e-12)
+    assert len(ratios) == 1  # sin is odd: only the Dirichlet ratio counts
 
 
 def test_two_end_norm_is_exact():
@@ -205,6 +229,35 @@ def test_fundamental_delta_traces():
     for j in range(1, 9):
         want = amp * math.sin(j * math.pi / 2)
         assert e0[j - 1] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [math.pi / 2, 1.5, 2.2])
+def test_fundamental_end_slopes_from_traces(L):
+    # e_j(s) = sin(j pi (s + L) / 2L) / sqrt(L): e_j'(-L) = d_j, e_j'(L) = (-1)^j d_j
+    modes = build_interval_basis("DD", 2.0 * L, 16)
+    minus, plus = transmute._end_slopes(modes)
+    j = np.arange(1, 17)
+    d = (j * math.pi / (2.0 * L)) / math.sqrt(L)
+    assert np.allclose(minus, d, rtol=1e-13, atol=0.0)
+    assert np.allclose(plus, (-1.0) ** j * d, rtol=1e-13, atol=0.0)
+
+
+def test_transmute_chain_builds_each_basis_once(monkeypatch):
+    # two_end_control: the DD and ND bases of [0, L]; fundamental_solution:
+    # those two and the Dirichlet modes of [-L, L]
+    calls = []
+
+    def counted(kind, X, count):
+        calls.append((kind, X, count))
+        return build_interval_basis(kind, X, count)
+
+    monkeypatch.setattr(transmute, "build_interval_basis", counted)
+    two_end_control(lambda s: np.cos(np.asarray(s)) + np.sin(np.asarray(s)), 0.5, 1.5,
+                    method="gram", n_modes=8)
+    assert len(calls) == 2
+    calls.clear()
+    fundamental_solution(0.4, math.pi / 2, eps=0.2, n_modes=8, method="gram")
+    assert len(calls) == 3
 
 
 def test_fundamental_smoothed_norm_bound(fund_half_pi):
