@@ -156,8 +156,9 @@ def _cmd_transmute(args) -> int:
 
     _write_grid(_out_path(args, "fundamental.bin"), v.times, v.s_grid, v.field())
     xs = np.linspace(0.0, basis.X, 257)
-    _write_grid(_out_path(args, "wave_w.bin"), wave.s_grid, xs, wave.w_field(xs))
-    _write_grid(_out_path(args, "wave_f.bin"), wave.s_grid, xs, wave.f_field(xs))
+    ss = np.linspace(0.0, S, 2049)
+    _write_grid(_out_path(args, "wave_w.bin"), ss, xs, wave.w_field(ss, xs))
+    _write_grid(_out_path(args, "wave_f.bin"), ss, xs, wave.f_field(ss, xs))
     traj.to_csv(_out_path(args, "transmuted_trajectory.csv"))
 
     resid = float(np.linalg.norm(traj.coeffs[-1]))

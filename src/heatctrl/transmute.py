@@ -51,7 +51,6 @@ from .entire import ALPHA_2
 
 _FAMILY_TOL = 1e-10  # tail tolerance of the two-end multiplier families
 _N_S_FUNDAMENTAL = 641  # s grid of the fundamental solution on [-L, L]
-_N_S_WAVE = 2049  # s grid of the wave trajectory on [0, S]
 
 
 def longest_avoiding_ray(region: ObservationRegion, X: float) -> float:
@@ -136,14 +135,14 @@ def two_end_control(v0: Callable, T: float, L: float, method: str = "auto",
     operator, and the boundary pair is (g - f, g + f).  The instance cost
     satisfies ||(b-, b+)|| <= sup(||f||/||odd||, ||g||/||even||) ||v0||.
     """
-    method = _resolve_method(method, T, L)
+    basis_d = build_interval_basis("DD", L, n_modes)
+    method = _resolve_method(method, T, float(basis_d.lambdas[0]))
     xs = np.linspace(0.0, L, 4097)
     v_plus = np.asarray(v0(xs), dtype=float)
     v_minus = np.asarray(v0(-xs), dtype=float)
     odd = 0.5 * (v_plus - v_minus)
     even = 0.5 * (v_plus + v_minus)
 
-    basis_d = build_interval_basis("DD", L, n_modes)
     basis_n = build_interval_basis("ND", L, n_modes)
     w = trapezoid_weights(xs)
     cd = basis_d.eigfun_matrix(xs) @ (w * odd)
@@ -171,12 +170,12 @@ def two_end_control(v0: Callable, T: float, L: float, method: str = "auto",
                          g_even=g_sig, L=L, T=T, diagnostics=diag)
 
 
-def _resolve_method(method: str, T: float, L: float) -> str:
+def _resolve_method(method: str, T: float, lam1: float) -> str:
     if method != "auto":
         return method
-    # peak log-cost of the one-end synthesis ~ S_hat / tau_canonical
-    sigma = (math.pi / L) ** 2
-    est = 12.0 / (sigma * T)
+    # peak log-cost of the one-end synthesis ~ S_hat / tau_canonical, with
+    # the canonical rescale sigma = lambda_1 of the Dirichlet basis of [0, L]
+    est = 12.0 / (lam1 * T)
     return "multiplier" if est <= 14.0 else "gram"
 
 
@@ -255,8 +254,12 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     """
     if not 0.0 < eps < 1.0:
         raise ConfigurationError("eps must be in (0, 1)")
-    if T > min(math.pi / 2.0, L) ** 2 + 1e-12:
-        raise ConfigurationError("T must satisfy T <= min(pi/2, L)^2")
+    # the multiplier route runs each one-end synthesis on [0, L] on the
+    # canonical window (pi/L)^2 T_ctrl, which its multiplier caps near pi^2
+    if T > L ** 2 + 1e-12:
+        raise ConfigurationError(
+            f"T = {T} beyond L^2 = {L ** 2}: (pi/L)^2 T passes pi^2, past the "
+            "canonical windows of the one-end syntheses on [0, L]")
     modes = build_interval_basis("DD", 2.0 * L, n_modes)
     J, lam = n_modes, modes.lambdas
     e0 = modes.eigfun_matrix(np.array([L]))[:, 0]  # e_j(0)
@@ -304,7 +307,6 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     w_minus, w_plus = ControlSignal.integrals([ctrl.b_minus, ctrl.b_plus], lam, ref=T_ctrl)
     v_modal[-1] = v_smooth * np.exp(-lam * T_ctrl) + e_prime_mL * w_minus - e_prime_pL * w_plus
 
-    s_grid = np.linspace(-L, L, _N_S_FUNDAMENTAL)
     # L2((0,T) x (-L,L)) norm: free phase analytic + control phase trapezoid
     free_sq = float(np.sum(e0**2 * (1.0 - np.exp(-2.0 * lam * t_free)) / (2.0 * lam)))
     mask = times >= t_free
@@ -314,7 +316,7 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     alpha = ALPHA_2
     A = norm / math.exp(alpha * L * L / T)
     return FundamentalControlledSolution(
-        times=times, s_grid=s_grid, v_modal=v_modal,
+        times=times, s_grid=np.linspace(-L, L, _N_S_FUNDAMENTAL), v_modal=v_modal,
         b_minus=b_minus_rows, b_plus=b_plus_rows, L=L, T=T, eps=eps,
         modes=modes, norm=norm, A=A, alpha=alpha, boundary=ctrl,
         meta={"method": ctrl.diagnostics["method"], "T_ctrl": T_ctrl,
@@ -343,25 +345,63 @@ def fit_cost_rate(records) -> tuple:
 
 @dataclass(frozen=True)
 class WaveControlledTrajectory:
-    """Modal wave trajectory steered from (u0, 0) to (0, 0) with its control."""
+    """Modal wave trajectory steered from (u0, 0) to (0, 0) with its control.
 
-    s_grid: np.ndarray
+    Holds only what defines it; w(s) and f(s) are evaluated where asked.
+    """
+
     basis: SpectralBasis
     region: ObservationRegion
     n_modes: int
-    w_modal: np.ndarray      # (n_s, N)
-    fcoef: np.ndarray        # (n_s, N): f(s, x) = 1_region sum_k fcoef_k(s) e_k(x)
+    eta: np.ndarray          # (2N,): phi(s) = S(S-s) eta_w + C(S-s) eta_v
+    Q: np.ndarray            # (N, N) region mass matrix
+    w0: np.ndarray           # (N,) initial modes
     control_norm: float      # ||f||_{L2((0,S) x region)}
     gramian_cond: float
     steering_residual: float
     S: float
 
-    def w_field(self, xs) -> np.ndarray:
-        E = self.basis.eigfun_matrix(np.asarray(xs, dtype=float), count=self.n_modes)
-        return self.w_modal @ E
+    @property
+    def omega(self) -> np.ndarray:
+        return np.sqrt(self.basis.lambdas[: self.n_modes])
 
-    def f_field(self, xs) -> np.ndarray:
-        return _region_field(self.basis, self.region, self.fcoef, xs)
+    def fcoef(self, s) -> np.ndarray:
+        """(n_s, N): f(s, x) = 1_region sum_k fcoef_k(s) e_k(x)."""
+        om, N = self.omega, self.n_modes
+        back = self.S - np.asarray(s, dtype=float)
+        return (np.sin(np.outer(back, om)) / om) * self.eta[:N] \
+            + np.cos(np.outer(back, om)) * self.eta[N:]
+
+    def w_modal(self, s) -> np.ndarray:
+        """(n_s, N): w_j(s) = cos(om_j s) w0_j + (1/om_j) sum_k Q_jk
+        int_0^s sin(om_j (s-r)) phi_k(r) dr in closed form.
+
+        With phi_k(r) = p_k sin(om_k r) + q_k cos(om_k r) (angle addition at
+        S), only sin and cos of om s enter, through the Duhamel kernels
+            int_0^s sin a(s-r) sin br dr = (a sin bs - b sin as) / (a^2 - b^2),
+            int_0^s sin a(s-r) cos br dr = a (cos bs - cos as) / (a^2 - b^2),
+        and, for a = b, (sin as - as cos as) / (2a) and s sin(as) / 2.
+        """
+        om, N, Q = self.omega, self.n_modes, self.Q
+        s = np.asarray(s, dtype=float)[:, None]
+        sn, cs = np.sin(s * om), np.cos(s * om)
+        eta_w, eta_v = self.eta[:N] / om, self.eta[N:]
+        sS, cS = np.sin(om * self.S), np.cos(om * self.S)
+        p = sS * eta_v - cS * eta_w
+        q = cS * eta_v + sS * eta_w
+        gap = om[:, None] ** 2 - om[None, :] ** 2
+        np.fill_diagonal(gap, np.inf)
+        M = Q / gap   # Q_jk / (om_j^2 - om_k^2) off the diagonal, 0 on it
+        off = om * (sn @ (M * p).T + cs @ (M * q).T - cs * (M @ q)) - sn * (M @ (p * om))
+        diag = np.diag(Q) * (p * (sn - om * s * cs) / (2.0 * om) + q * s * sn / 2.0)
+        return cs * self.w0 + (off + diag) / om
+
+    def w_field(self, s, xs) -> np.ndarray:
+        E = self.basis.eigfun_matrix(np.asarray(xs, dtype=float), count=self.n_modes)
+        return self.w_modal(s) @ E
+
+    def f_field(self, s, xs) -> np.ndarray:
+        return _region_field(self.basis, self.region, self.fcoef(s), xs)
 
 
 def _region_field(basis, region, coef, xs) -> np.ndarray:
@@ -373,21 +413,20 @@ def _region_field(basis, region, coef, xs) -> np.ndarray:
 
 def _trig_int_pm(a, b, s, sign):
     """int_0^s sin(a r) sin(b r) dr for sign -1, int_0^s cos(a r) cos(b r) dr
-    for sign +1, vectorized over s."""
-    s = np.asarray(s, dtype=float)
-    if abs(a - b) < 1e-12:
-        return s / 2.0 + sign * np.sin(2.0 * a * s) / (4.0 * a)
-    return (np.sin((a - b) * s) / (2.0 * (a - b))
-            + sign * np.sin((a + b) * s) / (2.0 * (a + b)))
+    for sign +1, broadcast over a and b."""
+    same = np.abs(a - b) < 1e-12
+    d = np.where(same, 1.0, a - b)
+    return np.where(same, s / 2.0 + sign * np.sin(2.0 * a * s) / (4.0 * a),
+                    np.sin(d * s) / (2.0 * d) + sign * np.sin((a + b) * s) / (2.0 * (a + b)))
 
 
 def _trig_int_sc(a, b, s):
-    """int_0^s sin(a r) cos(b r) dr."""
-    s = np.asarray(s, dtype=float)
-    if abs(a - b) < 1e-12:
-        return (1.0 - np.cos(2.0 * a * s)) / (4.0 * a)
-    return ((1.0 - np.cos((a + b) * s)) / (2.0 * (a + b))
-            + (1.0 - np.cos((a - b) * s)) / (2.0 * (a - b)))
+    """int_0^s sin(a r) cos(b r) dr, broadcast over a and b."""
+    same = np.abs(a - b) < 1e-12
+    d = np.where(same, 1.0, a - b)
+    return np.where(same, (1.0 - np.cos(2.0 * a * s)) / (4.0 * a),
+                    (1.0 - np.cos((a + b) * s)) / (2.0 * (a + b))
+                    + (1.0 - np.cos(d * s)) / (2.0 * d))
 
 
 def wave_hum_control(basis: SpectralBasis, region: ObservationRegion,
@@ -414,21 +453,13 @@ def wave_hum_control(basis: SpectralBasis, region: ObservationRegion,
     Q = region_mass_matrix(basis, region, N)
 
     # Gramian blocks W = int_0^S Phi(s) [[0,0],[0,Q]] Phi(s)^T ds in closed form
-    Iss = np.empty((N, N))
-    Icc = np.empty((N, N))
-    Isc = np.empty((N, N))  # Isc[j,k] = int sin(om_j) cos(om_k)
-    for jj in range(N):
-        for kk in range(N):
-            Iss[jj, kk] = _trig_int_pm(om[jj], om[kk], S, -1.0)
-            Isc[jj, kk] = _trig_int_sc(om[jj], om[kk], S)
-            Icc[jj, kk] = _trig_int_pm(om[jj], om[kk], S, 1.0)
-
+    oj, ok = om[:, None], om[None, :]
     inv_om = 1.0 / om
     W = np.empty((2 * N, 2 * N))
-    W[:N, :N] = Q * Iss * np.outer(inv_om, inv_om)
-    W[:N, N:] = Q * Isc * inv_om[:, None]   # [j,k] = Q int (sin_j/om_j) cos_k
+    W[:N, :N] = Q * _trig_int_pm(oj, ok, S, -1.0) * np.outer(inv_om, inv_om)
+    W[:N, N:] = Q * _trig_int_sc(oj, ok, S) * inv_om[:, None]  # Q int (sin_j/om_j) cos_k
     W[N:, :N] = W[:N, N:].T
-    W[N:, N:] = Q * Icc
+    W[N:, N:] = Q * _trig_int_pm(oj, ok, S, 1.0)
 
     cond = float(np.linalg.cond(W))
     if cond > cond_threshold:
@@ -442,34 +473,9 @@ def wave_hum_control(basis: SpectralBasis, region: ObservationRegion,
     resid = float(np.linalg.norm(zS_free + W @ eta)) / max(np.linalg.norm(w0), 1e-300)
     fnorm = math.sqrt(max(float(eta @ (W @ eta)), 0.0))
 
-    # phi(s) = S(S-s) eta_w + C(S-s) eta_v  (the Q^{1/2} factors cancel)
-    s_grid = np.linspace(0.0, S, _N_S_WAVE)
-    back = S - s_grid
-    eta_w, eta_v = eta[:N], eta[N:]
-    fcoef = (np.sin(np.outer(back, om)) / om[None, :]) * eta_w[None, :] \
-        + np.cos(np.outer(back, om)) * eta_v[None, :]
-
-    # w_j(s) by the exact variation-of-constants trigonometric integrals
-    w_modal = np.empty((_N_S_WAVE, N))
-    for jj in range(N):
-        acc = np.cos(om[jj] * s_grid) * w0[jj]
-        for kk in range(N):
-            Iss_s = _trig_int_pm(om[jj], om[kk], s_grid, -1.0)
-            Isc_s = _trig_int_sc(om[jj], om[kk], s_grid)
-            # int_0^s sin(om_j (s-r)) sin(om_k (S-r)) dr and the cos companion,
-            # expanded at c0 = S - s:
-            c0 = np.cos(om[kk] * (S - s_grid))
-            s0 = np.sin(om[kk] * (S - s_grid))
-            term_sin = s0 * Isc_s + c0 * Iss_s
-            term_cos = c0 * Isc_s - s0 * Iss_s
-            acc = acc + (Q[jj, kk] / om[jj]) * (
-                (eta_w[kk] / om[kk]) * term_sin + eta_v[kk] * term_cos)
-        w_modal[:, jj] = acc
-
     return WaveControlledTrajectory(
-        s_grid=s_grid, basis=basis, region=region, n_modes=N,
-        w_modal=w_modal, fcoef=fcoef, control_norm=fnorm,
-        gramian_cond=cond, steering_residual=resid, S=S)
+        basis=basis, region=region, n_modes=N, eta=eta, Q=Q, w0=w0,
+        control_norm=fnorm, gramian_cond=cond, steering_residual=resid, S=S)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +511,9 @@ def transmute_control(v: FundamentalControlledSolution,
             f"v half-width {v.L} must equal the wave control time {wave.S}")
     s = v.s_grid
     ws = trapezoid_weights(s)
-    # even extensions of the wave data onto v's grid
-    w_ext = _interp_rows(wave.s_grid, wave.w_modal, np.abs(s))    # (n_s_v, N)
-    f_ext = _interp_rows(wave.s_grid, wave.fcoef, np.abs(s))
+    # even extensions of the wave data, evaluated at |s| of v's grid
+    w_ext = wave.w_modal(np.abs(s))                               # (n_s_v, N)
+    f_ext = wave.fcoef(np.abs(s))
 
     E_v = v.modes.eigfun_matrix(s + v.L)                          # (J, n_s_v)
     # pairing P[i, k] = int e_i(s) w_ext_k(s) ds and likewise for f
@@ -529,8 +535,7 @@ def transmute_control(v: FundamentalControlledSolution,
         q = (ws * lift_tail) @ f_ext                              # (N,)
         g_modal = g_modal + np.outer(b_rows, q)
 
-    Q = region_mass_matrix(wave.basis, wave.region, wave.n_modes)
-    g_sq_t = np.einsum("tj,jk,tk->t", g_modal, Q, g_modal)
+    g_sq_t = np.einsum("tj,jk,tk->t", g_modal, wave.Q, g_modal)
     g_norm = math.sqrt(max(float(np.trapezoid(np.maximum(g_sq_t, 0.0), v.times)), 0.0))
 
     traj = Trajectory(times=v.times, coeffs=u_modal, basis=wave.basis)
@@ -539,19 +544,11 @@ def transmute_control(v: FundamentalControlledSolution,
     return traj, ctrl
 
 
-def _interp_rows(grid, rows, targets):
-    out = np.empty((len(targets), rows.shape[1]))
-    for k in range(rows.shape[1]):
-        out[:, k] = np.interp(targets, grid, rows[:, k])
-    return out
-
-
 def extended_control_norm(wave: WaveControlledTrajectory,
                           s_grid: np.ndarray) -> float:
     """||f_ext||_{L2((-L,L) x region)} on the transmutation grid."""
-    f_ext = _interp_rows(wave.s_grid, wave.fcoef, np.abs(s_grid))
-    Q = region_mass_matrix(wave.basis, wave.region, wave.n_modes)
-    dens = np.einsum("sj,jk,sk->s", f_ext, Q, f_ext)
+    f_ext = wave.fcoef(np.abs(s_grid))
+    dens = np.einsum("sj,jk,sk->s", f_ext, wave.Q, f_ext)
     return math.sqrt(max(float(np.trapezoid(np.maximum(dens, 0.0), s_grid)), 0.0))
 
 

@@ -18,6 +18,7 @@ from heatctrl.harness import (
     fit_small_time_slope,
     write_cost_csv,
 )
+from heatctrl.spectral import build_interval_basis
 
 BASE = {
     "problem": {"kind": "DD", "X": math.pi},
@@ -179,6 +180,23 @@ def test_cli_fundamental_and_grid_round_trip(tmp_path):
     doc = json.loads((out / "fundamental.json").read_text())
     assert field.shape == (len(t_axis), len(s_axis))
     assert doc["terminal"] <= 1e-3 * doc["norm"]
+
+
+def test_cli_transmute_writes_wave_grids(tmp_path):
+    cfg = _write_cfg(tmp_path, region=[1.0, 2.2], T_grid=[0.5], modes=32)
+    out = tmp_path / "out"
+    assert main(["transmute", "--config", cfg, "--out", str(out)]) == 0
+    S = json.loads((out / "transmute.json").read_text())["S"]
+    xs = np.linspace(0.0, math.pi, 257)
+    u0_field = build_interval_basis("DD", math.pi, 1).eigfun_matrix(xs)[0]
+    for name in ("wave_w.bin", "wave_f.bin"):
+        s_axis, x_axis, field = read_grid(str(out / name))
+        assert field.shape == (2049, 257)
+        assert s_axis[0] == 0.0 and s_axis[-1] == pytest.approx(S, rel=1e-12)
+        assert np.allclose(x_axis, xs, rtol=0.0, atol=1e-12)
+    w = read_grid(str(out / "wave_w.bin"))[2]
+    assert np.max(np.abs(w[0] - u0_field)) <= 1e-12
+    assert np.max(np.abs(w[-1])) <= 1e-10
 
 
 def test_cli_fundamental_takes_L_from_the_basis_length(tmp_path):

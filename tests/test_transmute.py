@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from heatctrl.biorthogonal import MpBlock
 from heatctrl.errors import ConfigurationError, IllConditionedError
-from heatctrl.heatsim import ObservationRegion, simulate_interior_control
+from heatctrl.heatsim import ObservationRegion, region_mass_matrix, simulate_interior_control
 from heatctrl import transmute
 from heatctrl.spectral import HeatState, build_interval_basis
 from heatctrl.transmute import (
@@ -71,9 +71,10 @@ def test_kannai_random_state_and_scaling(basis64):
 def test_hum_zero_data(basis64):
     reg = ObservationRegion(1.0, 2.0)
     u0 = HeatState(np.zeros(4), basis64.basis_id)
-    wc = wave_hum_control(basis64, reg, u0, math.pi + 0.5, 6)
+    S = math.pi + 0.5
+    wc = wave_hum_control(basis64, reg, u0, S, 6)
     assert wc.control_norm == 0.0
-    assert np.max(np.abs(wc.w_modal)) == 0.0
+    assert np.max(np.abs(wc.w_modal(np.linspace(0.0, S, 2049)))) == 0.0
 
 
 def test_hum_single_oscillator_oracle(basis64):
@@ -96,11 +97,42 @@ def test_hum_steering_residual(basis64):
     rng = np.random.default_rng(3)
     c = rng.standard_normal(8)
     c /= np.linalg.norm(c)
-    wc = wave_hum_control(basis64, reg, HeatState(c, basis64.basis_id),
-                          math.pi + 0.5, 12)
+    S = math.pi + 0.5
+    wc = wave_hum_control(basis64, reg, HeatState(c, basis64.basis_id), S, 12)
     assert wc.steering_residual <= 1e-8
-    assert np.linalg.norm(wc.w_modal[0] - np.pad(c, (0, 4))) <= 1e-12
-    assert np.linalg.norm(wc.w_modal[-1]) <= 1e-10
+    assert np.linalg.norm(wc.w_modal([0.0])[0] - np.pad(c, (0, 4))) <= 1e-12
+    assert np.linalg.norm(wc.w_modal([S])[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("region, S, N, seed", [
+    ((1.0, 2.0), math.pi + 0.5, 12, 3),
+    ((1.0, 2.2), 2.2, 12, 0),
+    ((0.5, 2.5), 1.5, 8, 1),
+])
+def test_hum_closed_form_matches_integrated_wave(basis64, region, S, N, seed):
+    # w'' = -Lambda w + Q phi(s) from (w0, 0), integrated independently of the
+    # closed-form Duhamel kernels, at interior s
+    reg = ObservationRegion(*region)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(8)
+    c /= np.linalg.norm(c)
+    wc = wave_hum_control(basis64, reg, HeatState(c, basis64.basis_id), S, N)
+    lam = basis64.lambdas[:N]
+    Q = region_mass_matrix(basis64, reg, N)
+
+    def rhs(s, y):
+        return np.concatenate([y[N:], -lam * y[:N] + Q @ wc.fcoef([s])[0]])
+
+    ss = np.linspace(0.0, S, 9)[1:-1]
+    sol = solve_ivp(rhs, (0.0, S), np.concatenate([np.pad(c, (0, N - 8)), np.zeros(N)]),
+                    t_eval=ss, method="DOP853", rtol=1e-12, atol=1e-14)
+    w = wc.w_modal(ss)
+    assert np.max(np.abs(sol.y[:N].T - w)) <= 1e-10 * np.max(np.abs(w))
+    # ||f||^2 by a fine trapezoid in s against the Gramian's quadratic form
+    s_fine = np.linspace(0.0, S, 20001)
+    f = wc.fcoef(s_fine)
+    f_sq = np.trapezoid(np.einsum("sj,jk,sk->s", f, Q, f), s_fine)
+    assert f_sq == pytest.approx(wc.control_norm ** 2, rel=1e-8)
 
 
 def test_hum_requires_time_above_ray(basis64):
@@ -312,7 +344,14 @@ def test_fundamental_rejects_bad_eps():
     with pytest.raises(ConfigurationError):
         fundamental_solution(0.5, math.pi / 2, eps=1.5)
     with pytest.raises(ConfigurationError):
-        fundamental_solution(5.0, math.pi / 2)  # T beyond min(pi/2, L)^2
+        fundamental_solution(5.0, math.pi / 2)  # T beyond L^2
+
+
+def test_fundamental_accepts_T_up_to_L_squared():
+    # past (pi/2)^2 = 2.47 but below L^2 = 4.84: the multiplier route steers it
+    v = fundamental_solution(3.0, 2.2, n_modes=32)
+    assert v.meta["method"] == "multiplier"
+    assert v.v_final_norm() <= 1e-3 * v.norm
 
 
 # ---- transmutation ---------------------------------------------------------
