@@ -39,6 +39,7 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import mpf_add, mpf_mul
 from numpy.fft import fft  # numpy 2 loads numpy.fft on first use
 
 from .errors import ConfigurationError, IllConditionedError, TruncationError
@@ -60,6 +61,7 @@ __all__ = [
 
 _LOG_BUDGET = 600.0  # ln-magnitude ceiling before linear float work is refused
 _FREQ_CHUNK = 4096  # grid atoms per kernel tile: n_w x 4096 complex entries
+_GUARD = 16  # bits an integer atom integral and row sum keep past the mp precision
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,32 @@ def _mp_atom_integral(lo_val, hi_val, s, length):
     if abs(x) < 0.5:
         return lo_val * length * (mp.expm1(x) / x if x else 1)
     return (hi_val - lo_val) / s
+
+
+def _int_atom_integral(el, a, eh, b, z, w, length):
+    """_mp_atom_integral(el a, eh b, z + w, length) as (K, e), K 2^e, at the
+    working precision p.
+
+    s = z + w and x = s length round as in the mp form, and so does the
+    expm1 branch |x| < 1/2, which is that form's value, exactly.  Elsewhere
+    the numerator eh b - el a is the exact difference of two integer
+    products, cut to the width of s's mantissa plus p + 16 bits and divided
+    by that mantissa: K keeps p + 16 bits, relative error below 2^-(p+14).
+    """
+    prec, rnd = mp.mp._prec_rounding
+    st = mpf_add(z._mpf_, w._mpf_, prec, rnd)
+    _, xm, xe, xbc = xt = mpf_mul(st, length._mpf_, prec, rnd)
+    if not xm or xe + xbc < 0:  # |x| < 1/2
+        k = _mp_atom_integral(el * a, eh * b, mp.mpf(st), length)._mpf_
+        return (-1) ** k[0] * k[1], k[2]
+    (_, ml, xl, _), (_, ma, xa, _) = el._mpf_, a._mpf_
+    (_, mh, xh, _), (_, mb, xb, _) = eh._mpf_, b._mpf_
+    up, down, e = mh * mb, ml * ma, min(xh + xb, xl + xa)
+    num = (up << (xh + xb - e)) - (down << (xl + xa - e))
+    ss, ms, xs, bs = st
+    g = bs + prec + _GUARD - num.bit_length()
+    q = (abs(num) << g if g >= 0 else abs(num) >> -g) // ms
+    return (-q if (num < 0) != bool(ss) else q), e - g - xs
 
 
 def _quadrature_norm(f, lo: float, hi: float) -> float:
@@ -270,21 +298,35 @@ class MpBlock:
     def integral_rows(blocks, ws, lo: float, hi: float, ref: float) -> np.ndarray:
         """Row i is blocks[i].integral(ws, lo, hi, ref), for blocks sharing one key.
 
-        Each atom integral int_lo^hi e^{z_k (t - origin) + w (t - ref)} dt is
-        built once for all rows; a row is one fsum over its coefficients.
+        Each atom integral K_k = int_lo^hi e^{z_k (t - origin) + w (t - ref)} dt
+        is built once for all rows, on integers (_int_atom_integral), and a
+        row is one integer sum of the exact products c_k K_k, truncated
+        p + 16 + log2 N bits below its largest term and rounded once to the
+        block's p bits.  Take each K_k exactly from the same rounded
+        exponentials and s_k = z_k + w (on the expm1 branch, the mp form's
+        value): the row before its float conversion is then within
+        2^-p (|sum_k c_k K_k| + 2^-12 sum_k |c_k K_k|) of sum_k c_k K_k, the
+        size of the mp form's own rounding error.  The one rounding gives
+        2^-p |sum|; the truncated quotients and terms stay below
+        2^-(p+13) sum_k |c_k K_k|.
         """
         b0 = blocks[0]
         out = np.empty((len(blocks), len(ws)))
         with mp.workdps(b0.dps):
             lo_, hi_, e_lo, e_hi = b0._ends(lo, hi)
-            ref_ = mp.mpf(ref)
+            ref_, length = mp.mpf(ref), hi_ - lo_
+            rows = [_fixed_point(blk.coeffs) for blk in blocks]
+            bits = mp.mp.prec + _GUARD + len(b0.rates).bit_length()
             for i, w in enumerate(ws):
                 w_ = mp.mpf(float(w))
                 a, b = mp.exp(w_ * (lo_ - ref_)), mp.exp(w_ * (hi_ - ref_))
-                ker = [_mp_atom_integral(el * a, eh * b, z + w_, hi_ - lo_)
+                ker = [_int_atom_integral(el, a, eh, b, z, w_, length)
                        for z, el, eh in zip(b0.rates, e_lo, e_hi)]
-                for r, blk in enumerate(blocks):
-                    out[r, i] = float(mp.fsum(c * k for c, k in zip(blk.coeffs, ker)))
+                for r, (cs, ec) in enumerate(rows):
+                    terms = [(c * k, e) for c, (k, e) in zip(cs, ker)]
+                    top = max((e + t.bit_length() for t, e in terms if t), default=bits) - bits
+                    total = sum(t << (e - top) if e >= top else t >> (top - e) for t, e in terms)
+                    out[r, i] = float(mp.mpf((total, top + ec)))
         return out
 
     def norm(self, lo: float, hi: float) -> float:
@@ -314,8 +356,9 @@ class MpBlock:
         with mp.workdps(first.dps):
             acc = [mp.mpf(0)] * len(first.coeffs)
             for w, b in terms:
+                w = mp.mpf(w)
                 for k, c in enumerate(b.coeffs):
-                    acc[k] += mp.mpf(w) * c
+                    acc[k] += w * c
         return replace(first, coeffs=tuple(acc))
 
 
@@ -574,34 +617,39 @@ def _gram_dps(lambdas, T: float, extra: int = 60) -> int:
 def _spd_inverse(A):
     """A^{-1} = L^{-T} L^{-1} for a symmetric positive definite mp matrix.
 
-    A is a list of rows; so is the result.  A = L L^T is factored with one
-    fdot per entry, carrying 10 guard bits as mp.inverse does, and None is
-    returned when a pivot is not positive (A is not positive definite at
-    the working precision).
+    A is a list of rows; so is the result.  A = L L^T is factored, carrying
+    10 guard bits as mp.inverse does, and None is returned when a pivot is
+    not positive (A is not positive definite at the working precision).
+    The rows of L and the columns of L^{-1} are held exact on integers
+    (_push_exact), so every sum of products is one integer dot product
+    rounded once (_exact_dot): exact products, an exact sum and one rounding,
+    as mp.fdot computes it.
     """
     n = len(A)
     with mp.extraprec(10):
-        L = []  # L[i] holds row i up to the diagonal
+        diag, rows = [], []  # rows[i]: L[i][:i], exact
         for i in range(n):
-            row = []
+            row = [[], 0]
             for j in range(i):
-                row.append((A[i][j] - mp.fdot(row, L[j][:j])) / L[j][j])
-            d = A[i][i] - mp.fdot(row, row)
+                _push_exact(row, (A[i][j] - _exact_dot(row, rows[j])) / diag[j])
+            d = A[i][i] - _exact_dot(row, row)
             if d <= 0:
                 return None
-            L.append(row + [mp.sqrt(d)])
-        # cols[j][i - j] = (L^{-1})_{ij} for i >= j, by forward substitution
+            diag.append(mp.sqrt(d))
+            rows.append(row)
+        # cols[j] holds (L^{-1})_{ij} for i >= j, by forward substitution
         cols = []
         for j in range(n):
-            c = [1 / L[j][j]]
+            c = [[], 0]
+            _push_exact(c, 1 / diag[j])
             for i in range(j + 1, n):
-                c.append(-mp.fdot(L[i][j:i], c) / L[i][i])
+                _push_exact(c, -_exact_dot((rows[i][0][j:], rows[i][1]), c) / diag[i])
             cols.append(c)
         # (L^{-T} L^{-1})_{ab} = sum_{i >= max(a, b)} (L^{-1})_{ia} (L^{-1})_{ib}
         R = [[None] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                R[a][b] = R[b][a] = mp.fdot(cols[a][b - a:], cols[b])
+                R[a][b] = R[b][a] = _exact_dot((cols[a][0][b - a:], cols[a][1]), cols[b])
     return R
 
 
@@ -610,13 +658,40 @@ def _norm1(A):
     return max(mp.fsum((row[k] for row in A), absolute=True) for k in range(len(A[0])))
 
 
-def _fixed_point(vec, bits):
-    """(ints, e) with vec[j] ~ ints[j] 2^e: each mpf truncated toward zero
-    `bits` bits below the leading bit of the vector's largest entry."""
+def _fixed_point(vec, bits=None):
+    """(ints, e) with vec[j] ~ ints[j] 2^e, all on one binary exponent.
+
+    Exact mode (bits None): e is the least exponent of a nonzero entry (0 if
+    there is none), so ints[j] 2^e == vec[j].  Truncated mode: each mpf is
+    truncated toward zero `bits` bits below the leading bit of the vector's
+    largest entry.
+    """
     parts = [v._mpf_ for v in vec]
-    e = max((x + bc for _, m, x, bc in parts if m), default=0) - bits
+    if bits is None:
+        e = min((x for _, m, x, _ in parts if m), default=0)
+    else:
+        e = max((x + bc for _, m, x, bc in parts if m), default=0) - bits
     return [(-1) ** s * (m << (x - e) if x >= e else m >> (e - x))
             for s, m, x, _ in parts], e
+
+
+def _push_exact(vec, v):
+    """Append the mpf v to vec = [ints, e], an exact-mode _fixed_point vector.
+
+    The first entry sets e, and e drops to v's exponent when v has lower bits.
+    """
+    ints, e = vec
+    s, m, x, _ = v._mpf_
+    if not ints or (m and x < e):
+        vec[0] = ints = [k << (e - x) for k in ints]
+        vec[1] = e = x
+    ints.append((-1) ** s * m << (x - e) if m else 0)
+
+
+def _exact_dot(u, v):
+    """sum_j u_j v_j of two (ints, e) vectors, exact, rounded once to the
+    working precision."""
+    return mp.mpf((sum(map(int.__mul__, u[0], v[0])), u[1] + v[1]))
 
 
 def _gram_residual(R, G0, cond):
@@ -633,9 +708,9 @@ def _gram_residual(R, G0, cond):
                                   + float(mp.log(5 * n * n * cond, 2))))
     rows = [_fixed_point(r, bits) for r in R]
     cols = [_fixed_point(g, bits) for g in G0]
-    resid = max(mp.fsum((mp.mpf((sum(map(int.__mul__, ri, gk)), ei + ek)) - int(i == k)
-                         for i, (ri, ei) in enumerate(rows)), absolute=True)
-                for k, (gk, ek) in enumerate(cols))
+    resid = max(mp.fsum((_exact_dot(ri, gk) - int(i == k) for i, ri in enumerate(rows)),
+                        absolute=True)
+                for k, gk in enumerate(cols))
     return resid, mp.ldexp(5 * n * n * cond, -bits)
 
 

@@ -274,8 +274,12 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     # synthesis coverage: half the Dirac truncation (the even modes carry no
     # Dirac weight).  Anything less leaves uncovered modes whose boundary
     # excitation is not pinned at zero and leaks into the transmutation.
-    ctrl = two_end_control(v0, T_ctrl, L, method=method,
-                           n_modes=max(24, J // 2))
+    try:
+        ctrl = two_end_control(v0, T_ctrl, L, method=method, n_modes=max(24, J // 2))
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"fundamental solution at T = {T:g}, L = {L:g}, eps = {eps:g}: the two-end "
+            f"control on T_ctrl = (1 - eps) T = {T_ctrl:g} is refused: {exc}") from exc
 
     # modal Duhamel on [-L, L] with both boundary traces:
     #   vdot_j = -lam_j v_j + e_j'(-L) b_-(t') - e_j'(L) b_+(t')

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 from heatctrl import biorthogonal
 from heatctrl.biorthogonal import (
@@ -449,7 +450,8 @@ def test_batch_integral_rows_match_single_calls(basis64, signals, ws, ref, n_mod
 
 
 def _mp_integral_reference(b, ws, lo, hi, ref):
-    """MpBlock.integral written out per block: one fsum of c_k times atom k."""
+    """MpBlock.integral in its mp form: one fsum of c_k times atom k, every
+    product and quotient rounded at the block's digits."""
     with mp.workdps(b.dps):
         lo_, hi_, ref_, org = (mp.mpf(v) for v in (lo, hi, ref, b.origin))
         out = []
@@ -469,11 +471,66 @@ def _mp_integral_reference(b, ws, lo, hi, ref):
     return np.array(out)
 
 
+def _mp_integral_4x(b, ws, lo, hi, ref):
+    """(prec, [(S, A) per w]): S = sum_k c_k K_k and A = sum_k |c_k K_k| at 4x
+    the block's digits.
+
+    The inputs are the ones MpBlock.integral_rows shares with the mp form,
+    at the block's digits: the end exponentials, s_k = z_k + w and the
+    expm1-branch atoms.  The far atoms (e^{s hi'} - e^{s lo'}) / s_k and the
+    sums are then taken at 4x the digits, within 2^-(3 prec) A of exact.
+    """
+    with mp.workdps(b.dps):
+        prec = mp.mp.prec
+        lo_, hi_, e_lo, e_hi = b._ends(lo, hi)
+        ref_, length = mp.mpf(ref), hi_ - lo_
+        per_w = []
+        for w in ws:
+            w_ = mp.mpf(float(w))
+            a, e = mp.exp(w_ * (lo_ - ref_)), mp.exp(w_ * (hi_ - ref_))
+            atoms = []
+            for z, el, eh in zip(b.rates, e_lo, e_hi):
+                s = z + w_
+                if abs(s * length) < 0.5:
+                    atoms.append(biorthogonal._mp_atom_integral(el * a, eh * e, s, length))
+                else:
+                    atoms.append((el, a, eh, e, s))
+            per_w.append(atoms)
+    out = []
+    with mp.workdps(4 * b.dps):
+        for atoms in per_w:
+            ks = [(k[2] * k[3] - k[0] * k[1]) / k[4] if isinstance(k, tuple) else k
+                  for k in atoms]
+            terms = [c * k for c, k in zip(b.coeffs, ks)]
+            out.append((mp.fsum(terms), mp.fsum(terms, absolute=True)))
+    return prec, out
+
+
+def _assert_within_kernel_bound(b, ws, lo, hi, ref, rows):
+    """Each float row is within the bound MpBlock.integral_rows proves,
+    2^-p (|S| + 2^-12 A), of the 4x reference, plus the reference's own
+    error and one float rounding (a full ulp: mpmath rounds twice below
+    the normal range).  Returns the reference sums S."""
+    prec, refs = _mp_integral_4x(b, ws, lo, hi, ref)
+    with mp.workdps(4 * b.dps):
+        for row, (S, A) in zip(rows, refs):
+            bound = mp.ldexp(abs(S) + mp.ldexp(A, -12), -prec) + mp.ldexp(A, -3 * prec)
+            assert abs(mp.mpf(float(row)) - S) <= bound + math.ulp(row)
+    return [S for S, _ in refs]
+
+
 @settings(max_examples=40, deadline=None)
 @given(mp_blocks(), st.lists(st.lists(_reals(-1, 1), min_size=4, max_size=4),
                              min_size=1, max_size=4),
        st.lists(_reals(-3, 3), min_size=1, max_size=4), _reals(-1, 0), _reals(0.1, 2.0),
        _reals(-1, 1))
+# rates 3e-15 apart with opposite coefficients: the row cancels to 1e-15 of
+# its terms, and the mp form's roundings move it by one ulp
+@example(MpBlock(coeffs=(mp.mpf(1), mp.mpf(-1)),
+                 rates=(mp.mpf(0.07092974820154030), mp.mpf(0.07092974820154342)),
+                 origin=0.8972988942744877, dps=30),
+         [[-0.71168077456073253, 0.71168077456073253, 0.0, 0.0]],
+         [-0.4600413061645461], -0.5908008636308387, 1.144228006578813, -0.9448817735138633)
 def test_mp_integral_rows_equal_single_block_calls(b, coeff_rows, ws, lo, length, ref):
     hi = lo + length
     blocks = [replace(b, coeffs=tuple(mp.mpf(c) for c in row[:len(b.coeffs)]))
@@ -482,7 +539,61 @@ def test_mp_integral_rows_equal_single_block_calls(b, coeff_rows, ws, lo, length
     assert rows.shape == (len(blocks), len(ws))
     for blk, row in zip(blocks, rows):
         assert np.array_equal(row, blk.integral(ws, lo, hi, ref))
-        assert np.array_equal(row, _mp_integral_reference(blk, ws, lo, hi, ref))
+        # the kernel rounds once where the mp form rounds every product: within
+        # its bound of the 4x reference, and never further from it than the
+        # mp form is, but for half an ulp
+        refs = _assert_within_kernel_bound(blk, ws, lo, hi, ref, row)
+        old = _mp_integral_reference(blk, ws, lo, hi, ref)
+        with mp.workdps(4 * blk.dps):
+            for got, was, S in zip(row, old, refs):
+                assert abs(mp.mpf(float(got)) - S) <= abs(mp.mpf(float(was)) - S) + math.ulp(got) / 2
+
+
+@st.composite
+def wide_mp_blocks(draw):
+    """Blocks whose end exponentials reach e^{+-698}, at 30 or 200+ digits,
+    with a window and query rates that put some atoms on the expm1 branch."""
+    # one rate up to 349 in size, at up to 2 from the origin: e^{+-698}; the
+    # others small, so that no atom against any query rate overflows a float
+    edge = draw(st.one_of(st.sampled_from([-349.0, 349.0]), _reals(-349, 349)))
+    zs = [edge] + [z for z in draw(st.lists(_reals(-3, 3), max_size=4, unique=True))
+                   if z != edge]
+    cs = draw(st.lists(_reals(-1, 1), min_size=len(zs), max_size=len(zs)))
+    if draw(st.booleans()):  # a twin 2^-40 away with the opposite weight: rows cancel
+        zs, cs = zs + [zs[-1] + 2.0 ** -40], cs + [-cs[-1]]
+    n = len(zs)
+    lo, length = draw(_reals(-0.5, 0.0)), draw(_reals(0.1, 1.0))
+    origin = draw(st.sampled_from([lo - 1.0, draw(_reals(-0.5, 0.5))]))
+    b = MpBlock(coeffs=tuple(mp.mpf(c) for c in cs), rates=tuple(mp.mpf(z) for z in zs),
+                origin=origin, dps=draw(st.sampled_from([30, 200, 260])))
+    # s = 0 on an atom, |s length| < 1/2 beside one, and free rates
+    k = draw(st.integers(0, n - 1))
+    ws = [-zs[k], -zs[k] + draw(_reals(-0.45, 0.45)) / length,
+          *draw(st.lists(_reals(-3, 3), max_size=2))]
+    return b, ws, lo, lo + length, draw(_reals(-0.5, 0.5))
+
+
+def _wide_case(edge, dps):
+    """A block with end exponentials e^{+-698}, a cancelling twin pair and
+    queries on both branches."""
+    b = MpBlock(coeffs=(mp.mpf(0.75), mp.mpf(-0.5), mp.mpf(0.5)),
+                rates=(mp.mpf(edge), mp.mpf(1.5), mp.mpf(1.5 + 2.0 ** -40)), origin=-1.5, dps=dps)
+    return b, [-edge, -edge + 0.3, -1.5, 2.0], -0.5, 0.5, -0.25
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_mp_blocks(), st.booleans())
+@example(_wide_case(349.0, 260), True)
+@example(_wide_case(-349.0, 30), False)
+@example(_wide_case(349.0, 30), False)
+def test_mp_integral_kernel_within_its_bound(case, zero_row):
+    b, ws, lo, hi, ref = case
+    blocks = [b, replace(b, coeffs=tuple(mp.mpf(0) for _ in b.coeffs))] if zero_row else [b]
+    rows = MpBlock.integral_rows(blocks, ws, lo, hi, ref)
+    assert np.all(np.isfinite(rows))
+    _assert_within_kernel_bound(b, ws, lo, hi, ref, rows[0])
+    if zero_row:
+        assert np.array_equal(rows[1], np.zeros(len(ws)))
 
 
 def test_batch_integral_needs_one_window():
@@ -540,6 +651,73 @@ def gram_spectra(draw):
     gaps = draw(st.lists(_reals(0.5, 10.0), min_size=n - 1, max_size=n - 1))
     lams = np.cumsum([draw(_reals(0.1, 5.0))] + gaps)
     return lams, draw(_reals(0.5, 2.0))
+
+
+def _spd_inverse_fdot(A):
+    """The Cholesky inverse with one mp.fdot per entry, the form the integer
+    dot products replaced."""
+    n = len(A)
+    with mp.extraprec(10):
+        L = []
+        for i in range(n):
+            row = []
+            for j in range(i):
+                row.append((A[i][j] - mp.fdot(row, L[j][:j])) / L[j][j])
+            d = A[i][i] - mp.fdot(row, row)
+            if d <= 0:
+                return None
+            L.append(row + [mp.sqrt(d)])
+        cols = []
+        for j in range(n):
+            c = [1 / L[j][j]]
+            for i in range(j + 1, n):
+                c.append(-mp.fdot(L[i][j:i], c) / L[i][i])
+            cols.append(c)
+        R = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                R[a][b] = R[b][a] = mp.fdot(cols[a][b - a:], cols[b])
+    return R
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram_spectra())
+def test_spd_inverse_equals_fdot_form_bit_for_bit(spectrum):
+    lams, T = spectrum
+    dps = biorthogonal._gram_dps(lams, T)
+    with mp.workdps(dps):
+        G0, _, _ = _gram_system(lams, T, dps)
+        R = biorthogonal._spd_inverse(G0)
+        want = _spd_inverse_fdot(G0)
+    assert [[v._mpf_ for v in row] for row in R] == [[v._mpf_ for v in row] for row in want]
+
+
+def _mpf_vectors():
+    """mpf vectors with zeros, signs and exponents far apart, at 20 to 400 bits."""
+    entry = st.one_of(st.just(0), st.tuples(st.integers(-(1 << 400), 1 << 400),
+                                            st.integers(-3000, 3000)))
+    return st.tuples(st.lists(entry, max_size=8), st.integers(20, 400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mpf_vectors(), st.integers(1, 500))
+def test_fixed_point_exact_mode_round_trips(drawn, bits):
+    entries, prec = drawn
+    with mp.workprec(prec):
+        vec = [mp.mpf(v) for v in entries]
+    ints, e = biorthogonal._fixed_point(vec)
+    assert [from_man_exp(k, e) for k in ints] == [v._mpf_ for v in vec]
+    # pushed one entry at a time, the vector holds the same values
+    pushed = [[], 0]
+    for v in vec:
+        biorthogonal._push_exact(pushed, v)
+    assert [from_man_exp(k, pushed[1]) for k in pushed[0]] == [v._mpf_ for v in vec]
+    # truncated mode: toward zero, by less than one unit 2^e
+    ints, e = biorthogonal._fixed_point(vec, bits)
+    for k, (sign, m, x, _) in zip(ints, (v._mpf_ for v in vec)):
+        low = min(x, e)
+        gap = (-1) ** sign * (m << (x - low)) - (k << (e - low))
+        assert 0 <= (-1) ** sign * gap < 1 << (e - low)
 
 
 def _gram_norms_by_inverse(lams, T, dps):

@@ -56,3 +56,46 @@ def test_snapshot_refuses_records_of_two_commits(tmp_path, capsys):
     assert _load().main(["--pr", "7", "--out", str(out), *paths]) == 2
     assert "differ in git" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_snapshot_against_parent_prints_pairs_and_the_gain_rule(tmp_path, capsys):
+    parent_pass = [0.50, 0.52, 0.51, 0.53, 0.50, 0.52, 0.51, 0.54, 0.50, 0.52]
+    change_pass = [0.45, 0.46, 0.44, 0.47, 0.51, 0.45, 0.46, 0.44, 0.45, 0.46]
+    snap = _load()
+    parent = tmp_path / "BENCH_7_parent.json"
+    paths = [_record(tmp_path, run, 0, {"pass_s": (v, "s"), "peak_rss_mb": (66.0, "MB")})
+             for run, v in enumerate(parent_pass)]
+    assert snap.main(["--pr", "7_parent", "--out", str(parent), *paths]) == 0
+    paths = [_record(tmp_path, 20 + run, 0, {"pass_s": (v, "s"), "peak_rss_mb": (66.0, "MB")})
+             for run, v in enumerate(change_pass)]
+    paths.append(_record(tmp_path, 40, 0, {"pass_s": (0.3, "s")}, workload="sweep"))
+    capsys.readouterr()
+    out = tmp_path / "BENCH_7.json"
+    assert snap.main(["--pr", "7", "--out", str(out), "--against", str(parent), *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == str(out) and json.loads(out.read_text())["pr"] == "7"
+    # the change lost pair 4 only; its median is 0.055 s below the parent's,
+    # whose quartiles are 0.02 s apart
+    assert lines[1] == ("moments seed0 pass_s [s]: 0.515 [0.5025, 0.52] -> 0.455 [0.45, 0.46] "
+                        "-11.7%, wins 9/10 ++++-+++++, gain holds")
+    assert lines[2] == ("moments seed0 peak_rss_mb [MB]: 66 [66, 66] -> 66 [66, 66] +0.0%, "
+                        "wins 0/10 ==========, gain not shown")
+    assert lines[3] == "sweep seed0 pass_s [s]: no parent runs"
+    # nine pairs are too few, even all won
+    bench = json.loads(out.read_text())
+    entry = bench["workloads"]["moments"]["seed0"]["end_to_end"]["pass_s"]
+    entry["runs"] = [v - 0.1 for v in parent_pass[:9]]
+    line = snap.compare(json.loads(parent.read_text()), bench, {"pass_s": "lower"})[0]
+    assert line.endswith("wins 9/9 +++++++++, gain not shown")
+    # with higher better the same ten runs lose every pair but pair 4
+    line = snap.compare(json.loads(parent.read_text()), json.loads(out.read_text()),
+                        {"pass_s": "higher"})[0]
+    assert line.endswith("wins 1/10 ----+-----, gain not shown")
+
+
+def test_snapshot_against_a_missing_parent_is_an_error(tmp_path, capsys):
+    paths = [_record(tmp_path, 0, 0, {"pass_s": (0.3, "s")})]
+    out = tmp_path / "BENCH_7.json"
+    assert _load().main(["--pr", "7", "--out", str(out), "--against",
+                         str(tmp_path / "nowhere.json"), *paths]) == 2
+    assert "nowhere.json" in capsys.readouterr().err

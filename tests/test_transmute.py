@@ -347,6 +347,21 @@ def test_fundamental_rejects_bad_eps():
         fundamental_solution(5.0, math.pi / 2)  # T beyond L^2
 
 
+def test_fundamental_refusal_names_its_window():
+    # at T = L^2 = 1 the two-end control on T_ctrl = 0.95 is refused; the
+    # error names T, L, eps and T_ctrl and carries the original text
+    with pytest.raises(ConfigurationError, match="eps = 0.05") as err:
+        fundamental_solution(1.0, 1.0, eps=0.05, n_modes=32)
+    assert "T = 1, L = 1" in str(err.value)
+    assert "T_ctrl = (1 - eps) T = 0.95" in str(err.value)
+    assert isinstance(err.value.__cause__, ConfigurationError)
+    assert str(err.value.__cause__) in str(err.value)
+    # more smoothing time leaves a shorter window, which is steered
+    v = fundamental_solution(1.0, 1.0, eps=0.2, n_modes=32)
+    assert v.meta["T_ctrl"] == pytest.approx(0.8)
+    assert v.v_final_norm() <= 1e-3 * v.norm
+
+
 def test_fundamental_accepts_T_up_to_L_squared():
     # past (pi/2)^2 = 2.47 but below L^2 = 4.84: the multiplier route steers it
     v = fundamental_solution(3.0, 2.2, n_modes=32)
