@@ -8,7 +8,9 @@ signals by the unitary Fourier pair
 Because G_n has exponential type tau_M < T/2, the trapezoid sum on a
 uniform frequency grid with step h reproduces g_n *exactly* on the window
 (the aliases g_n(t + 2 pi m / h) sit outside it), so the only numerical
-errors are the frequency cut at X_max and value roundoff.
+errors are the frequency cut at X_max, value roundoff, and the atoms past
+each signal's live prefix: those hold at most 2^-64 of its L1 mass on the
+grid and are not stored (see _LIVE_TAIL).
 
 The stored family signal is  s_n(t) = (2 pi)^{-1/2} g_n(-t), which makes
 
@@ -62,6 +64,16 @@ __all__ = [
 _LOG_BUDGET = 600.0  # ln-magnitude ceiling before linear float work is refused
 _FREQ_CHUNK = 4096  # grid atoms per kernel tile: n_w x 4096 complex entries
 _GUARD = 16  # bits an integer atom integral and row sum keep past the mp precision
+# A grid signal keeps only its live prefix: the shortest n with
+# sum_{k>=n} |V_k| <= _LIVE_TAIL sum_k |V_k|.  Atom k enters every sample,
+# moment, Duhamel weight and Parseval sum as (omega/pi) gain V_k K_k, K_k the
+# kernel value (|e^{-i k omega u}| = 1 for a sample, the atom integral for a
+# moment), so an assembled sum_n c_n s_n moves by at most
+# 2^-64 (omega/pi)|gain| max_k|K_k| sum_n |c_n| ||V_n||_1, and a squared
+# Parseval norm by at most 2^-64 ||V||_inf ||V||_1 <= 2^-64 n ||V||_inf^2 for
+# n kept atoms.  Both are 2^-11 below the rounding bounds, at u = 2^-53, that
+# the float kernel, the assembly and the Parseval sum carry on the same scale.
+_LIVE_TAIL = 2.0 ** -64
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +147,9 @@ class GridBlock:
     with u = t - origin: atoms z_k = rate - i k omega.  Exact on the window by
     the band-limit argument above; with rate = 0 the Parseval norm over one
     period 2 pi / omega is the norm on any window holding the support.
+
+    `values` may be a live prefix of a grid of n_grid atoms, the rest being
+    zero; n_grid (len(values) when not given) sizes the FFT of fft_samples.
     """
 
     values: np.ndarray  # complex V_k
@@ -142,9 +157,14 @@ class GridBlock:
     gain: float = 1.0
     rate: float = 0.0
     origin: float = 0.0
+    n_grid: int | None = None
+
+    def __post_init__(self):
+        if self.n_grid is None:
+            object.__setattr__(self, "n_grid", len(self.values))
 
     def key(self):
-        return ("grid", self.omega, self.gain, self.rate, self.origin, len(self.values))
+        return ("grid", self.omega, self.gain, self.rate, self.origin, self.n_grid)
 
     def eval(self, ts) -> np.ndarray:
         """Exact direct sum at the points ts."""
@@ -161,9 +181,11 @@ class GridBlock:
     def eval_dense(self, ts) -> np.ndarray:
         """eval for large monotone grids through one FFT.
 
-        The FFT output is 4x oversampled and interpolated, which keeps the
-        error at the 1e-9 level of the representation itself while avoiding
-        the O(n_t * n_freq) direct sum.
+        The FFT output is 4x oversampled and interpolated, which avoids the
+        O(n_t * n_freq) direct sum.  Against that sum on 4,097 window points
+        the error measured 1.5e-6 relative at T = 0.5 (42,794 grid atoms) and
+        7-8e-7 at T = 1 (59,735), on unit-mode controls of DD on [0, pi] with
+        64 modes and eps 0.05.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if len(ts) <= 512:
@@ -184,7 +206,7 @@ class GridBlock:
         dt_target = span / max(n_target - 1, 1)
         V = self.values
         m = 1 << int(math.ceil(math.log2(max(
-            len(V), 2.0 * math.pi / (self.omega * dt_target), 2))))
+            self.n_grid, 2.0 * math.pi / (self.omega * dt_target), 2))))
         buf = np.zeros(m, dtype=complex)
         xs = self.omega * np.arange(len(V))
         buf[: len(V)] = V * np.exp(-1j * xs * u0)
@@ -206,14 +228,19 @@ class GridBlock:
         """Row i is blocks[i].integral(ws, lo, hi, ref), for blocks sharing one key.
 
         The kernel int_lo^hi e^{z_k (t - origin) + w (t - ref)} dt is built
-        once for all rows, _FREQ_CHUNK atoms at a time, and contracted with
-        the stacked coefficient rows by one matrix product per tile.
+        once for all rows over the longest live prefix, _FREQ_CHUNK atoms at
+        a time, and contracted with the stacked coefficient rows (shorter
+        prefixes padded with zeros) by one matrix product per tile.
         """
         b0, ws = blocks[0], np.asarray(ws, dtype=float)
         a, b = (np.exp(ws * (t - ref))[:, None] for t in (lo, hi))
         out = np.zeros((len(blocks), len(ws)))
-        for c in range(0, len(b0.values), _FREQ_CHUNK):
-            V = np.array([blk.values[c: c + _FREQ_CHUNK] for blk in blocks])
+        n = max(len(blk.values) for blk in blocks)
+        for c in range(0, n, _FREQ_CHUNK):
+            V = np.zeros((len(blocks), min(_FREQ_CHUNK, n - c)), dtype=complex)
+            for row, blk in zip(V, blocks):
+                seg = blk.values[c: c + _FREQ_CHUNK]
+                row[: len(seg)] = seg
             if c == 0:
                 V[:, 0] *= 0.5  # the k = 0 atom carries Re V_0 / 2; its kernel is real
             z = b0.rate - 1j * b0.omega * np.arange(c, c + V.shape[1])
@@ -235,14 +262,14 @@ class GridBlock:
         return GridBlock(values=np.conj(self.values) if p < 0 else self.values,
                          omega=abs(p) * self.omega,
                          gain=self.gain * math.exp(lam * origin) / abs(p),
-                         rate=p * self.rate + lam, origin=origin)
+                         rate=p * self.rate + lam, origin=origin, n_grid=self.n_grid)
 
     @staticmethod
     def summed(terms) -> "GridBlock":
-        """sum_i w_i b_i for blocks b_i that share one key."""
-        acc = np.zeros_like(terms[0][1].values)
+        """sum_i w_i b_i for blocks b_i that share one key, on the longest prefix."""
+        acc = np.zeros(max(len(b.values) for _, b in terms), dtype=complex)
         for w, b in terms:
-            acc = acc + w * b.values
+            acc[: len(b.values)] += w * b.values
         return replace(terms[0][1], values=acc)
 
 
@@ -472,13 +499,31 @@ def _frequency_grid(tau_type: float, T: float, X_max: float):
     return h, n
 
 
+def _live_prefix(lm) -> int:
+    """Shortest n >= 1 with sum_{k>=n} e^{lm_k} <= _LIVE_TAIL sum_k e^{lm_k}.
+
+    lm holds log-magnitudes, -inf for exact zeros.  The terms are scaled by
+    the peak and each tail summed from the far end, where the terms are
+    smallest, so it is accurate to a relative len(lm) u; the tails are
+    nonincreasing, so the count of those above the bound is the prefix.
+    A non-finite peak keeps the whole grid for the budget check to see.
+    """
+    peak = np.max(lm)
+    if not np.isfinite(peak):
+        return len(lm)
+    tail = np.cumsum(np.exp(lm[::-1] - peak))[::-1]
+    return max(1, int(np.count_nonzero(tail > _LIVE_TAIL * tail[0])))
+
+
 def invert_to_time(evaluator, T: float, tol: float = 1e-9) -> ControlSignal:
     """Biorthogonal time signal of one evaluator on the window [-T/2, T/2].
 
     The quadrature is the uniform trapezoid sum over |x| <= X_max with the
-    envelope tail below tol of the norm; the stored signal is the flipped,
-    (2 pi)^{-1/2}-scaled inverse transform, so its exponential moments are
-    delta_nk.  Norm bookkeeping keeps the unitary pair (s_n, G_n / sqrt(2 pi)).
+    envelope tail below tol of the norm, of which only the live prefix
+    (_live_prefix, at most 2^-64 of the L1 mass dropped) is stored; the
+    stored signal is the flipped, (2 pi)^{-1/2}-scaled inverse transform, so
+    its exponential moments are delta_nk.  Norm bookkeeping keeps the
+    unitary pair (s_n, G_n / sqrt(2 pi)).
     """
     if abs(evaluator.tau - T / 2.0) > 1e-12:
         raise ConfigurationError(
@@ -489,22 +534,27 @@ def invert_to_time(evaluator, T: float, tol: float = 1e-9) -> ControlSignal:
     h, n = _frequency_grid(tau_type, T, X_max)
     xs = h * np.arange(n)
     lm, ph = evaluator.log_G_array(xs)
-    return _signal_from_log(h, lm, ph, T, {"X_max": X_max, "tail_tol": tol, "n_freq": n})
+    n_live = _live_prefix(lm)
+    return _signal_from_log(h, lm[:n_live], ph[:n_live], T, n,
+                            {"X_max": X_max, "tail_tol": tol, "n_freq": n, "n_live": n_live})
 
 
-def _signal_from_log(h, lm, ph, T, meta, label="") -> ControlSignal:
+def _signal_from_log(h, lm, ph, T, n_grid, meta, label="") -> ControlSignal:
     """Family signal with values G = e^{lm + i ph} on the grid x_k = k h.
 
     s(t) = (2 pi)^{-1/2} raw(-t) with raw the unitary inverse transform of G;
     under the e^{-ixt} kernel of GridBlock.eval this is values = G on the grid,
-    and then int s(t) e^{-lambda_k t} dt = G(i lambda_k) exactly.
+    and then int s(t) e^{-lambda_k t} dt = G(i lambda_k) exactly.  lm and ph
+    may be the live prefix of a grid of n_grid atoms; the atoms past it are
+    zero in the block, which moves every value by at most the _LIVE_TAIL
+    bound.
     """
     peak = float(np.max(lm))
     if peak > _LOG_BUDGET:
         raise TruncationError(f"{label}peak log-magnitude {peak:.1f} exceeds the "
                               "float budget (T too small)", achieved=peak)
-    sig = ControlSignal(window=(-T / 2.0, T / 2.0),
-                        blocks=[GridBlock(values=np.exp(lm + 1j * ph), omega=h)], meta=meta)
+    block = GridBlock(values=np.exp(lm + 1j * ph), omega=h, n_grid=n_grid)
+    sig = ControlSignal(window=(-T / 2.0, T / 2.0), blocks=[block], meta=meta)
     sig.meta["freq_norm"] = sig.norm()
     return sig
 
@@ -571,7 +621,9 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
 
     Heavy grid work (the full eigenvalue product and the multiplier on the
     shared frequency grid) is done once; each mode then differs by one
-    factor and its two normalizers.
+    factor and its two normalizers.  Every signal is stored on the family's
+    live prefix, the longest of the members' _live_prefix; each member's
+    ln|G| is held on the whole grid only while its prefix is found.
     """
     from .entire import _log_M_polar, _log_f_all_imag_array
 
@@ -587,11 +639,15 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     h, n_freq = _frequency_grid(tau_type, T, X_max)
     xs = h * np.arange(n_freq)
 
-    grids = (*_log_f_all_imag_array(basis, xs, tol=tol), *_log_M_polar(spec, xs))
+    lm_f, ph_f = _log_f_all_imag_array(basis, xs, tol=tol)
+    lm_m, ph_m = _log_M_polar(spec, xs)
+    n_live = max(_live_prefix(ev.log_abs_G_from_grids(xs, lm_f, lm_m)) for ev in evs)
+    xs, grids = xs[:n_live], tuple(g[:n_live] for g in (lm_f, ph_f, lm_m, ph_m))
     signals, norms = [], []
     for ev in evs:
         lm, ph = ev.log_G_from_grids(xs, *grids)
-        sig = _signal_from_log(h, lm, ph, T, {"X_max": X_max, "tail_tol": tol, "n": ev.n},
+        sig = _signal_from_log(h, lm, ph, T, n_freq,
+                               {"X_max": X_max, "tail_tol": tol, "n": ev.n},
                                label=f"mode {ev.n}: ")
         signals.append(sig)
         norms.append(sig.meta["freq_norm"])
@@ -599,8 +655,8 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     return BiorthogonalFamily(
         lambdas=basis.lambdas[:count].copy(), T=T, signals=signals,
         kind="multiplier", norms=np.asarray(norms), evaluators=evs,
-        meta={"eps": eps, "tol": tol, "h": h, "n_freq": n_freq, "X_max": X_max,
-              "tau_type": tau_type},
+        meta={"eps": eps, "tol": tol, "h": h, "n_freq": n_freq, "n_live": n_live,
+              "X_max": X_max, "tau_type": tau_type},
     )
 
 

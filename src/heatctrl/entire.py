@@ -709,9 +709,13 @@ class GnEvaluator:
         own factor and the two normalizers are divided out here.
         """
         r = xs / float(self.basis.lambdas[self.n - 1])
-        lm = lm_f - 0.5 * np.log1p(r * r) + lm_m - self.log_M_ilam - self.log_fn_lam.logmag
         ph = ph_f - np.arctan(r) + ph_m - self.log_fn_lam.phase
-        return lm, ph
+        return self.log_abs_G_from_grids(xs, lm_f, lm_m), ph
+
+    def log_abs_G_from_grids(self, xs, lm_f, lm_m):
+        """The logmag half of log_G_from_grids."""
+        r = xs / float(self.basis.lambdas[self.n - 1])
+        return lm_f - 0.5 * np.log1p(r * r) + lm_m - self.log_M_ilam - self.log_fn_lam.logmag
 
     def log_G(self, z: complex) -> LogComplex:
         """G_n at a single point, real or complex (i lambda_k reachable)."""

@@ -99,7 +99,9 @@ def _one_end_control(basis: SpectralBasis, T: float, coeffs: np.ndarray,
     g_hat = assemble_control(reduced, HeatState(coeffs, reduced.basis_id),
                              fam, sched.T_canonical)
     return sched.physical_control(g_hat), {"terms": n_fam, "method": "multiplier",
-                                           "eps": eps, "cost_factor": sched.cost_factor}
+                                           "eps": eps, "cost_factor": sched.cost_factor,
+                                           "n_freq": fam.meta["n_freq"],
+                                           "n_live": fam.meta["n_live"]}
 
 
 @dataclass(frozen=True)
