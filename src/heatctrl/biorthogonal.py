@@ -615,15 +615,42 @@ def _json_ok(v):
         return False
 
 
+def _family_grid(T: float, eps: float, tol: float):
+    """(spec, X_max, tau_type, h, n_freq): the multiplier and frequency grid
+    of the multiplier families on a window of length T.
+
+    None of it reads the basis, so the families of one window, eps and tol
+    share the grid and ln|M| on it (_family_log_M).
+    """
+    from .entire import envelope_tail_cut, family_multiplier
+
+    spec = family_multiplier(T, eps)
+    X_max = envelope_tail_cut(eps, tol)
+    tau_type = spec.type_sum()[0]
+    return (spec, X_max, tau_type) + _frequency_grid(tau_type, T, X_max)
+
+
+def _family_log_M(T: float, eps: float, tol: float):
+    """(ln|M|, arg M) on the grid of _family_grid(T, eps, tol): the log_M of
+    build_multiplier_family for every family on that window."""
+    from .entire import _log_M_polar
+
+    spec, _, _, h, n_freq = _family_grid(T, eps, tol)
+    return _log_M_polar(spec, h * np.arange(n_freq))
+
+
 def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
-                            eps: float = 0.05, tol: float = 1e-9) -> BiorthogonalFamily:
+                            eps: float = 0.05, tol: float = 1e-9,
+                            log_M=None) -> BiorthogonalFamily:
     """Family of `count` biorthogonal signals from the entire-function route.
 
     Heavy grid work (the full eigenvalue product and the multiplier on the
     shared frequency grid) is done once; each mode then differs by one
-    factor and its two normalizers.  Every signal is stored on the family's
-    live prefix, the longest of the members' _live_prefix; each member's
-    ln|G| is held on the whole grid only while its prefix is found.
+    factor and its two normalizers.  ``log_M``, when given, is
+    _family_log_M(T, eps, tol): families built on one window pass it in
+    rather than computing ln|M| each.  Every signal is stored on the
+    family's live prefix, the longest of the members' _live_prefix; each
+    member's ln|G| is held on the whole grid only while its prefix is found.
     """
     from .entire import _log_M_polar, _log_f_all_imag_array
 
@@ -633,14 +660,11 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
         raise ConfigurationError("family needs a reduced basis with lambda_1 > 0")
     evs = [GnEvaluator.build(basis, n, T=T, eps=eps, tol=tol)
            for n in range(1, count + 1)]
-    spec = evs[0].spec
-    X_max = evs[0].tail_cut(tol)  # the same eps for every mode
-    tau_type = spec.type_sum()[0]
-    h, n_freq = _frequency_grid(tau_type, T, X_max)
+    spec, X_max, tau_type, h, n_freq = _family_grid(T, eps, tol)
     xs = h * np.arange(n_freq)
 
     lm_f, ph_f = _log_f_all_imag_array(basis, xs, tol=tol)
-    lm_m, ph_m = _log_M_polar(spec, xs)
+    lm_m, ph_m = _log_M_polar(spec, xs) if log_M is None else log_M
     n_live = max(_live_prefix(ev.log_abs_G_from_grids(xs, lm_f, lm_m)) for ev in evs)
     xs, grids = xs[:n_live], tuple(g[:n_live] for g in (lm_f, ph_f, lm_m, ph_m))
     signals, norms = [], []

@@ -682,10 +682,9 @@ class GnEvaluator:
     def build(basis: SpectralBasis, n: int, T: float, eps: float = 0.05,
               tol: float = 1e-10) -> "GnEvaluator":
         """Construct for window length T (type budget tau = T/2)."""
-        tau = T / 2.0
-        spec = make_multiplier(math.pi + 2.0 * eps, tau)
+        spec = family_multiplier(T, eps)
         lam_n = float(basis.lambdas[n - 1])
-        return GnEvaluator(basis=basis, n=n, eps=eps, tau=tau, spec=spec,
+        return GnEvaluator(basis=basis, n=n, eps=eps, tau=spec.tau, spec=spec,
                            log_fn_lam=log_f_n(basis, n, complex(lam_n), tol=tol),
                            log_M_ilam=log_M(spec, 1j * lam_n).logmag, tol=tol)
 
@@ -727,16 +726,27 @@ class GnEvaluator:
         return (fn / self.log_fn_lam) * m / LogComplex(self.log_M_ilam, 0.0)
 
     def tail_cut(self, rel_tol: float) -> float:
-        """X so the mass of the envelope e^{c - eps sqrt|x|} of |G_n| beyond X
-        is below rel_tol of the total.
+        """envelope_tail_cut at this evaluator's eps."""
+        return envelope_tail_cut(self.eps, rel_tol)
 
-        Uses int_X^inf e^{c - eps sqrt x} dx = e^c (2/eps^2) (1 + eps sqrt X)
-        e^{-eps sqrt X} against the full-line value e^c (2/eps^2) * 2; c
-        cancels, so X depends on eps alone.
-        """
-        if not 0 < rel_tol < 1:
-            raise ConfigurationError("rel_tol must be in (0, 1)")
-        u = 20.0  # solves (1+u) e^-u = 2 rel_tol, refined below
-        for _ in range(60):
-            u = -math.log(2.0 * rel_tol / (1.0 + u))
-        return (u / self.eps) ** 2
+
+def family_multiplier(T: float, eps: float) -> MultiplierSpec:
+    """The multiplier of every G_n on a window of length T: decay pi + 2 eps,
+    type budget T/2."""
+    return make_multiplier(math.pi + 2.0 * eps, T / 2.0)
+
+
+def envelope_tail_cut(eps: float, rel_tol: float) -> float:
+    """X so the mass of the envelope e^{c - eps sqrt|x|} of |G_n| beyond X
+    is below rel_tol of the total.
+
+    Uses int_X^inf e^{c - eps sqrt x} dx = e^c (2/eps^2) (1 + eps sqrt X)
+    e^{-eps sqrt X} against the full-line value e^c (2/eps^2) * 2; c
+    cancels, so X depends on eps alone.
+    """
+    if not 0 < rel_tol < 1:
+        raise ConfigurationError("rel_tol must be in (0, 1)")
+    u = 20.0  # solves (1+u) e^-u = 2 rel_tol, refined below
+    for _ in range(60):
+        u = -math.log(2.0 * rel_tol / (1.0 + u))
+    return (u / eps) ** 2

@@ -23,6 +23,7 @@ import numpy as np
 
 from .biorthogonal import (
     ControlSignal,
+    _family_log_M,
     assemble_control,
     build_multiplier_family,
     combine,
@@ -69,12 +70,13 @@ def longest_avoiding_ray(region: ObservationRegion, X: float) -> float:
 
 
 def _one_end_control(basis: SpectralBasis, T: float, coeffs: np.ndarray,
-                     method: str, eps: float) -> tuple:
+                     method: str, eps: float, log_M=None) -> tuple:
     """Null-control at the end x = L of `basis`, a [0, L] basis.
 
     Returns (signal on [0, T], diagnostics).  `method` picks the family:
     "multiplier" goes through the canonical reduction, "gram" solves the
-    minimal-norm system directly on the physical spectrum.
+    minimal-norm system directly on the physical spectrum.  `log_M` is the
+    multiplier family's, when the caller holds it.
     """
     if not np.any(coeffs != 0.0):
         return ControlSignal(window=(0.0, T), blocks=[]), {"terms": 0, "method": method}
@@ -95,7 +97,7 @@ def _one_end_control(basis: SpectralBasis, T: float, coeffs: np.ndarray,
 
     reduced, sched = reduce_to_canonical(basis, T)
     fam = build_multiplier_family(reduced, sched.T_canonical, n_fam,
-                                  eps=eps, tol=_FAMILY_TOL)
+                                  eps=eps, tol=_FAMILY_TOL, log_M=log_M)
     g_hat = assemble_control(reduced, HeatState(coeffs, reduced.basis_id),
                              fam, sched.T_canonical)
     return sched.physical_control(g_hat), {"terms": n_fam, "method": "multiplier",
@@ -156,8 +158,13 @@ def two_end_control(v0: Callable, T: float, L: float, method: str = "auto",
     if np.linalg.norm(cn) <= 1e-13 * scale:
         cn = np.zeros_like(cn)
 
-    f_sig, diag_d = _one_end_control(basis_d, T, cd, method, eps)
-    g_sig, diag_n = _one_end_control(basis_n, T, cn, method, eps)
+    log_M = None
+    if method == "multiplier" and cd.any() and cn.any():
+        # sigma = (pi/L)^2 maps both parities to one canonical window, so
+        # their families share one frequency grid and ln|M| on it
+        log_M = _family_log_M((math.pi / L) ** 2 * T, eps, _FAMILY_TOL)
+    f_sig, diag_d = _one_end_control(basis_d, T, cd, method, eps, log_M)
+    g_sig, diag_n = _one_end_control(basis_n, T, cn, method, eps, log_M)
 
     b_minus = _combine(g_sig, f_sig, -1.0, T)
     b_plus = _combine(g_sig, f_sig, +1.0, T)

@@ -224,6 +224,35 @@ def test_two_end_instance_operator_norm_from_recomputed_norms():
     assert len(ratios) == 1  # sin is odd: only the Dirichlet ratio counts
 
 
+def test_two_end_parities_share_one_log_M_grid(monkeypatch):
+    # sigma = (pi/L)^2 maps DD and ND to one canonical window, so one ln|M|
+    # grid serves both families, and each is bit for bit the family built
+    # with its own ln|M|
+    from heatctrl import entire
+    from heatctrl.biorthogonal import _family_log_M, build_multiplier_family
+    from heatctrl.spectral import reduce_to_canonical
+
+    L, T, eps, tol = math.pi / 2, 0.2, 0.125, transmute._FAMILY_TOL
+    grids = []
+    real = entire._log_abs_M_real_array
+    monkeypatch.setattr(entire, "_log_abs_M_real_array",
+                        lambda spec, xs: grids.append(len(xs)) or real(spec, xs))
+    te = two_end_control(lambda x: np.exp(-((np.asarray(x) - 0.4) / 0.2) ** 2), T, L,
+                         method="multiplier", n_modes=32, eps=eps)
+    assert grids == [te.diagnostics["D"]["n_freq"]]
+
+    Tc = (math.pi / L) ** 2 * T
+    log_M = _family_log_M(Tc, eps, tol)
+    for kind in ("DD", "ND"):
+        reduced, sched = reduce_to_canonical(build_interval_basis(kind, L, 32), T)
+        assert sched.T_canonical == Tc
+        alone = build_multiplier_family(reduced, Tc, 32, eps=eps, tol=tol)
+        shared = build_multiplier_family(reduced, Tc, 32, eps=eps, tol=tol, log_M=log_M)
+        assert np.array_equal(alone.norms, shared.norms)
+        for a, b in zip(alone.signals, shared.signals):
+            assert np.array_equal(a.blocks[0].values, b.blocks[0].values)
+
+
 def test_two_end_norm_is_exact():
     # on the gram path b-/+ = g -/+ f carry the mp atoms of both one-end
     # families; joined into one block, their norms are exact antiderivatives
