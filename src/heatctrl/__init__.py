@@ -13,9 +13,6 @@ from .entire import (
     ALPHA_2,
     GnEvaluator,
     MultiplierSpec,
-    log_F_n,
-    log_M,
-    log_f_n,
     make_multiplier,
     sigma_star,
 )
@@ -42,7 +39,6 @@ from .heatsim import (
     terminal_state,
     terminal_states,
 )
-from .logdomain import LogComplex
 from .spectral import (
     AsymptoticsReport,
     HeatState,

@@ -45,7 +45,13 @@ from mpmath.libmp import mpf_add, mpf_mul
 from numpy.fft import fft  # numpy 2 loads numpy.fft on first use
 
 from .errors import ConfigurationError, IllConditionedError, TruncationError
-from .entire import GnEvaluator
+from .entire import (
+    GnEvaluator,
+    _log_f_all_imag_array,
+    _log_M_polar,
+    envelope_tail_cut,
+    family_multiplier,
+)
 from .spectral import HeatState, SpectralBasis
 
 __all__ = [
@@ -580,19 +586,15 @@ class BiorthogonalFamily:
 
         For the gram kind this is exact mp arithmetic.  For the multiplier
         kind it equals G_n(i lambda_k) by the Paley-Wiener identity (the
-        signal normalization absorbs the transform constants), whose zero
-        structure is exact in log-domain; the raw time integral amplifies
-        signal error by e^{lambda_k T / 2} and stops being computable in
-        floats once lambda_k T is large.
+        signal normalization absorbs the transform constants), read from
+        the evaluator's node data, whose zeros are exact; the raw time
+        integral amplifies signal error by e^{lambda_k T / 2} and stops being
+        computable in floats once lambda_k T is large.
         """
-        lam_k = float(self.lambdas[k - 1])
         if self.kind == "gram":
-            return float(self.signals[n - 1].integral([-lam_k])[0])
-        ev = self.evaluators[n - 1]
-        val = ev.log_G(1j * lam_k)
-        if val.is_zero:
-            return 0.0
-        return val.abs_linear() * math.cos(val.phase)
+            return float(self.signals[n - 1].integral([-float(self.lambdas[k - 1])])[0])
+        logmag, sign = self.evaluators[n - 1].log_G(k)
+        return 0.0 if logmag == -math.inf else sign * math.exp(logmag)
 
     def manifest(self) -> dict:
         return {
@@ -622,8 +624,6 @@ def _family_grid(T: float, eps: float, tol: float):
     None of it reads the basis, so the families of one window, eps and tol
     share the grid and ln|M| on it (_family_log_M).
     """
-    from .entire import envelope_tail_cut, family_multiplier
-
     spec = family_multiplier(T, eps)
     X_max = envelope_tail_cut(eps, tol)
     tau_type = spec.type_sum()[0]
@@ -633,8 +633,6 @@ def _family_grid(T: float, eps: float, tol: float):
 def _family_log_M(T: float, eps: float, tol: float):
     """(ln|M|, arg M) on the grid of _family_grid(T, eps, tol): the log_M of
     build_multiplier_family for every family on that window."""
-    from .entire import _log_M_polar
-
     spec, _, _, h, n_freq = _family_grid(T, eps, tol)
     return _log_M_polar(spec, h * np.arange(n_freq))
 
@@ -652,14 +650,11 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     family's live prefix, the longest of the members' _live_prefix; each
     member's ln|G| is held on the whole grid only while its prefix is found.
     """
-    from .entire import _log_M_polar, _log_f_all_imag_array
-
     if count < 1 or count > basis.n_modes:
         raise ConfigurationError("count outside stored mode range")
     if basis.lambdas[0] <= 0:
         raise ConfigurationError("family needs a reduced basis with lambda_1 > 0")
-    evs = [GnEvaluator.build(basis, n, T=T, eps=eps, tol=tol)
-           for n in range(1, count + 1)]
+    evs = GnEvaluator.build(basis, count, T=T, eps=eps, tol=tol)
     spec, X_max, tau_type, h, n_freq = _family_grid(T, eps, tol)
     xs = h * np.arange(n_freq)
 

@@ -16,8 +16,10 @@ their magnitudes travel between exp(-900) and exp(+900):
   f_n(-iz)/f_n(lambda_n) and M_n(z) = M(z)/M(i lambda_n), which is what the
   Fourier side of the control synthesis integrates.
 
-Real-axis grids are evaluated through array paths that share work across
-the whole grid; scalars go through LogComplex.
+Every evaluation is an array kernel: real-axis grids share work across the
+whole grid, and the interpolation data G_n(i lambda_k) of a family come from
+two kernels on the imaginary axis, where every factor is real: ln M(i y)
+(_log_M_imag) and the node table f_n(lambda_k) (_log_f_nodes).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, TruncationError
-from .logdomain import LogComplex, log_sinc, wrap_phase_array
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -36,9 +37,6 @@ __all__ = [
     "GnEvaluator",
     "sigma_star",
     "make_multiplier",
-    "log_M",
-    "log_f_n",
-    "log_F_n",
     "ALPHA_2",
 ]
 
@@ -54,13 +52,22 @@ _BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 /
                        -236364091 / 2730])  # B_2j for j = 1..12
 _TWO_J = 2.0 * np.arange(1, _BERNOULLI.size + 1)
 _STIRLING = (_BERNOULLI / (_TWO_J * (_TWO_J - 1.0)))[:9]  # B_2j / (2j (2j-1))
-_EULER_MACLAURIN = _BERNOULLI / np.array([math.factorial(int(j)) for j in _TWO_J])
+# float factorials: 24! overflows int64, and an int array of them would be object dtype
+_EULER_MACLAURIN = _BERNOULLI / np.array([float(math.factorial(int(j))) for j in _TWO_J])
 _ZETA_TERMS = np.arange(9.0, -1.0, -1.0)  # q + k for k = 9..0, the smallest term first
 _ZETA_WEIGHTS = np.r_[0.5, np.ones(9)]
 _STIRLING_ZONE = 7.0
 _SHIFTS = np.arange(_STIRLING_ZONE)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
+_LOG_2 = math.log(2.0)
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+_TWO_PI = 2.0 * math.pi
+
+
+def wrap_phase_array(phi: np.ndarray) -> np.ndarray:
+    """Phases wrapped into (-pi, pi]."""
+    return np.pi - np.mod(np.pi - np.asarray(phi, dtype=float), _TWO_PI)
 
 
 def _hurwitz_zeta(s, q):
@@ -249,42 +256,52 @@ def _lattice_cutoff(spec: MultiplierSpec, absz_max: float) -> int:
     return max(spec.m_start - 1, int(math.floor(spec.A * math.sqrt(2.0 * max(absz_max, 0.0)))))
 
 
-def _log_sinc_tail_powers(spec: MultiplierSpec, m_big: int, n_terms: int = 12):
+def _log_sinc_tail_powers(spec: MultiplierSpec, m_big, n_terms: int = 12):
     """Coefficients c_j with  sum_{m>m_big} log sinc(z/a_m) = sum_j c_j z^{2j}.
 
     From log sinc t = -sum_j zeta(2j)/(j pi^{2j}) t^{2j} and a_m = (m/A)^2:
-    c_j = -zeta(2j)/(j pi^{2j}) A^{4j} zeta_H(4j, m_big+1).
+    c_j = -zeta(2j)/(j pi^{2j}) A^{4j} zeta_H(4j, m_big+1).  An array of
+    cutoffs gives one column of coefficients per cutoff, from one zeta call.
     """
-    js = _J[:n_terms]
-    return -_LOG_SINC_COEF[:n_terms] * spec.A ** (4 * js) * _hurwitz_zeta(4 * js, m_big + 1)
+    m_big = np.asarray(m_big, dtype=float)
+    js = _J[:n_terms].reshape((-1,) + (1,) * m_big.ndim)
+    return (-_LOG_SINC_COEF[:n_terms].reshape(js.shape) * spec.A ** (4 * js)
+            * _hurwitz_zeta(4 * js, m_big + 1))
 
 
-def log_M(spec: MultiplierSpec, z: complex) -> LogComplex:
-    """log of  prod_n sinc(z / a_n)  at a single complex point.
+def _log_sinh_ratio(t: np.ndarray) -> np.ndarray:
+    """ln(sinh t / t) = ln sinc(i t) for t >= 0, without forming sinh t.
 
-    Zeros with a_n <= 2|z| are multiplied in directly; the remainder is the
-    sinc series summed in closed form over the lattice, to 12 terms.  Every
-    remaining zero has |z|/a_m < 1/2, so the neglected terms j > 12 sum to at
-    most 1.5e-22 (1 + (m_big + 1)/51) in absolute value, with m_big the last
-    direct zero: far below float roundoff.  Always converges; |M(ix)| >= 1
-    comes out of sinh(t)/t >= 1 factor by factor.
+    t - ln 2 + log1p(-e^{-2t}) - ln t, and t^2/6 - t^4/180 below 1e-4.  The
+    rounding of e^{-2t} enters log1p as u/(e^{2t} - 1) in absolute terms
+    (u = 2^-53), largest just above 1e-4.
     """
-    z = complex(z)
-    out = log_sinc(z / spec.a0) ** spec.K
-    m_big = _lattice_cutoff(spec, abs(z))
-    if m_big >= spec.m_start:
-        for m in range(spec.m_start, m_big + 1):
-            out = out * log_sinc(z / spec.lattice_zero(m))
-        if out.is_zero:
-            return out
-    coef = _log_sinc_tail_powers(spec, max(m_big, spec.m_start - 1))
-    zz = z * z
-    acc = 0.0 + 0.0j
-    power = 1.0 + 0.0j
-    for c in coef:
-        power *= zz
-        acc += c * power
-    return out * LogComplex(acc.real, acc.imag)
+    small = t < 1e-4
+    ts = np.where(small, 1.0, t)
+    big = ts - _LOG_2 + np.log1p(-np.exp(-2.0 * ts)) - np.log(ts)
+    return np.where(small, t * t / 6.0 - t**4 / 180.0, big)
+
+
+def _log_M_imag(spec: MultiplierSpec, ys) -> np.ndarray:
+    """ln M(iy) over an array of y >= 0, where every factor sinh(y/a)/(y/a) > 0.
+
+    Each point takes its own _lattice_cutoff: zeros with a_m <= 2y are
+    multiplied in directly, the rest of the lattice is the 12-term sinc
+    series at z = iy, whose coefficients for all points come from one
+    broadcast zeta call.  Every remaining zero has y/a_m < 1/2, so the
+    neglected terms j > 12 sum to at most 1.5e-22 (1 + (m_big + 1)/51) in
+    absolute value, with m_big the last direct zero: far below float
+    roundoff.  ln M(iy) >= 0 comes out of sinh(t)/t >= 1 factor by factor.
+    """
+    ys = np.asarray(ys, dtype=float)
+    m_big = np.array([_lattice_cutoff(spec, float(y)) for y in ys], dtype=int)
+    ms = np.arange(spec.m_start, int(np.max(m_big, initial=0)) + 1)
+    direct = np.where(ms <= m_big[:, None],
+                      _log_sinh_ratio(ys[:, None] / spec.lattice_zero(ms)), 0.0)
+    coef = _log_sinc_tail_powers(spec, m_big)
+    powers = np.cumprod(np.broadcast_to(-ys * ys, coef.shape), axis=0)  # (iy)^{2j}
+    tail = np.sum(coef * powers, axis=0)
+    return spec.K * _log_sinh_ratio(ys / spec.a0) + np.sum(direct, axis=1) + tail
 
 
 # The real-axis kernel works on tiles of _ROW_CHUNK grid points by
@@ -494,7 +511,8 @@ def _log_abs_M_real_array(spec: MultiplierSpec, xs: np.ndarray):
     Zeros up to the cutoff of max|x| are taken directly, in blocks of sines
     (see _add_blocks); the sign is the parity of the negative sines.  On the
     uniform grid xs = xs[1] * arange(n) the sines come by angle addition
-    (_log_abs_M_uniform_rows).  The lattice beyond is the tail series of log_M.
+    (_log_abs_M_uniform_rows).  The lattice beyond is the tail series of
+    _log_sinc_tail_powers, as in _log_M_imag.
     """
     xs = np.abs(np.asarray(xs, dtype=float))
     m_big = _lattice_cutoff(spec, float(np.max(xs, initial=0.0)))
@@ -512,7 +530,7 @@ def _log_abs_M_real_array(spec: MultiplierSpec, xs: np.ndarray):
         else:
             logmag[rows], negative[rows] = _log_abs_M_rows(spec, zeros, xs[rows])
 
-    coef = _log_sinc_tail_powers(spec, max(m_big, spec.m_start - 1))
+    coef = _log_sinc_tail_powers(spec, m_big)
     xx = xs * xs
     tail = np.zeros_like(xs)
     power = np.ones_like(xs)
@@ -536,13 +554,14 @@ def _gamma_tail_quadratic(a: float, b: float, K: int, Z) -> np.ndarray:
     """sum_{k>K} log(1 - Z / (a (k+b)^2)) via the log-Gamma closed form.
 
     prod_{k>K} (1 - w^2/(k+b)^2) = Gamma(1+B)^2 / (Gamma(1+B+w) Gamma(1+B-w))
-    with B = K + b and w = sqrt(Z/a); vectorized over Z.
+    with B = K + b and w = sqrt(Z/a); vectorized over Z and K.
     """
-    B = K + b
+    B = np.asarray(K, dtype=float) + b  # one cutoff, or one per point
     w = np.sqrt(np.asarray(Z, dtype=complex) / a)
+    w = np.broadcast_to(w, np.broadcast(w, B).shape)
     lg = _loggamma(1.0 + B + np.stack([w, -w]))
     # 1 + B > 0 for every increasing model (b > -1), where lgamma is ln Gamma
-    return 2.0 * math.lgamma(1.0 + B) - lg[0] - lg[1]
+    return 2.0 * _lgamma(1.0 + B) - lg[0] - lg[1]
 
 
 def _model_tail(basis: SpectralBasis, K: int, z) -> np.ndarray:
@@ -582,39 +601,33 @@ def _tail_start(basis: SpectralBasis, absz: float, tol: float, n_protect: int = 
     return K
 
 
-def log_f_n(basis: SpectralBasis, n: int, z: complex, tol: float = 1e-10) -> LogComplex:
-    """log of  prod_{k != n} (1 - z / lambda_k)  over the full spectrum.
+def _log_f_nodes(basis: SpectralBasis, count: int, tol: float = 1e-10):
+    """(ln|f_n(lambda_k)|, sign f_n(lambda_k), zero) for 1 <= n, k <= count,
+    indexed [n-1, k-1]; the diagonal holds the normalizers ln|f_n(lambda_n)|.
 
-    Stored eigenvalues are multiplied in directly, the infinite remainder is
-    the closed-form Gamma tail of the basis model.  Exact zeros (z equal to a
-    stored lambda_k) are returned as log-domain zeros.
+    Row k takes its first K_k modes (stored, then model) factor by factor,
+    K_k from _tail_start at lambda_k, and the Gamma tail beyond: one table of
+    factors (lambda_j - lambda_k)/lambda_j, padded with ones past each row's
+    K_k.  Its sum over j != n is the row sum less factor n, so the table is
+    count x max K_k, not count x count x K.  A factor lambda_k - lambda_k is
+    an exact zero, so ln|f_n(lambda_k)| is -inf wherever a factor other than
+    j = n vanishes, which is every k != n.
     """
-    if not 1 <= n <= basis.n_modes:
-        raise ConfigurationError(f"mode index {n} outside stored range")
-    z = complex(z)
-    K = _tail_start(basis, abs(z), tol, n_protect=n)
-    ks = np.arange(1, K + 1)
-    lam = basis.lam_extended(ks)
-    if z.imag == 0.0:
-        # real arithmetic keeps 1 - lam_k/lam_k an exact zero
-        factors = (1.0 - z.real / lam[ks != n]).astype(complex)
-    else:
-        factors = 1.0 - z / lam[ks != n]
-    if np.any(factors == 0.0):
-        return LogComplex.zero()
-    total = complex(np.sum(np.log(factors))) + complex(_model_tail(basis, K, z))
-    return LogComplex(total.real, total.imag)
-
-
-def log_F_n(basis: SpectralBasis, n: int, z: complex, tol: float = 1e-10) -> LogComplex:
-    """log of the normalized product F_n(z) = f_n(-iz) / f_n(lambda_n).
-
-    Real z is the frequency axis used in the L^2 estimates; z = i lambda_k
-    hits the interpolation data (zero for k != n, one at k = n).
-    """
-    num = log_f_n(basis, n, -1j * complex(z), tol=tol)
-    den = log_f_n(basis, n, complex(basis.lambdas[n - 1]), tol=tol)
-    return num / den
+    if not 1 <= count <= basis.n_modes:
+        raise ConfigurationError(f"node count {count} outside stored range")
+    lam = basis.lambdas[:count]
+    K = np.array([_tail_start(basis, float(v), tol, n_protect=k) for k, v in enumerate(lam, 1)])
+    lam_j = basis.lam_extended(np.arange(1, K.max() + 1))
+    # one rounding: the difference is exact where lambda_j is near lambda_k
+    factors = np.where(np.arange(K.max()) < K[:, None], (lam_j - lam[:, None]) / lam_j, 1.0)
+    zero, negative = factors == 0.0, factors < 0.0
+    with np.errstate(divide="ignore"):
+        logs = np.where(zero, 0.0, np.log(np.abs(factors)))
+    total = np.sum(logs, axis=1) + _model_tail(basis, K, lam).real
+    zero_nk = (np.count_nonzero(zero, axis=1) - zero[:, :count].T) > 0
+    n_negative = np.count_nonzero(negative, axis=1) - negative[:, :count].T
+    logmag = np.where(zero_nk, -np.inf, total - logs[:, :count].T)
+    return logmag, np.where(n_negative % 2 == 1, -1.0, 1.0), zero_nk
 
 
 # ---------------------------------------------------------------------------
@@ -662,11 +675,13 @@ def _log_f_all_imag_array(basis: SpectralBasis, xs: np.ndarray, tol: float = 1e-
 
 @dataclass(frozen=True)
 class GnEvaluator:
-    """Evaluator of G_n = F_n M_n with its two normalizers, ln f_n(lambda_n)
-    and ln|M(i lambda_n)|.
+    """Evaluator of G_n = F_n M_n with its two normalizers, ln|f_n(lambda_n)|
+    (f_n(lambda_n) has the phase phase_fn_lam, 0 or pi) and ln M(i lambda_n).
 
     The family build reads log_G_from_grids and tail_cut, whose cut depends
-    on eps alone; the moments read log_G at i lambda_k.
+    on eps alone; the moments read log_G at the nodes i lambda_k, from the
+    row of node data: ln|f_n(lambda_k)|, its sign and the family's shared
+    ln M(i lambda_k), for k up to the family's count.
     """
 
     basis: SpectralBasis
@@ -674,19 +689,29 @@ class GnEvaluator:
     eps: float
     tau: float
     spec: MultiplierSpec
-    log_fn_lam: LogComplex = field(repr=False)
+    log_fn_lam: float
+    phase_fn_lam: float
     log_M_ilam: float
     tol: float
+    log_f_nodes: np.ndarray = field(repr=False, compare=False)
+    sign_f_nodes: np.ndarray = field(repr=False, compare=False)
+    log_M_nodes: np.ndarray = field(repr=False, compare=False)
 
     @staticmethod
-    def build(basis: SpectralBasis, n: int, T: float, eps: float = 0.05,
-              tol: float = 1e-10) -> "GnEvaluator":
-        """Construct for window length T (type budget tau = T/2)."""
+    def build(basis: SpectralBasis, count: int, T: float, eps: float = 0.05,
+              tol: float = 1e-10) -> list:
+        """The evaluators of G_1, ..., G_count for window length T (type
+        budget tau = T/2), from one node table and one ln M(i lambda_k) array."""
         spec = family_multiplier(T, eps)
-        lam_n = float(basis.lambdas[n - 1])
-        return GnEvaluator(basis=basis, n=n, eps=eps, tau=spec.tau, spec=spec,
-                           log_fn_lam=log_f_n(basis, n, complex(lam_n), tol=tol),
-                           log_M_ilam=log_M(spec, 1j * lam_n).logmag, tol=tol)
+        log_f, sign_f, _ = _log_f_nodes(basis, count, tol)
+        log_M_nodes = _log_M_imag(spec, basis.lambdas[:count])
+        return [GnEvaluator(basis=basis, n=n, eps=eps, tau=spec.tau, spec=spec,
+                            log_fn_lam=float(log_f[n - 1, n - 1]),
+                            phase_fn_lam=math.pi if sign_f[n - 1, n - 1] < 0 else 0.0,
+                            log_M_ilam=float(log_M_nodes[n - 1]), tol=tol,
+                            log_f_nodes=log_f[n - 1], sign_f_nodes=sign_f[n - 1],
+                            log_M_nodes=log_M_nodes)
+                for n in range(1, count + 1)]
 
     # -- evaluation -----------------------------------------------------
 
@@ -708,22 +733,21 @@ class GnEvaluator:
         own factor and the two normalizers are divided out here.
         """
         r = xs / float(self.basis.lambdas[self.n - 1])
-        ph = ph_f - np.arctan(r) + ph_m - self.log_fn_lam.phase
+        ph = ph_f - np.arctan(r) + ph_m - self.phase_fn_lam
         return self.log_abs_G_from_grids(xs, lm_f, lm_m), ph
 
     def log_abs_G_from_grids(self, xs, lm_f, lm_m):
         """The logmag half of log_G_from_grids."""
         r = xs / float(self.basis.lambdas[self.n - 1])
-        return lm_f - 0.5 * np.log1p(r * r) + lm_m - self.log_M_ilam - self.log_fn_lam.logmag
+        return lm_f - 0.5 * np.log1p(r * r) + lm_m - self.log_M_ilam - self.log_fn_lam
 
-    def log_G(self, z: complex) -> LogComplex:
-        """G_n at a single point, real or complex (i lambda_k reachable)."""
-        z = complex(z)
-        fn = log_f_n(self.basis, self.n, -1j * z, tol=self.tol)
-        if fn.is_zero:  # i lambda_k, k != n: the product is zero whatever M is
-            return fn
-        m = log_M(self.spec, z)
-        return (fn / self.log_fn_lam) * m / LogComplex(self.log_M_ilam, 0.0)
+    def log_G(self, k: int):
+        """(ln|G_n(i lambda_k)|, sign) at node k of the family: G_n(i lambda_k)
+        = f_n(lambda_k) M(i lambda_k) / (f_n(lambda_n) M(i lambda_n)), which
+        is exactly (0.0, 1.0) at k = n and has ln|G| = -inf at the other nodes."""
+        logmag = ((self.log_f_nodes[k - 1] - self.log_fn_lam)
+                  + (self.log_M_nodes[k - 1] - self.log_M_ilam))
+        return float(logmag), float(self.sign_f_nodes[k - 1] * self.sign_f_nodes[self.n - 1])
 
     def tail_cut(self, rel_tol: float) -> float:
         """envelope_tail_cut at this evaluator's eps."""

@@ -12,27 +12,29 @@ from heatctrl.entire import (
     ALPHA_2,
     GnEvaluator,
     MultiplierSpec,
-    log_F_n,
-    log_M,
-    log_f_n,
     make_multiplier,
     sigma_star,
+    wrap_phase_array,
 )
 from heatctrl import entire
 from heatctrl.biorthogonal import build_multiplier_family, invert_to_time
 from heatctrl.entire import (
+    _EULER_MACLAURIN,
     _LOG_SINC_COEF,
     _ROW_CHUNK,
     _gamma_tail_quadratic,
     _hurwitz_zeta,
+    _lattice_cutoff,
     _log_abs_M_real_array,
     _log_f_all_imag_array,
+    _log_f_nodes,
+    _log_M_imag,
+    _log_sinc_tail_powers,
     _loggamma,
     _model_tail,
     _tail_start,
 )
 from heatctrl.errors import ConfigurationError, TruncationError
-from heatctrl.logdomain import LogComplex, wrap_phase_array
 from heatctrl.spectral import (
     ParabolicProblem,
     build_interval_basis,
@@ -45,19 +47,54 @@ from heatctrl.spectral import (
 
 
 def test_f_n_at_zero_is_one(basis64):
-    assert log_f_n(basis64, 5, 0.0).logmag == pytest.approx(0.0, abs=1e-12)
+    # f_n(0) is the full product at x = 0, where mode n's own factor is 1
+    lm, ph = _log_f_all_imag_array(basis64, np.array([0.0]))
+    assert lm[0] == pytest.approx(0.0, abs=1e-12)
+    assert ph[0] == 0.0
 
 
 def test_f_n_exact_zero_at_other_eigenvalue(basis64):
-    assert log_f_n(basis64, 1, 4.0).is_zero
-    assert log_f_n(basis64, 3, 49.0).is_zero
+    logmag, sign, zero = _log_f_nodes(basis64, 7)
+    assert zero[0, 1] and zero[2, 6]  # f_1(4) and f_3(49)
+    assert np.array_equal(zero, ~np.eye(7, dtype=bool))
+    assert np.all(logmag[zero] == -np.inf) and np.all(np.isfinite(np.diag(logmag)))
 
 
 def test_telescoping_oracle(basis64):
     # prod_{k>=2} (1 - 1/k^2) = 1/2, an independent closed form
-    v = log_f_n(basis64, 1, 1.0)
-    assert v.logmag == pytest.approx(-math.log(2.0), abs=1e-10)
-    assert v.phase == 0.0
+    logmag, sign, _ = _log_f_nodes(basis64, 1)
+    assert logmag[0, 0] == pytest.approx(-math.log(2.0), abs=1e-10)
+    assert sign[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("kind", ["DD", "ND"])
+def test_node_normalizers_in_closed_form(kind):
+    # lambda_k = k^2: prod_{k != n} (1 - n^2/k^2) = (-1)^{n-1} / 2;
+    # lambda_k = (k - 1/2)^2: |f_n(lambda_n)| = (pi/2)(n - 1/2), sign (-1)^{n-1}.
+    # The error grows with n from the Gamma tail's cancellation at B ~ 1.4 n.
+    count = 32
+    logmag, sign, zero = _log_f_nodes(build_interval_basis(kind, math.pi, 64), count)
+    n = np.arange(1, count + 1)
+    want = np.full(count, -math.log(2.0)) if kind == "DD" else np.log(0.5 * math.pi * (n - 0.5))
+    assert np.all(np.abs(np.diag(logmag) - want) <= 8e-14 * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(np.diag(sign), (-1.0) ** (n - 1))
+    assert np.array_equal(zero, ~np.eye(count, dtype=bool))
+
+
+def test_node_zeros_off_the_diagonal_on_a_numeric_basis():
+    # a Sturm-Liouville spectrum, reduced as a family build reduces it: the
+    # zeros are lambda_k - lambda_k in real arithmetic, not a closed form.
+    # Its tail model's error bound (up to 1.0e-6 here) sizes the values, not
+    # the zeros, so tol admits it.
+    prob = ParabolicProblem(X=1.0, p=lambda x: 1.0 + 0.5 * np.sin(x), q=0.0,
+                            bc0=(1, 0), bc1=(1, 0))
+    b, _ = reduce_to_canonical(build_sturm_liouville_basis(prob, 32), 0.5)
+    logmag, sign, zero = _log_f_nodes(b, 8, tol=1e-4)
+    assert np.array_equal(zero, ~np.eye(8, dtype=bool))
+    assert np.all(logmag[zero] == -np.inf) and np.all(np.isfinite(np.diag(logmag)))
+    assert np.array_equal(np.diag(sign), (-1.0) ** np.arange(8))
+    with pytest.raises(ConfigurationError):
+        _log_f_nodes(b, 33)
 
 
 def test_f_all_matches_sinc_product(basis64):
@@ -106,6 +143,13 @@ def test_f_all_row_tiles_match_the_untiled_sum():
     assert K > 256
     assert np.array_equal(lm, logmag + tail.real)
     assert np.array_equal(ph, wrap_phase_array(phase + tail.imag))
+
+
+def test_wrap_phase_array_interval():
+    phi = np.array([0.0, 3.2, -3.2, 10 * math.pi, -10 * math.pi, math.pi, -math.pi])
+    w = wrap_phase_array(phi)
+    assert np.all((-math.pi < w) & (w <= math.pi))
+    assert np.all(np.abs(np.exp(1j * w) - np.exp(1j * phi)) < 1e-12)
 
 
 def _product_reference(tail, x):
@@ -186,22 +230,26 @@ def test_exact_spectra_do_no_per_mode_work(monkeypatch, basis64):
 
 
 def test_F_n_interpolation_data(basis64):
+    # F_n(i lambda_k) = f_n(lambda_k) / f_n(lambda_n) = delta_nk
+    logmag, sign, _ = _log_f_nodes(basis64, 10)
     for n in (1, 4, 9):
-        v = log_F_n(basis64, n, 1j * basis64.lambdas[n - 1])
-        assert v.logmag == pytest.approx(0.0, abs=1e-12)
-        assert v.phase == pytest.approx(0.0, abs=1e-12)
-        assert log_F_n(basis64, n, 1j * basis64.lambdas[n % 5 + 5]).is_zero
+        ln_F = logmag[n - 1] - logmag[n - 1, n - 1]
+        assert ln_F[n - 1] == 0.0 and sign[n - 1, n - 1] ** 2 == 1.0
+        assert ln_F[n % 5 + 5] == -np.inf
 
 
 def test_F_n_growth_bound(basis64):
-    # |F_1(x)| grows no faster than e^{3.3 sqrt x} on the real axis
-    for x in (1e2, 1e4):
-        v = log_F_n(basis64, 1, x)
-        assert v.logmag <= 3.3 * math.sqrt(x)
+    # |F_1(x)| grows no faster than e^{3.3 sqrt x} on the real axis: the
+    # full product less mode 1's factor, over f_1(lambda_1)
+    xs = np.array([1e2, 1e4])
+    lm, _ = _log_f_all_imag_array(basis64, xs)
+    ln_F = lm - 0.5 * np.log1p((xs / basis64.lambdas[0]) ** 2) - _log_f_nodes(basis64, 1)[0][0, 0]
+    assert np.all(ln_F <= 3.3 * np.sqrt(xs))
 
 
 def log_F_n_alt(basis, n, z, tol=1e-10):
-    """log of  prod_{k != n} [1 - ((z - lambda_n)/(lambda_k - lambda_n))^2].
+    """(ln|.|, arg) of  prod_{k != n} [1 - ((z - lambda_n)/(lambda_k - lambda_n))^2],
+    with ln|.| = -inf at an exact zero.
 
     Cross-check family with the same zeros along the shifted real axis and
     growth 2 pi sqrt|z - lambda_n|; normalized to 1 at z = lambda_n.
@@ -220,54 +268,50 @@ def log_F_n_alt(basis, n, z, tol=1e-10):
     else:
         factors = 1.0 - (w / gaps) ** 2
     if np.any(factors == 0.0):
-        return LogComplex.zero()
+        return -math.inf, 0.0
     total = complex(np.sum(np.log(factors)))
     # tail: split each quadratic factor into (1 -+ w/(mu_k - lambda_n))
     t = basis.tail
     for ww in (w, -w):
         total += complex(_gamma_tail_quadratic(t.a, t.b, K, ww + (lam_n - t.s))
                          - _gamma_tail_quadratic(t.a, t.b, K, lam_n - t.s))
-    return LogComplex(total.real, total.imag)
+    return total.real, float(wrap_phase_array(total.imag))
 
 
 def test_alt_product_matches_partial_product_oracle(basis64):
     with mp.workdps(30):
         want = mp.nprod(lambda k: 1 - 1 / (k**2 - 1) ** 2, [2, mp.inf])
-    v = log_F_n_alt(basis64, 1, 2.0)
-    assert v.logmag == pytest.approx(float(mp.log(want)), abs=1e-10)
+    logmag, _ = log_F_n_alt(basis64, 1, 2.0)
+    assert logmag == pytest.approx(float(mp.log(want)), abs=1e-10)
 
 
 def test_alt_product_normalization_and_zeros(basis64):
-    assert log_F_n_alt(basis64, 1, 1.0).logmag == pytest.approx(0.0, abs=1e-12)
-    assert log_F_n_alt(basis64, 1, 9.0).is_zero
-    assert log_F_n_alt(basis64, 2, 16.0).is_zero
+    assert log_F_n_alt(basis64, 1, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
+    assert log_F_n_alt(basis64, 1, 9.0)[0] == -math.inf
+    assert log_F_n_alt(basis64, 2, 16.0)[0] == -math.inf
 
 
 def test_alt_and_main_agree_on_zero_sets(basis64):
     n = 3
-    # zero-vs-nonzero decision at every stored eigenvalue point
+    # zero-vs-nonzero decision at every node of a 64-member family
+    _, _, zero = _log_f_nodes(basis64, basis64.n_modes)
     for k in range(1, basis64.n_modes + 1):
-        lam_k = float(basis64.lambdas[k - 1])
-        main = log_F_n(basis64, n, 1j * lam_k)
-        alt = log_F_n_alt(basis64, n, lam_k)
-        assert main.is_zero == alt.is_zero == (k != n)
-    # ratio finite and phase-consistent at random real points off the spectrum
+        alt, _ = log_F_n_alt(basis64, n, float(basis64.lambdas[k - 1]))
+        assert zero[n - 1, k - 1] == (alt == -math.inf) == (k != n)
+    # finite and real-valued at random real points off the spectrum
     rng = np.random.default_rng(5)
-    pts = rng.uniform(0.5, 300.0, 20)
-    for x in pts:
-        main = log_F_n(basis64, n, 1j * x)
-        alt = log_F_n_alt(basis64, n, x)
-        assert math.isfinite(main.logmag) and math.isfinite(alt.logmag)
-        # both are real-valued on this axis: phases live on {0, pi}
-        assert min(abs(alt.phase), abs(abs(alt.phase) - math.pi)) < 1e-9
-        assert min(abs(main.phase), abs(abs(main.phase) - math.pi)) < 1e-9
+    for x in rng.uniform(0.5, 300.0, 20):
+        logmag, phase = log_F_n_alt(basis64, n, x)
+        assert math.isfinite(logmag)
+        assert min(abs(phase), abs(abs(phase) - math.pi)) < 1e-9
 
 
 def test_truncation_error_for_numeric_basis_out_of_range():
     prob = ParabolicProblem(X=math.pi, p=1.0, q=1.0, bc0=(1, 0), bc1=(1, 0))
     b = build_sturm_liouville_basis(prob, 16)
     with pytest.raises(TruncationError):
-        log_f_n(b, 1, 1j * 1e6)  # needs modes far past the stored 16
+        # needs modes far past the stored 16
+        _log_f_all_imag_array(b, np.array([1e6]))
 
 
 # ---- multiplier ------------------------------------------------------------
@@ -325,9 +369,8 @@ def test_counting_function_structure():
 
 def test_log_M_basic_values():
     sp = make_multiplier(math.pi + 0.3, 1.0)
-    assert log_M(sp, 0.0).logmag == pytest.approx(0.0, abs=1e-15)
-    for y in (0.2, 5.0, 300.0, 2025.0):
-        assert log_M(sp, 1j * y).logmag >= 0.0  # |M(ix)| >= 1
+    assert _log_M_imag(sp, np.array([0.0]))[0] == 0.0
+    assert np.all(_log_M_imag(sp, np.array([0.2, 5.0, 300.0, 2025.0])) >= 0.0)  # M(iy) >= 1
 
 
 def test_log_M_single_zero_sinc_value():
@@ -335,13 +378,12 @@ def test_log_M_single_zero_sinc_value():
     sp = MultiplierSpec(d=math.pi + 0.3, tau=2.0 * 1.609 / math.sqrt(2.0),
                         A=1.609, a0=2.0, K=1)
     want = math.log(math.sin(1.0) / 1.0)
-    got = log_M(sp, sp.a0)
-    lattice_start = sp.lattice_zero(sp.m_start)
+    (got,), _ = _log_abs_M_real_array(sp, np.array([sp.a0]))
     # remove the lattice contribution to isolate the single-zero block
     lat = sum(math.log(abs(math.sin(sp.a0 / a) / (sp.a0 / a)))
               for a in [sp.lattice_zero(m) for m in range(sp.m_start, sp.m_start + 2000)])
-    assert got.logmag - lat == pytest.approx(want, abs=1e-3)
-    assert got.logmag <= want  # extra factors only shrink the magnitude
+    assert got - lat == pytest.approx(want, abs=1e-3)
+    assert got <= want  # extra factors only shrink the magnitude
 
 
 def test_log_M_evenness_exact():
@@ -352,20 +394,42 @@ def test_log_M_evenness_exact():
     assert np.array_equal(lp, lm) and np.array_equal(sp_, sm)
 
 
+def _scalar_log_abs_M(spec, x):
+    """(ln|M(x)|, sign) at one real x, factor by factor in scalar floats.
+
+    The a0 factor K times and the lattice zeros up to _lattice_cutoff, each
+    ln|sin t| - ln t (-t^2/6 - t^4/180 below 1e-4), then the lattice beyond
+    as the 12-term series of _log_sinc_tail_powers; the sign is the parity
+    of the negative sines.
+    """
+    x = abs(float(x))
+
+    def factor(t):
+        if t < 1e-4:
+            return -t * t / 6.0 - t**4 / 180.0, 0
+        s = math.sin(t)
+        return (math.log(abs(s)) if s else -math.inf) - math.log(t), int(s < 0)
+
+    logmag, negative = factor(x / spec.a0)
+    logmag, negative = spec.K * logmag, spec.K * negative
+    m_big = _lattice_cutoff(spec, x)
+    for m in range(spec.m_start, m_big + 1):
+        lm, neg = factor(x / float(spec.lattice_zero(m)))
+        logmag, negative = logmag + lm, negative + neg
+    power, tail = 1.0, 0.0
+    for c in _log_sinc_tail_powers(spec, m_big):
+        power *= x * x
+        tail += float(c) * power
+    return logmag + tail, (-1.0 if negative % 2 else 1.0)
+
+
 def test_log_M_scalar_vs_array():
     sp = make_multiplier(math.pi + 0.6, 0.25)
     for x in (0.4, 19.0, 7.7e3):
-        lc = log_M(sp, x)
+        want, want_sign = _scalar_log_abs_M(sp, x)
         lma, sga = _log_abs_M_real_array(sp, np.array([x]))
-        assert lc.logmag == pytest.approx(lma[0], abs=1e-10)
-        want_phase = 0.0 if sga[0] > 0 else math.pi
-        assert lc.phase == pytest.approx(want_phase, abs=1e-10)
-
-
-def _scalar_log_abs_M(spec, x):
-    """(ln|M(x)|, sign) from the factor-by-factor scalar log_M."""
-    v = log_M(spec, x)
-    return v.logmag, (1.0 if math.cos(v.phase) > 0 else -1.0)
+        assert want == pytest.approx(lma[0], abs=1e-10)
+        assert sga[0] == want_sign
 
 
 def test_log_M_sinc_points_scalar_vs_array():
@@ -401,6 +465,60 @@ def test_log_M_array_matches_scalar(eps, tau, xs, data):
         assert sign == want_sign, x
 
 
+def _log_M_imag_reference(spec, y):
+    """ln M(iy) at 30 digits: the factors ln(sinh t / t) while t = y/a_m >= 1/4,
+    then the lattice beyond as sum_j (-1)^{j+1} zeta(2j)/(j pi^{2j})
+    (y A^2)^{2j} zeta(4j, m) until a term is below 1e-35."""
+    with mp.workdps(30):
+        y, A = mp.mpf(y), mp.mpf(spec.A)
+
+        def factor(t):
+            if t == 0:
+                return mp.mpf(0)
+            with mp.extradps(int(max(0, -2 * mp.log10(t)))):  # t + ln(...) cancels
+                return t + mp.log(-mp.expm1(-2 * t) / (2 * t))
+
+        total, m = spec.K * factor(y / mp.mpf(spec.a0)), spec.m_start
+        while y * A * A / m**2 >= 0.25:
+            total += factor(y * A * A / m**2)
+            m += 1
+        for j in range(1, 60):
+            term = mp.zeta(2 * j) / (j * mp.pi ** (2 * j)) * (y * A * A) ** (2 * j) * mp.zeta(4 * j, m)
+            total += term if j % 2 else -term
+            if term < mp.mpf(10) ** -35 * (1 + abs(total)):
+                break
+        return float(total)
+
+
+def _log_sinh_ratio_error(t):
+    """Rounding scale of ln(sinh t / t) as t - ln 2 + log1p(-e^{-2t}) - ln t:
+    the terms' sizes, and the exponential's rounding over 1 - e^{-2t}."""
+    if t < 1e-4:
+        return t * t
+    return t + 1.0 + abs(math.log(t)) + 1.0 / math.expm1(min(2.0 * t, 700.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.02, 0.15), st.floats(0.1, 2.0),
+       st.one_of(st.floats(0.0, 3000.0), st.floats(1e-6, 1e-2), st.just(1.0001e-4)))
+@example(0.05, 0.25, 0.0)
+@example(0.05, 0.25, 1e-8)
+@example(0.125, 0.5, 2999.0)
+def test_log_M_imag_matches_mpmath(eps, tau, ratio):
+    # y = ratio a0 up to 3000 a0, deep on the imaginary axis where sinh(y/a0)
+    # is far outside float64, and y = 0 and 1e-8 outright
+    sp = make_multiplier(math.pi + 2.0 * eps, tau)
+    ys = np.array([ratio * sp.a0, 1e-8, 0.0])
+    got = _log_M_imag(sp, ys)
+    for y, g in zip(ys, got):
+        want = _log_M_imag_reference(sp, y)
+        scale = sp.K * _log_sinh_ratio_error(y / sp.a0) + sum(
+            _log_sinh_ratio_error(y / float(sp.lattice_zero(m)))
+            for m in range(sp.m_start, _lattice_cutoff(sp, y) + 1))
+        assert abs(g - want) <= 4.0 * 2.0**-53 * (scale + abs(want)), (y, g, want)
+        assert g >= 0.0
+
+
 def _per_entry_log_abs_M(spec, xs):
     """_log_abs_M_real_array on the reversed grid, which is not uniform."""
     lm, sg = _log_abs_M_real_array(spec, xs[::-1])
@@ -424,7 +542,7 @@ def test_log_M_uniform_grid_matches_scalar_and_per_entry(eps, tau, h, n, data):
     want, want_sign = _per_entry_log_abs_M(sp, xs)
     assert np.all(np.abs(lm - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
     assert np.array_equal(sg, want_sign)
-    # scalar log_M at x = 0, across the angle-addition and tile seams, the
+    # the scalar helper at x = 0, across the angle-addition and tile seams, the
     # last point and a few drawn ones
     picks = {0, 63, 64, 65, _ROW_CHUNK - 1, _ROW_CHUNK, n - 1}
     if data is not None:
@@ -436,7 +554,7 @@ def test_log_M_uniform_grid_matches_scalar_and_per_entry(eps, tau, h, n, data):
 
 
 def test_uniform_grids_skip_the_per_entry_kernel(monkeypatch, basis64):
-    ev = GnEvaluator.build(basis64, 3, T=1.0, eps=0.125)
+    ev = GnEvaluator.build(basis64, 3, T=1.0, eps=0.125)[2]
     sp = ev.spec
 
     def refuse(*args):
@@ -531,6 +649,20 @@ def test_hurwitz_zeta_matches_mpmath(j, q):
     assert batch[1] == pytest.approx(want, rel=2e-15)
 
 
+def test_special_function_tables_are_float64():
+    # 24! overflows int64: an integer factorial table would be object dtype
+    spec = make_multiplier(math.pi + 0.1, 0.5)
+    assert _EULER_MACLAURIN.dtype == np.float64 and _LOG_SINC_COEF.dtype == np.float64
+    assert _hurwitz_zeta(4.0 * np.arange(1.0, 13.0), 41.0).dtype == np.float64
+    m_big = np.array([40, 41, 97])
+    batch = _log_sinc_tail_powers(spec, m_big)
+    assert batch.dtype == np.float64 and batch.shape == (12, 3)
+    # one broadcast zeta call against one call per cutoff
+    for col, m in enumerate(m_big):
+        one = _log_sinc_tail_powers(spec, int(m))
+        assert np.all(np.abs(batch[:, col] - one) <= 4e-16 * np.abs(one))
+
+
 def test_log_sinc_table_matches_mpmath():
     # zeta(2j)/(j pi^{2j}); the float pi^{-2j} alone is off by 2j * 4e-17
     with mp.workdps(30):
@@ -569,24 +701,18 @@ def test_sigma_star_oracle():
 
 
 def test_gn_zero_placement_and_normalization(basis64):
-    ev = GnEvaluator.build(basis64, 3, T=1.0, eps=0.05)
-    v = ev.log_G(1j * 9.0)
-    assert v.logmag == pytest.approx(0.0, abs=1e-9)
-    assert v.phase == pytest.approx(0.0, abs=1e-9)
+    evs = GnEvaluator.build(basis64, 40, T=1.0, eps=0.05)
+    ev = evs[2]
+    assert ev.log_G(3) == (0.0, 1.0)  # G_3(i lambda_3) = 1 exactly
     for k in (1, 2, 4, 10, 40):
-        assert ev.log_G(1j * basis64.lambdas[k - 1]).is_zero
-
-
-def test_gn_point_eval_matches_grid(basis64):
-    # the scalar path (log_f_n, log_M) against the grid kernels
-    ev = GnEvaluator.build(basis64, 1, T=1.0, eps=0.05)
-    xs = np.array([0.0, 1e-2, 17.3, 3e4])
-    lm, ph = ev.log_G_array(xs)
-    for x, want_lm, want_ph in zip(xs, lm, ph):
-        v = ev.log_G(x)
-        scale = max(1.0, abs(want_lm))
-        assert abs(v.logmag - want_lm) <= 1e-12 * scale, x
-        assert _phase_gap(v.phase, want_ph) <= 1e-12 * scale, x
+        assert ev.log_G(k)[0] == -math.inf
+    # the normalizers are the diagonals of the node data
+    log_f, sign, _ = _log_f_nodes(basis64, 40, tol=ev.tol)
+    log_M = _log_M_imag(ev.spec, basis64.lambdas[:40])
+    for n, e in enumerate(evs, 1):
+        assert e.n == n and e.log_fn_lam == log_f[n - 1, n - 1]
+        assert e.phase_fn_lam == (0.0 if n % 2 else math.pi)
+        assert e.log_M_ilam == log_M[n - 1]
 
 
 def _fit_envelope(ev):
@@ -608,7 +734,7 @@ def _fit_envelope(ev):
 
 
 def test_gn_envelope_holds_on_fresh_grid(basis64):
-    ev = GnEvaluator.build(basis64, 2, T=0.5, eps=0.05)
+    ev = GnEvaluator.build(basis64, 2, T=0.5, eps=0.05)[1]
     c = _fit_envelope(ev)
     xs = np.geomspace(0.3, 5e5, 700)
     lm, _ = ev.log_G_array(xs)
@@ -616,7 +742,7 @@ def test_gn_envelope_holds_on_fresh_grid(basis64):
 
 
 def test_gn_conjugate_symmetry(basis64):
-    ev = GnEvaluator.build(basis64, 1, T=1.0, eps=0.05)
+    (ev,) = GnEvaluator.build(basis64, 1, T=1.0, eps=0.05)
     xs = np.array([3.7, 120.0])
     lp, pp = ev.log_G_array(xs)
     lmn, pn = ev.log_G_array(-xs)

@@ -51,3 +51,30 @@ def test_every_traced_entry_point_resolves_but_the_known_stale_ones():
                  "_log_f_all_imag_array"):
         assert ("heatctrl.entire", attr) in entries
     assert ("heatctrl.biorthogonal", "build_multiplier_family") in entries
+
+
+def test_evaluator_spans_stay_live(monkeypatch):
+    # the two evaluator layers must be on the path a multiplier family and its
+    # analytic moments take, not only resolvable
+    from heatctrl.biorthogonal import biorthogonality_matrix, build_multiplier_family
+    from heatctrl.entire import GnEvaluator
+    from heatctrl.spectral import build_interval_basis
+
+    calls = {"build": 0, "log_G": 0}
+    build, log_G = GnEvaluator.build, GnEvaluator.log_G
+
+    def counted_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    def counted_log_G(self, *args, **kwargs):
+        calls["log_G"] += 1
+        return log_G(self, *args, **kwargs)
+
+    monkeypatch.setattr(GnEvaluator, "build", staticmethod(counted_build))
+    monkeypatch.setattr(GnEvaluator, "log_G", counted_log_G)
+    basis = build_interval_basis("DD", 3.141592653589793, 8)
+    family = build_multiplier_family(basis, 1.0, 4, eps=0.125, tol=1e-9)
+    B = biorthogonality_matrix(family, 4, method="analytic")
+    assert calls == {"build": 1, "log_G": 16}
+    assert (B == [[float(n == k) for k in range(4)] for n in range(4)]).all()
