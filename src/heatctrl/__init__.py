@@ -7,7 +7,6 @@ from .biorthogonal import (
     biorthogonality_matrix,
     build_multiplier_family,
     gram_minimal_family,
-    invert_to_time,
 )
 from .entire import (
     ALPHA_2,

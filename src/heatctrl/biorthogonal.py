@@ -42,7 +42,6 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import mpf_add, mpf_mul
-from numpy.fft import fft  # numpy 2 loads numpy.fft on first use
 
 from .errors import ConfigurationError, IllConditionedError, TruncationError
 from .entire import (
@@ -60,7 +59,6 @@ __all__ = [
     "GridBlock",
     "MpBlock",
     "combine",
-    "invert_to_time",
     "build_multiplier_family",
     "gram_minimal_family",
     "biorthogonality_matrix",
@@ -80,6 +78,8 @@ _GUARD = 16  # bits an integer atom integral and row sum keep past the mp precis
 # n kept atoms.  Both are 2^-11 below the rounding bounds, at u = 2^-53, that
 # the float kernel, the assembly and the Parseval sum carry on the same scale.
 _LIVE_TAIL = 2.0 ** -64
+_HORNER_BLOCK = 64  # atoms per inner block of GridBlock.eval
+_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +153,6 @@ class GridBlock:
     with u = t - origin: atoms z_k = rate - i k omega.  Exact on the window by
     the band-limit argument above; with rate = 0 the Parseval norm over one
     period 2 pi / omega is the norm on any window holding the support.
-
-    `values` may be a live prefix of a grid of n_grid atoms, the rest being
-    zero; n_grid (len(values) when not given) sizes the FFT of fft_samples.
     """
 
     values: np.ndarray  # complex V_k
@@ -163,67 +160,47 @@ class GridBlock:
     gain: float = 1.0
     rate: float = 0.0
     origin: float = 0.0
-    n_grid: int | None = None
-
-    def __post_init__(self):
-        if self.n_grid is None:
-            object.__setattr__(self, "n_grid", len(self.values))
 
     def key(self):
-        return ("grid", self.omega, self.gain, self.rate, self.origin, self.n_grid)
+        return ("grid", self.omega, self.gain, self.rate, self.origin)
 
     def eval(self, ts) -> np.ndarray:
-        """Exact direct sum at the points ts."""
+        """s(t) at any points ts by Horner's rule in z = e^{-i omega u}.
+
+        The atoms go in blocks of _HORNER_BLOCK: one matrix product against
+        the powers z^0 .. z^63 evaluates every block's polynomial, and an
+        outer Horner loop in z^64 adds the blocks from the last.  Coefficients
+        below 2^-1022 are taken as zero, which keeps subnormals out of the
+        sums.  With n = len(values) and F = (omega/pi) |gain| e^{rate u}, to
+        first order in u = 2^-53 each value is within
+
+            F (2^-52 (n (|omega u| + 4) + |rate u| + 4) sum_k |V_k| + n 2^-1022)
+
+        of s(t) at the float point t (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., ch. 5).  Rounding u, the angle omega u
+        and the exponential moves z^k by at most k (|omega u| + 2) u; the
+        powers, the block products and the outer loop add about 5 n u
+        sum_k |V_k|; the factor F rounds to (|rate u| + 5) u; the flushed
+        coefficients carry at most n 2^-1022.
+        """
         u = np.atleast_1d(np.asarray(ts, dtype=float)) - self.origin
-        V = self.values
-        out = np.full(u.shape, 0.5 * np.real(V[0]))
-        xs = self.omega * np.arange(len(V))
-        for lo in range(1, len(V), 512):
-            blk = slice(lo, min(lo + 512, len(V)))
-            out += np.real(V[blk][None, :]
-                           * np.exp(-1j * u[:, None] * xs[blk][None, :])).sum(axis=1)
-        return (self.omega / math.pi) * out * self.gain * np.exp(self.rate * u)
-
-    def eval_dense(self, ts) -> np.ndarray:
-        """eval for large monotone grids through one FFT.
-
-        The FFT output is 4x oversampled and interpolated, which avoids the
-        O(n_t * n_freq) direct sum.  Against that sum on 4,097 window points
-        the error measured 1.5e-6 relative at T = 0.5 (42,794 grid atoms) and
-        7-8e-7 at T = 1 (59,735), on unit-mode controls of DD on [0, pi] with
-        64 modes and eps 0.05.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if len(ts) <= 512:
-            return self.eval(ts)
-        t0, t1 = float(ts[0]), float(ts[-1])
-        span = max(t1 - t0, 1e-9)
-        tf, vf = self.fft_samples(t0 - 0.02 * span, t1 + 0.02 * span, 4 * len(ts))
-        return np.interp(ts, tf, vf)
-
-    def fft_samples(self, t0: float, t1: float, n_target: int):
-        """(times, values) on a uniform grid of ~n_target points from t0.
-
-        The grid step divides the FFT period, so the last sample can fall
-        short of t1 by up to one step.
-        """
-        span = t1 - t0
-        u0 = t0 - self.origin
-        dt_target = span / max(n_target - 1, 1)
-        V = self.values
-        m = 1 << int(math.ceil(math.log2(max(
-            self.n_grid, 2.0 * math.pi / (self.omega * dt_target), 2))))
-        buf = np.zeros(m, dtype=complex)
-        xs = self.omega * np.arange(len(V))
-        buf[: len(V)] = V * np.exp(-1j * xs * u0)
-        spec = fft(buf)  # spec_k = sum_i buf_i e^{-2 pi i ik/m}
-        dt = 2.0 * math.pi / (self.omega * m)
-        stride = max(1, int(dt_target / dt))
-        n_out = int(span / (stride * dt)) + 1
-        idx = stride * np.arange(n_out)
-        us = u0 + dt * idx
-        vals = (self.omega / math.pi) * (np.real(spec[idx]) - 0.5 * np.real(V[0]))
-        return us + self.origin, vals * self.gain * np.exp(self.rate * us)
+        z = np.exp(-1j * self.omega * u)
+        n = len(self.values)
+        coef = np.zeros(-(-n // _HORNER_BLOCK) * _HORNER_BLOCK, dtype=complex)
+        coef[:n] = np.where(np.abs(self.values) < _TINY, 0.0, self.values)
+        coef[0] *= 0.5  # the k = 0 atom carries Re V_0 / 2
+        coef = coef.reshape(-1, _HORNER_BLOCK)
+        powers = np.empty((_HORNER_BLOCK, len(u)), dtype=complex)  # row i: z^i
+        powers[0] = 1.0
+        for i in range(1, _HORNER_BLOCK):
+            np.multiply(powers[i - 1], z, out=powers[i])
+        step = powers[-1] * z  # z^64
+        blocks = coef @ powers  # row j: block j's polynomial at z
+        acc = blocks[-1]
+        for row in blocks[-2::-1]:
+            acc *= step
+            acc += row
+        return (self.omega / math.pi) * self.gain * np.exp(self.rate * u) * acc.real
 
     def integral(self, ws, lo: float, hi: float, ref: float) -> np.ndarray:
         """int_lo^hi s(t) e^{w (t - ref)} dt for each w in ws."""
@@ -260,7 +237,7 @@ class GridBlock:
             s = 0.5 * np.real(self.values[0]) ** 2 + np.sum(np.abs(self.values[1:]) ** 2)
             return math.sqrt(self.omega / math.pi * s) * abs(self.gain)
         # a growing weight breaks Parseval: fine trapezoid on the window
-        return _quadrature_norm(self.eval_dense, lo, hi)
+        return _quadrature_norm(self.eval, lo, hi)
 
     def mapped(self, p: float, q: float, lam: float) -> "GridBlock":
         """Block of e^{lam t} s(p t + q); p < 0 conjugates onto the positive grid."""
@@ -268,7 +245,7 @@ class GridBlock:
         return GridBlock(values=np.conj(self.values) if p < 0 else self.values,
                          omega=abs(p) * self.omega,
                          gain=self.gain * math.exp(lam * origin) / abs(p),
-                         rate=p * self.rate + lam, origin=origin, n_grid=self.n_grid)
+                         rate=p * self.rate + lam, origin=origin)
 
     @staticmethod
     def summed(terms) -> "GridBlock":
@@ -314,8 +291,6 @@ class MpBlock:
             return np.array([float(mp.fsum(c * mp.exp(r * (mp.mpf(float(t)) - org))
                                            for c, r in zip(self.coeffs, self.rates)))
                              for t in ts])
-
-    eval_dense = eval
 
     def _ends(self, lo, hi):
         """(lo, hi, e^{z (lo - origin)}, e^{z (hi - origin)}) in mp."""
@@ -420,31 +395,15 @@ class ControlSignal:
     blocks: list
     meta: dict = field(default_factory=dict)
 
-    def _sum(self, ts, per_block):
+    def eval(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        vals = [per_block(b) for b in self.blocks]
+        vals = [b.eval(ts) for b in self.blocks]
         return sum(vals[1:], vals[0]) if vals else np.zeros(ts.shape)
 
-    def eval(self, ts) -> np.ndarray:
-        return self._sum(ts, lambda b: b.eval(ts))
-
-    def eval_dense(self, ts) -> np.ndarray:
-        """eval for large monotone grids (grid blocks go through one FFT)."""
-        return self._sum(ts, lambda b: b.eval_dense(ts))
-
     def sample(self, n: int):
-        """(times, values) on a uniform grid of about n points from the window start.
-
-        A lone grid block is FFT-sampled exactly, and its grid can end up to
-        one step short of the window's end; any other signal is evaluated at
-        n points spanning the window.
-        """
-        lo, hi = self.window
-        if len(self.blocks) == 1 and isinstance(self.blocks[0], GridBlock):
-            ts, vals = self.blocks[0].fft_samples(lo, hi, n)
-            return np.linspace(ts[0], ts[-1], len(ts)), vals
-        ts = np.linspace(lo, hi, n)
-        return ts, self.eval_dense(ts)
+        """(times, values) at n uniform points spanning the window."""
+        ts = np.linspace(*self.window, n)
+        return ts, self.eval(ts)
 
     def integral(self, ws, ref: float = 0.0) -> np.ndarray:
         """I(w) = int_window s(t) e^{w (t - ref)} dt for each w in ws.
@@ -478,10 +437,10 @@ class ControlSignal:
                              meta=dict(self.meta))
 
     def norm(self) -> float:
-        """L^2 norm on the window: closed form for one block, else by quadrature."""
+        """L^2 norm on the window: one block's own norm, else by quadrature."""
         if len(self.blocks) <= 1:
             return self.blocks[0].norm(*self.window) if self.blocks else 0.0
-        return _quadrature_norm(self.eval_dense, *self.window)
+        return _quadrature_norm(self.eval, *self.window)
 
     def to_csv(self, path):
         """(t, value) rows at the 4096 points of :meth:`sample`."""
@@ -521,45 +480,20 @@ def _live_prefix(lm) -> int:
     return max(1, int(np.count_nonzero(tail > _LIVE_TAIL * tail[0])))
 
 
-def invert_to_time(evaluator, T: float, tol: float = 1e-9) -> ControlSignal:
-    """Biorthogonal time signal of one evaluator on the window [-T/2, T/2].
-
-    The quadrature is the uniform trapezoid sum over |x| <= X_max with the
-    envelope tail below tol of the norm, of which only the live prefix
-    (_live_prefix, at most 2^-64 of the L1 mass dropped) is stored; the
-    stored signal is the flipped, (2 pi)^{-1/2}-scaled inverse transform, so
-    its exponential moments are delta_nk.  Norm bookkeeping keeps the
-    unitary pair (s_n, G_n / sqrt(2 pi)).
-    """
-    if abs(evaluator.tau - T / 2.0) > 1e-12:
-        raise ConfigurationError(
-            f"evaluator type {evaluator.tau} does not match window length {T}")
-    X_max = evaluator.tail_cut(tol)
-    spec = getattr(evaluator, "spec", None)
-    tau_type = spec.type_sum()[0] if spec is not None else evaluator.tau
-    h, n = _frequency_grid(tau_type, T, X_max)
-    xs = h * np.arange(n)
-    lm, ph = evaluator.log_G_array(xs)
-    n_live = _live_prefix(lm)
-    return _signal_from_log(h, lm[:n_live], ph[:n_live], T, n,
-                            {"X_max": X_max, "tail_tol": tol, "n_freq": n, "n_live": n_live})
-
-
-def _signal_from_log(h, lm, ph, T, n_grid, meta, label="") -> ControlSignal:
+def _signal_from_log(h, lm, ph, T, meta, label="") -> ControlSignal:
     """Family signal with values G = e^{lm + i ph} on the grid x_k = k h.
 
     s(t) = (2 pi)^{-1/2} raw(-t) with raw the unitary inverse transform of G;
     under the e^{-ixt} kernel of GridBlock.eval this is values = G on the grid,
     and then int s(t) e^{-lambda_k t} dt = G(i lambda_k) exactly.  lm and ph
-    may be the live prefix of a grid of n_grid atoms; the atoms past it are
-    zero in the block, which moves every value by at most the _LIVE_TAIL
-    bound.
+    may be the live prefix of a longer grid; the atoms past it are zero in
+    the block, which moves every value by at most the _LIVE_TAIL bound.
     """
     peak = float(np.max(lm))
     if peak > _LOG_BUDGET:
         raise TruncationError(f"{label}peak log-magnitude {peak:.1f} exceeds the "
                               "float budget (T too small)", achieved=peak)
-    block = GridBlock(values=np.exp(lm + 1j * ph), omega=h, n_grid=n_grid)
+    block = GridBlock(values=np.exp(lm + 1j * ph), omega=h)
     sig = ControlSignal(window=(-T / 2.0, T / 2.0), blocks=[block], meta=meta)
     sig.meta["freq_norm"] = sig.norm()
     return sig
@@ -665,7 +599,7 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     signals, norms = [], []
     for ev in evs:
         lm, ph = ev.log_G_from_grids(xs, *grids)
-        sig = _signal_from_log(h, lm, ph, T, n_freq,
+        sig = _signal_from_log(h, lm, ph, T,
                                {"X_max": X_max, "tail_tol": tol, "n": ev.n},
                                label=f"mode {ev.n}: ")
         signals.append(sig)
@@ -875,9 +809,9 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
 
     Time-side entries are the closed-form atom integral of the stored
     signal, taken for all rows in one batch over the union of the rows'
-    time-side columns.  method "quadrature" takes every entry there;
-    "analytic" uses each family's stable representation; "auto" takes the
-    time side exactly where it still certifies the entry, i.e. while
+    time-side columns.  method "analytic" uses each family's stable
+    representation; "auto" takes the time side exactly where it still
+    certifies the entry, i.e. while
 
         e^{lambda_k T / 2} * ||g_n|| * max(tol, 1e-8)  <=  1e-4,
 
@@ -887,6 +821,8 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
     stable representation is that same integral, exact in mp, so all of its
     entries are time-side.
     """
+    if method not in ("auto", "analytic"):
+        raise ConfigurationError(f"method {method!r} is not 'auto' or 'analytic'")
     if k_max > family.count or k_max > len(family.lambdas):
         raise ConfigurationError("k_max exceeds family size")
     tol = float(family.meta.get("tol", 1e-9))
@@ -898,7 +834,7 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
             certifiable = (family.kind == "multiplier"
                            and log_amp + math.log(max(family.norms[n - 1], 1e-300))
                            + math.log(max(tol, 1e-8)) <= math.log(1e-4))
-            forced = method == "quadrature" or (method == "auto" and certifiable)
+            forced = method == "auto" and certifiable
             if forced and log_amp > _LOG_BUDGET:
                 raise TruncationError("moment weight exceeds the float budget",
                                       achieved=log_amp)

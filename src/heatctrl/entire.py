@@ -225,10 +225,6 @@ class MultiplierSpec:
         exact = self.K / self.a0 + self.A**2 * float(_hurwitz_zeta(2.0, self.m_start))
         return exact, self.tau
 
-    def zeros(self, count: int) -> np.ndarray:
-        lattice = self.lattice_zero(np.arange(self.m_start, self.m_start + max(0, count - self.K)))
-        return np.concatenate([np.full(min(self.K, count), self.a0), lattice])[:count]
-
     def counting_function(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         above = np.maximum(self.K, np.floor(self.A * np.sqrt(np.maximum(r, 0.0))))
@@ -678,9 +674,8 @@ class GnEvaluator:
     """Evaluator of G_n = F_n M_n with its two normalizers, ln|f_n(lambda_n)|
     (f_n(lambda_n) has the phase phase_fn_lam, 0 or pi) and ln M(i lambda_n).
 
-    The family build reads log_G_from_grids and tail_cut, whose cut depends
-    on eps alone; the moments read log_G at the nodes i lambda_k, from the
-    row of node data: ln|f_n(lambda_k)|, its sign and the family's shared
+    The family build reads log_G_from_grids; the moments read log_G at the
+    nodes i lambda_k, from the row of node data: ln|f_n(lambda_k)|, its sign and the family's shared
     ln M(i lambda_k), for k up to the family's count.
     """
 
@@ -749,9 +744,6 @@ class GnEvaluator:
                   + (self.log_M_nodes[k - 1] - self.log_M_ilam))
         return float(logmag), float(self.sign_f_nodes[k - 1] * self.sign_f_nodes[self.n - 1])
 
-    def tail_cut(self, rel_tol: float) -> float:
-        """envelope_tail_cut at this evaluator's eps."""
-        return envelope_tail_cut(self.eps, rel_tol)
 
 
 def family_multiplier(T: float, eps: float) -> MultiplierSpec:

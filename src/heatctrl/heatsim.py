@@ -71,9 +71,6 @@ class Trajectory:
     coeffs: np.ndarray  # (n_times, n_modes)
     basis: SpectralBasis
 
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.coeffs, axis=1)
-
     def to_csv(self, path):
         with open(path, "w") as fh:
             cols = ",".join(f"mode{j+1}" for j in range(self.coeffs.shape[1]))
@@ -156,7 +153,7 @@ def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
 
     n_fine = (max(4096, 8 * (n_times - 1)) // (n_times - 1)) * (n_times - 1) + 1
     us = np.linspace(0.0, T, n_fine)
-    gu = np.asarray(g.eval_dense(us + lo), dtype=float)
+    gu = np.asarray(g.eval(us + lo), dtype=float)
 
     times = np.linspace(0.0, T, n_times)
     lam = basis.lambdas[:n_modes]

@@ -400,10 +400,6 @@ class AsymptoticsReport:
     max_residual_sqrt: float   # max |(L/pi) sqrt(lam_n) - n - nu|
     max_residual_lambda: float  # max |(L/pi)^2 lam_n - (n + nu)^2|
 
-    @property
-    def ok(self) -> bool:
-        return self.positive and self.strictly_increasing
-
 
 def verify_spectral_assumption(basis: SpectralBasis) -> AsymptoticsReport:
     """Fit the asymptotic shift nu on unit-gap frequencies and report residuals.

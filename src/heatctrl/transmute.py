@@ -180,6 +180,8 @@ def two_end_control(v0: Callable, T: float, L: float, method: str = "auto",
 
 
 def _resolve_method(method: str, T: float, lam1: float) -> str:
+    if method not in ("auto", "multiplier", "gram"):
+        raise ConfigurationError(f"method {method!r} is not 'auto', 'multiplier' or 'gram'")
     if method != "auto":
         return method
     # peak log-cost of the one-end synthesis ~ S_hat / tau_canonical, with
@@ -302,8 +304,7 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     stride = 32
     n_fine = stride * n_ctrl_rows
     rc = np.linspace(0.0, T_ctrl, n_fine + 1)
-    bm = ctrl.b_minus.eval_dense(rc)
-    bp = ctrl.b_plus.eval_dense(rc)
+    bm, bp = ctrl.b_minus.eval(rc), ctrl.b_plus.eval(rc)
     drive = bm[:, None] * e_prime_mL[None, :] - bp[:, None] * e_prime_pL[None, :]
 
     times = np.concatenate([t_rows_free, t_free + rc[stride::stride]])

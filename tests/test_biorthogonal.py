@@ -16,7 +16,6 @@ from heatctrl.biorthogonal import (
     biorthogonality_matrix,
     combine,
     gram_minimal_family,
-    invert_to_time,
 )
 from heatctrl.errors import ConfigurationError, IllConditionedError, TruncationError
 from heatctrl.heatsim import terminal_state, terminal_states
@@ -24,33 +23,19 @@ from heatctrl.quadrature import gauss_legendre_panels
 from heatctrl.spectral import HeatState, ReductionSchedule
 
 
-class BoxEvaluator:
-    """G(x) = sinc(x T/2): inverse transform is a box on [-T/2, T/2]."""
-
-    def __init__(self, T):
-        self.tau = T / 2.0
-
-    def log_G_array(self, xs):
-        v = np.sinc(np.asarray(xs) * self.tau / np.pi)
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(v)), np.where(v < 0, np.pi, 0.0)
-
-    def tail_cut(self, rel_tol):
-        return 4000.0 / self.tau
-
-
 def test_box_sinc_pair():
+    # G(x) = sinc(x T/2), whose inverse transform is a box on [-T/2, T/2], on
+    # the grid of a type-T/2 signal cut at X = 8000 / T, kept to its live prefix
     T = 1.0
-    sig = invert_to_time(BoxEvaluator(T), T, tol=1e-9)
+    h, n = biorthogonal._frequency_grid(T / 2.0, T, 8000.0 / T)
+    v = np.sinc(h * np.arange(n) * T / (2.0 * np.pi))
+    with np.errstate(divide="ignore"):
+        lm, ph = np.log(np.abs(v)), np.where(v < 0, np.pi, 0.0)
+    n_live = biorthogonal._live_prefix(lm)
+    sig = biorthogonal._signal_from_log(h, lm[:n_live], ph[:n_live], T, {})
     inside = sig.eval(np.linspace(-0.4, 0.4, 9))
     assert np.allclose(inside, 1.0 / T, atol=2e-3)
     assert sig.norm() == pytest.approx(1.0 / math.sqrt(T), abs=2e-3)
-
-
-def test_invert_requires_matching_type(families):
-    ev = families[1.0].evaluators[0]
-    with pytest.raises(ConfigurationError):
-        invert_to_time(ev, 2.0)
 
 
 def test_plancherel_time_vs_frequency(families):
@@ -104,6 +89,11 @@ def test_multiplier_biorthogonality_auto(families):
         assert np.max(np.abs(B - np.eye(12))) <= 1e-3
 
 
+def test_moment_matrix_rejects_an_unknown_method(families):
+    with pytest.raises(ConfigurationError, match="'quadrture'"):
+        biorthogonality_matrix(families[1.0], 4, "quadrture")
+
+
 def test_time_side_moments_where_certifiable(families):
     fam = families[1.0]
     for n, k in [(1, 1), (1, 2), (2, 1), (3, 2)]:
@@ -134,8 +124,7 @@ def _per_row_moment_matrix(family, k_max, method):
             certifiable = (family.kind == "multiplier"
                            and log_amp + math.log(max(family.norms[n - 1], 1e-300))
                            + math.log(max(tol, 1e-8)) <= math.log(1e-4))
-            if method == "quadrature" or (method == "auto" and certifiable) \
-                    or family.kind == "gram":
+            if (method == "auto" and certifiable) or family.kind == "gram":
                 time_side.append(k - 1)
             else:
                 B[n - 1, k - 1] = family.moment(n, k)
@@ -189,11 +178,19 @@ def test_gram_rejects_duplicates():
 
 
 def test_signal_samples_match_eval(families, gram12):
-    # FFT samples of a grid block and dense values of an mp block alike
-    for s in (families[1.0].signals[2], gram12[1.0].signals[2]):
-        grid, vals = s.sample(1024)
-        idx = np.arange(0, len(grid), 37)
-        assert np.allclose(vals[idx], s.eval(grid[idx]), rtol=1e-9, atol=1e-9)
+    # samples of a grid block against the long-double direct sum, and of an
+    # mp block against its sum at the block's digits
+    s = families[1.0].signals[2]
+    grid, vals = s.sample(1024)
+    assert len(grid) == 1024 and (grid[0], grid[-1]) == s.window
+    assert np.allclose(vals, _longdouble_eval(s.blocks[0], grid), rtol=1e-9, atol=1e-9)
+    s = gram12[1.0].signals[2]
+    (b,), (grid, vals) = s.blocks, s.sample(1024)
+    idx = np.arange(0, len(grid), 37)
+    with mp.workdps(b.dps):
+        want = [float(mp.fsum(c * mp.exp(z * (mp.mpf(float(t)) - mp.mpf(b.origin)))
+                              for c, z in zip(b.coeffs, b.rates))) for t in grid[idx]]
+    assert np.allclose(vals[idx], want, rtol=1e-9, atol=1e-9)
 
 
 def test_minimality_ordering(families, gram12):
@@ -257,10 +254,11 @@ def test_control_cost_basics():
 
 
 def test_norm_stable_under_grid_refinement(families):
-    # quadrature L2 norm stable under 2x refinement of the sample grid
+    # quadrature L2 norm of the long-double samples stable under 2x
+    # refinement of the sample grid
     s = families[1.0].signals[1]
     n = len(s.sample(4096)[0])
-    v1, v2 = (float(np.trapezoid(s.eval_dense(ts) ** 2, ts))
+    v1, v2 = (float(np.trapezoid(_longdouble_eval(s.blocks[0], ts) ** 2, ts))
               for ts in (np.linspace(*s.window, m + 1) for m in (n, 2 * n)))
     val, delta = v2, abs(v2 - v1) / 3.0
     assert delta <= 1e-6 * val
@@ -273,7 +271,9 @@ def test_signal_csv_round_trip(tmp_path, families):
     s.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,value"
-    assert len(lines) == len(s.sample(4096)[0]) + 1
+    assert len(lines) == 4097
+    # the rows span the whole window
+    assert [float(line.split(",")[0]) for line in (lines[1], lines[-1])] == list(s.window)
 
 
 def test_family_manifest_json(families):
@@ -316,6 +316,51 @@ def mp_blocks(draw):
 
 
 blocks = st.one_of(grid_blocks(), mp_blocks())
+
+
+_WIDE = np.longdouble
+_U_WIDE = float(np.finfo(_WIDE).eps) / 2.0
+
+
+def _longdouble_eval(b, ts):
+    """GridBlock b at ts by the direct sum of its atoms in long double."""
+    u = np.asarray(ts, dtype=_WIDE) - _WIDE(b.origin)
+    re, im = b.values.real.astype(_WIDE), b.values.imag.astype(_WIDE)
+    re[0], im[0] = re[0] / 2, 0
+    angle = _WIDE(b.omega) * np.outer(u, np.arange(len(b.values), dtype=_WIDE))
+    total = np.cos(angle) @ re + np.sin(angle) @ im  # Re V_k e^{-i k omega u}
+    return (_WIDE(b.omega) / _WIDE(math.pi) * _WIDE(b.gain) * np.exp(_WIDE(b.rate) * u)
+            * total).astype(float)
+
+
+@st.composite
+def long_grid_blocks(draw):
+    """(block, points): 1 to 2000 atoms of random phase whose sizes fall
+    geometrically from 10^shift (subnormal for the lowest shifts), and points
+    inside and half a window past each end of a drawn window."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mags = np.exp(-draw(_reals(0, 60)) * np.arange(n) / n) * 10.0 ** draw(_reals(-320, 5))
+    values = mags * np.exp(2j * np.pi * rng.random(n))
+    b = GridBlock(values=values, omega=draw(_reals(0.01, 20.0)),
+                  gain=draw(st.one_of(_reals(-2, -0.5), _reals(0.5, 2))),
+                  rate=draw(_reals(-3, 3)), origin=draw(_reals(-1, 1)))
+    lo, length = draw(_reals(-2, 1)), draw(_reals(0.1, 2.0))
+    return b, np.linspace(lo - length / 2, lo + 1.5 * length, 61)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_grid_blocks())
+def test_grid_block_eval_within_its_rounding_bound(case):
+    # GridBlock.eval's docstring bound, plus the long-double reference's own
+    # rounding in the same terms
+    b, ts = case
+    n, mass = len(b.values), math.fsum(np.abs(b.values))
+    u = ts - b.origin
+    F = b.omega / math.pi * abs(b.gain) * np.exp(b.rate * u)
+    terms = n * (np.abs(b.omega * u) + 4.0) + np.abs(b.rate * u) + 4.0
+    bound = F * ((2.0 ** -52 + 2.0 * _U_WIDE) * terms * mass + n * 2.0 ** -1022)
+    assert np.all(np.abs(b.eval(ts) - _longdouble_eval(b, ts)) <= bound)
 
 
 def _assert_close(got, want, rtol=1e-10):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from heatctrl.biorthogonal import MpBlock
+from heatctrl.biorthogonal import GridBlock, MpBlock
 from heatctrl.errors import ConfigurationError, IllConditionedError
 from heatctrl.heatsim import ObservationRegion, region_mass_matrix, simulate_interior_control
+from heatctrl.quadrature import gauss_legendre_panels
 from heatctrl import transmute
 from heatctrl.spectral import HeatState, build_interval_basis
 from heatctrl.transmute import (
@@ -273,6 +274,28 @@ def test_two_end_norm_is_exact():
     assert te.norm() == pytest.approx(math.sqrt(exact_sq), rel=1e-12)
 
 
+def test_sum_of_blocks_and_growing_block_norms_match_gauss_legendre():
+    # b- holds the DD family's block at rate 0.49 and the ND family's at rate
+    # 0, and g_even is the rate-0.49 block alone: neither norm is Parseval's,
+    # so both take the trapezoid over exact samples.  The reference is
+    # composite 24-point Gauss-Legendre on the same samples.
+    te = two_end_control(lambda x: np.exp(-((x - 0.4) / 0.2) ** 2), 0.4, 2.2,
+                         method="multiplier", n_modes=24, eps=0.125)
+    assert [round(b.rate, 2) for b in te.b_minus.blocks] == [0.49, 0.0]
+    assert [round(b.rate, 2) for b in te.g_even.blocks] == [0.49]
+    for sig in (te.b_minus, te.g_even):
+        assert all(isinstance(b, GridBlock) for b in sig.blocks)
+        fastest = max(b.omega * len(b.values) + abs(b.rate) for b in sig.blocks)
+        nodes, weights = gauss_legendre_panels(*sig.window, rate=2.0 * fastest, order=24)
+        want = math.sqrt(float(np.sum(weights * sig.eval(nodes) ** 2)))
+        assert sig.norm() == pytest.approx(want, rel=1e-12)
+
+
+def test_two_end_control_rejects_an_unknown_method():
+    with pytest.raises(ConfigurationError, match="'grma'"):
+        two_end_control(np.cos, 0.2, 1.0, method="grma", n_modes=8)
+
+
 # ---- fundamental controlled solution ---------------------------------------
 
 
@@ -374,6 +397,11 @@ def test_fundamental_rejects_bad_eps():
         fundamental_solution(0.5, math.pi / 2, eps=1.5)
     with pytest.raises(ConfigurationError):
         fundamental_solution(5.0, math.pi / 2)  # T beyond L^2
+
+
+def test_fundamental_rejects_an_unknown_method():
+    with pytest.raises(ConfigurationError, match="'grma'"):
+        fundamental_solution(0.5, math.pi / 2, n_modes=16, method="grma")
 
 
 def test_fundamental_refusal_names_its_window():
