@@ -29,11 +29,15 @@ Every signal is s(t) = Re sum_k c_k e^{z_k (t - origin)} on its exact
 window, held as blocks: :class:`GridBlock` (float coefficients on a uniform
 frequency grid) or :class:`MpBlock` (mpmath coefficients).  Flip, shift,
 sum and the canonical rescale are coefficient maps, and one closed-form
-integral against e^{w t} gives moments and Duhamel weights alike.
+integral against e^{w t} gives moments and Duhamel weights alike.  Norms
+are closed forms too: Parseval's sum for a grid block with rate 0, and
+otherwise the integrals of atom products e^{(z_j + z_k) t}, summed per pair
+of blocks of one class (:meth:`GridBlock.inner`, :meth:`MpBlock.inner`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -80,6 +84,7 @@ _GUARD = 16  # bits an integer atom integral and row sum keep past the mp precis
 _LIVE_TAIL = 2.0 ** -64
 _HORNER_BLOCK = 64  # atoms per inner block of GridBlock.eval
 _TINY = np.finfo(float).tiny
+_GRAM_EXTRA_DIGITS = 60  # digits the Gram solve carries past amplification and conditioning
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +144,6 @@ def _int_atom_integral(el, a, eh, b, z, w, length):
     return (-q if (num < 0) != bool(ss) else q), e - g - xs
 
 
-def _quadrature_norm(f, lo: float, hi: float) -> float:
-    """sqrt(int_lo^hi f(t)^2 dt) by the 8193-point trapezoid on the window."""
-    ts = np.linspace(lo, hi, 8193)
-    return math.sqrt(float(np.trapezoid(f(ts) ** 2, ts)))
-
-
 @dataclass(frozen=True)
 class GridBlock:
     """Float atoms on a uniform frequency grid (the multiplier family).
@@ -152,7 +151,9 @@ class GridBlock:
     s(t) = gain (omega/pi) e^{rate u} (Re V_0 / 2 + sum_{k>=1} Re V_k e^{-i k omega u})
     with u = t - origin: atoms z_k = rate - i k omega.  Exact on the window by
     the band-limit argument above; with rate = 0 the Parseval norm over one
-    period 2 pi / omega is the norm on any window holding the support.
+    period 2 pi / omega is the norm on any window holding the support.  With
+    a growing weight, and between two blocks on one omega, the L^2 inner
+    product is the closed-form pair rule of :meth:`inner`.
     """
 
     values: np.ndarray  # complex V_k
@@ -232,12 +233,40 @@ class GridBlock:
             out += (V @ ker.T).real
         return (b0.omega / math.pi) * b0.gain * out
 
+    def _scaled(self, lo: float):
+        """(F, a) with s(lo + u) = F e^{rate u} Re sum_k a_k e^{-i k omega u}."""
+        shift = lo - self.origin
+        a = self.values * np.exp(-1j * self.omega * shift * np.arange(len(self.values)))
+        a[0] *= 0.5  # the k = 0 atom carries Re V_0 / 2
+        return (self.omega / math.pi) * self.gain * math.exp(self.rate * shift), a
+
+    def inner(self, other, lo: float, hi: float) -> float:
+        """int_lo^hi s(t) o(t) dt for another grid block o on the same omega.
+
+        On u = t - lo the blocks are F e^{r u} Re A and G e^{q u} Re B, with A
+        and B polynomials in w = e^{-i omega u} (_scaled).  Re A Re B =
+        (Re AB + Re A conj(B)) / 2: the coefficients of AB are
+        np.convolve(a, b), those of A conj(B) are np.correlate(a, b) at the
+        powers j - k, and each power w^m integrates against e^{(r + q) u} in
+        closed form (_atom_integrals).
+        """
+        if not isinstance(other, GridBlock) or other.omega != self.omega:
+            raise ConfigurationError("a closed-form inner product needs grid blocks "
+                                     "on one frequency step")
+        (f, a), (g, b) = self._scaled(lo), other._scaled(lo)
+        length, n = hi - lo, len(b) - 1
+        s = self.rate + other.rate - 1j * self.omega * np.arange(-n, len(a) + n)
+        ker = _atom_integrals(np.ones(len(s)), np.exp(s * length), s, length)
+        total = (np.dot(np.correlate(a, b, "full"), ker[: len(a) + n])
+                 + np.dot(np.convolve(a, b), ker[n:]))
+        return 0.5 * f * g * float(total.real)
+
     def norm(self, lo: float, hi: float) -> float:
         if self.rate == 0.0:
             s = 0.5 * np.real(self.values[0]) ** 2 + np.sum(np.abs(self.values[1:]) ** 2)
             return math.sqrt(self.omega / math.pi * s) * abs(self.gain)
-        # a growing weight breaks Parseval: fine trapezoid on the window
-        return _quadrature_norm(self.eval, lo, hi)
+        # a growing weight breaks Parseval: the self pair on the window
+        return math.sqrt(max(self.inner(self, lo, hi), 0.0))
 
     def mapped(self, p: float, q: float, lam: float) -> "GridBlock":
         """Block of e^{lam t} s(p t + q); p < 0 conjugates onto the positive grid."""
@@ -337,17 +366,33 @@ class MpBlock:
                     out[r, i] = float(mp.mpf((total, top + ec)))
         return out
 
+    def _pair_sum(self, other, lo: float, hi: float):
+        """int_lo^hi s(t) o(t) dt as one mp.fsum of the N_s N_o atom-pair
+        integrals, at the working precision.  The self pair is a symmetric
+        form: each pair k > j once, doubled exactly by ldexp."""
+        lo_, hi_, e_lo, e_hi = self._ends(lo, hi)
+        _, _, f_lo, f_hi = other._ends(lo, hi)
+        mine = list(zip(self.coeffs, self.rates, e_lo, e_hi))
+        theirs = list(zip(other.coeffs, other.rates, f_lo, f_hi))
+        same = other is self
+        return mp.fsum(mp.ldexp(cj * ck * _mp_atom_integral(lj * lk, hj * hk, zj + zk,
+                                                            hi_ - lo_), same and k > j)
+                       for j, (cj, zj, lj, hj) in enumerate(mine)
+                       for k, (ck, zk, lk, hk) in enumerate(theirs[j:] if same else theirs,
+                                                            j if same else 0))
+
+    def inner(self, other, lo: float, hi: float) -> float:
+        """int_lo^hi s(t) o(t) dt for another mp block o, exact at the larger
+        of the two precisions."""
+        if not isinstance(other, MpBlock):
+            raise ConfigurationError("a closed-form inner product needs blocks of one class")
+        with mp.workdps(max(self.dps, other.dps)):
+            return float(self._pair_sum(other, lo, hi))
+
     def norm(self, lo: float, hi: float) -> float:
         with mp.workdps(self.dps):
-            lo_, hi_, e_lo, e_hi = self._ends(lo, hi)
-            atoms = list(zip(self.coeffs, self.rates, e_lo, e_hi))
-            # a symmetric form: each pair k > j once, doubled exactly by ldexp
-            total = mp.fsum(mp.ldexp(cj * ck * _mp_atom_integral(lj * lk, hj * hk, zj + zk,
-                                                                 hi_ - lo_), k > j)
-                            for j, (cj, zj, lj, hj) in enumerate(atoms)
-                            for k, (ck, zk, lk, hk) in enumerate(atoms[j:], j))
             # the quadratic form can round to a tiny negative for a zero signal
-            return float(mp.sqrt(max(total, mp.mpf(0))))
+            return float(mp.sqrt(max(self._pair_sum(self, lo, hi), mp.mpf(0))))
 
     def mapped(self, p: float, q: float, lam: float) -> "MpBlock":
         """Block of e^{lam t} s(p t + q)."""
@@ -437,10 +482,14 @@ class ControlSignal:
                              meta=dict(self.meta))
 
     def norm(self) -> float:
-        """L^2 norm on the window: one block's own norm, else by quadrature."""
-        if len(self.blocks) <= 1:
-            return self.blocks[0].norm(*self.window) if self.blocks else 0.0
-        return _quadrature_norm(self.eval, *self.window)
+        """L^2 norm on the window, from its blocks' norms and the inner
+        product of each pair of blocks (:meth:`GridBlock.inner`,
+        :meth:`MpBlock.inner`).  sqrt(x * x) is x in binary floating point,
+        so one block's norm is its own norm bit for bit."""
+        w = self.window
+        sq = (sum(b.norm(*w) ** 2 for b in self.blocks)
+              + 2.0 * sum(a.inner(b, *w) for a, b in itertools.combinations(self.blocks, 2)))
+        return math.sqrt(max(sq, 0.0))
 
     def to_csv(self, path):
         """(t, value) rows at the 4096 points of :meth:`sample`."""
@@ -617,10 +666,10 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
 # gram oracle family
 
 
-def _gram_dps(lambdas, T: float, extra: int = 60) -> int:
+def _gram_dps(lambdas, T: float) -> int:
     amp_digits = (lambdas[-1] - lambdas[0]) * T / 2.0 / math.log(10.0)
     cond_digits = 3.0 * len(lambdas)  # generous for lambda ~ n^2 Cauchy kernels
-    return int(extra + amp_digits + cond_digits)
+    return int(_GRAM_EXTRA_DIGITS + amp_digits + cond_digits)
 
 
 def _spd_inverse(A):
@@ -703,24 +752,33 @@ def _exact_dot(u, v):
     return mp.mpf((sum(map(int.__mul__, u[0], v[0])), u[1] + v[1]))
 
 
+def _residual_bound(n: int, cond):
+    """(b, bound) for _gram_residual on N = n rows, at the current precision.
+
+    Truncation and the rounding of entries and sums change the column
+    1-norm by at most bound = 5 N^2 cond 2^-b.  b keeps bound at or below
+    10^-(dps//2 + 20), twenty digits under the gate, and is capped at the
+    working precision, where the bound alone can exceed the gate.
+    """
+    bits = min(mp.mp.prec, math.ceil((mp.mp.dps // 2 + 20) * math.log2(10)
+                                  + float(mp.log(5 * n * n * cond, 2))))
+    return bits, mp.ldexp(5 * n * n * cond, -bits)
+
+
 def _gram_residual(R, G0, cond):
     """(||R G0 - I||_1, bound) for a symmetric G0, at the current precision.
 
     Rows of R and of G0 (its columns) go to b-bit fixed point, so each entry
-    of R G0 is one exact integer dot product.  Truncation and the rounding of
-    entries and sums change the column 1-norm by at most bound =
-    5 N^2 cond 2^-b.  b keeps bound at or below 10^-(dps//2 + 20), twenty
-    digits under the gate, and is capped at the working precision.
+    of R G0 is one exact integer dot product; b and the bound are
+    _residual_bound's.
     """
-    n = len(R)
-    bits = min(mp.mp.prec, math.ceil((mp.mp.dps // 2 + 20) * math.log2(10)
-                                  + float(mp.log(5 * n * n * cond, 2))))
+    bits, bound = _residual_bound(len(R), cond)
     rows = [_fixed_point(r, bits) for r in R]
     cols = [_fixed_point(g, bits) for g in G0]
     resid = max(mp.fsum((_exact_dot(ri, gk) - int(i == k) for i, ri in enumerate(rows)),
                         absolute=True)
                 for k, gk in enumerate(cols))
-    return resid, mp.ldexp(5 * n * n * cond, -bits)
+    return resid, bound
 
 
 def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
@@ -741,6 +799,9 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
     within its bound (10^-(dps//2 + 20) or less); the inverse is accepted when
     residual plus bound is at most the gate 10^-(dps//2).  Its truncation
     dominates, so it reads a few digits under the bound, not the true residual.
+    A bound above the gate (its bits capped at the working precision) fails
+    whatever the residual, so that solve goes to the retry without the
+    N^3 residual kernel.
     """
     lams = np.asarray(lambdas, dtype=float)[:count]
     if len(lams) < count:
@@ -773,13 +834,18 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
                 raise IllConditionedError(
                     f"Gram matrix condition {mp.nstr(cond, 3)} above threshold",
                     cond=float(cond))
+            gate = mp.mpf(10) ** (-(dps // 2))
+            bound = _residual_bound(count, cond)[1]
+            if bound > gate:  # fails whatever the residual: skip the N^3 kernel
+                failure = f"bound {mp.nstr(bound, 3)} above the gate"
+                continue
             resid, bound = _gram_residual(R, G0, cond)
-            if resid + bound <= mp.mpf(10) ** (-(dps // 2)):
+            if resid + bound <= gate:
                 break
+            failure = f"{mp.nstr(resid, 3)} too large"
     else:
-        raise IllConditionedError(
-            f"Gram inverse residual {mp.nstr(resid, 3)} too large at dps={dps}",
-            cond=float(cond))
+        raise IllConditionedError(f"Gram inverse residual {failure} at dps={dps}",
+                                  cond=float(cond))
 
     with mp.workdps(dps):
         signals, norms = [], []

@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 _FLOAT_BUDGET = 700.0
+_BASKET_MODES = 10  # the basket's unit states e_1..e_10, and the random states' modes
+_BASKET_RANDOM = 5  # seeded random states in the basket
+_FAMILY_FLOOR = 12  # fewest family members a sweep row builds
 _CSV_HEADER = "T,L,cost_log,alpha_eff,n_modes,terminal_residual,status\n"
 
 
@@ -200,25 +203,25 @@ def lower_bound_reports(config: "ExperimentConfig", basis: SpectralBasis,
             for T in sorted(config.T_grid, reverse=True)]
 
 
-def _basket(basis: SpectralBasis, seed: int, n_unit: int = 10, n_random: int = 5):
-    """Unit modes e_1..e_10 plus seeded random 10-mode states."""
+def _basket(basis: SpectralBasis, seed: int):
+    """Unit modes e_1..e_10 plus 5 seeded random 10-mode states."""
     rng = default_rng(seed)
     states = []
-    for j in range(n_unit):
-        c = np.zeros(n_unit)
+    for j in range(_BASKET_MODES):
+        c = np.zeros(_BASKET_MODES)
         c[j] = 1.0
         states.append(HeatState(c, basis.basis_id))
-    for _ in range(n_random):
-        c = rng.standard_normal(n_unit)
+    for _ in range(_BASKET_RANDOM):
+        c = rng.standard_normal(_BASKET_MODES)
         c /= np.linalg.norm(c)
         states.append(HeatState(c, basis.basis_id))
     return states
 
 
-def _family_count_for(T: float, basis: SpectralBasis, floor: int = 12,
-                      cap: Optional[int] = None) -> int:
-    """Modes whose weight e^{-lambda T/2} stays above the series tail cut."""
-    n = floor
+def _family_count_for(T: float, basis: SpectralBasis, cap: Optional[int] = None) -> int:
+    """Modes whose weight e^{-lambda T/2} stays above the series tail cut,
+    and at least _FAMILY_FLOOR."""
+    n = _FAMILY_FLOOR
     while n < basis.n_modes and basis.lambdas[n - 1] * T / 2.0 < 40.0:
         n += 1
     return min(n, cap or basis.n_modes)

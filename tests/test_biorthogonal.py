@@ -657,6 +657,78 @@ def test_grid_block_parseval_norm_matches_trapezoid(b, lo):
     assert b.norm(lo, hi) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+@st.composite
+def grid_block_pairs(draw):
+    """(a, b, lo, hi): two grid blocks on one omega, 1 to 500 atoms each, of
+    random phase and sizes falling geometrically, rates 0 or drawn, random
+    gains and origins, and a window; the bandwidth n omega stays under 400,
+    which keeps the long-double reference to a few thousand nodes."""
+    n_a, n_b = draw(st.integers(1, 500)), draw(st.integers(1, 500))
+    omega = draw(_reals(0.01, min(20.0, 400.0 / max(n_a, n_b))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def block(n):
+        mags = np.exp(-draw(_reals(0, 30)) * np.arange(n) / n)
+        return GridBlock(values=mags * np.exp(2j * np.pi * rng.random(n)), omega=omega,
+                         gain=draw(st.one_of(_reals(-2, -0.5), _reals(0.5, 2))),
+                         rate=draw(st.one_of(st.just(0.0), _reals(-3, 3))),
+                         origin=draw(_reals(-1, 1)))
+
+    a, b = block(n_a), block(n_b)
+    lo = draw(_reals(-2, 1))
+    return a, b, lo, lo + draw(_reals(0.1, 2.0))
+
+
+def _pair_scale(a, b, lo, hi):
+    """int |a||b| dt with every atom at full size: the scale of the pair rule's
+    rounding."""
+    fa, fb = (x.omega / math.pi * abs(x.gain) * math.exp(x.rate * (lo - x.origin))
+              * math.fsum(np.abs(x.values)) for x in (a, b))
+    r = a.rate + b.rate
+    return fa * fb * (hi - lo) * (math.expm1(r * (hi - lo)) / (r * (hi - lo)) if r else 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid_block_pairs())
+def test_grid_pair_rule_matches_gauss_legendre(case):
+    # the reference is composite 24-point Gauss-Legendre on long-double
+    # samples; the pair rule rounds like a sum of (n_a + n_b)^2 terms with
+    # angles up to (n_a + n_b) omega (|lo - origin| + length)
+    a, b, lo, hi = case
+    fastest = a.omega * (len(a.values) + len(b.values)) + abs(a.rate) + abs(b.rate)
+    nodes, weights = gauss_legendre_panels(lo, hi, rate=fastest, order=24,
+                                           max_nodes=10 ** 7)
+    want = math.fsum(weights * _longdouble_eval(a, nodes) * _longdouble_eval(b, nodes))
+    n = len(a.values) + len(b.values)
+    angle = a.omega * (abs(lo - a.origin) + abs(lo - b.origin) + hi - lo)
+    bound = 2.0 ** -52 * n * (n * angle + 8.0) * _pair_scale(a, b, lo, hi)
+    assert abs(a.inner(b, lo, hi) - want) <= bound
+    assert b.inner(a, lo, hi) == pytest.approx(a.inner(b, lo, hi), rel=1e-12, abs=bound)
+    # with rate 0, the self pair over one period is Parseval's norm
+    flat = replace(a, rate=0.0)
+    period = lo + 2.0 * math.pi / a.omega
+    assert math.sqrt(flat.inner(flat, lo, period)) == pytest.approx(flat.norm(lo, period),
+                                                                    rel=1e-13)
+
+
+def test_pairs_of_blocks_of_two_classes_or_two_grids_are_refused():
+    grid = GridBlock(values=np.array([1.0 + 0.5j, 0.25j]), omega=2.0)
+    mpb = MpBlock(coeffs=(mp.mpf(1),), rates=(mp.mpf(-1),), origin=0.0, dps=30)
+    for pair in ([grid, mpb], [mpb, grid], [grid, replace(grid, omega=3.0)]):
+        with pytest.raises(ConfigurationError, match="inner product"):
+            ControlSignal(window=(0.0, 1.0), blocks=pair).norm()
+
+
+@settings(max_examples=30, deadline=None)
+@given(mp_blocks(), mp_blocks(), _reals(-1, 0), _reals(0.1, 2.0))
+def test_mp_pair_matches_quadrature(a, b, lo, length):
+    hi = lo + length
+    nodes, weights = gauss_legendre_panels(lo, hi, rate=6.0, order=24)
+    want = float(np.sum(weights * a.eval(nodes) * b.eval(nodes)))
+    assert a.inner(b, lo, hi) == pytest.approx(want, rel=1e-10, abs=1e-14)
+    assert a.inner(a, lo, hi) == pytest.approx(a.norm(lo, hi) ** 2, rel=1e-14, abs=1e-300)
+
+
 @settings(max_examples=40, deadline=None)
 @given(mp_blocks(), _reals(-1, 0), _reals(0.1, 2.0))
 def test_mp_block_norm_matches_quadrature(b, lo, length):
@@ -852,8 +924,8 @@ def test_gram_condition_threshold_raises(basis64, gram12):
 
 
 def test_gram_short_window_solves_again_at_twice_the_digits(gram12):
-    # 12 rates 0.5 + 0.3k at T = 0.1: the digit rule's 96 digits leave a
-    # residual of 2.7e-46 against the gate 1e-48; 192 digits pass
+    # 12 rates 0.5 + 0.3k at T = 0.1: at the digit rule's 96 digits the
+    # residual bound alone is 3.8e-41 against the gate 1e-48; 192 digits pass
     lams = 0.5 + 0.3 * np.arange(12)
     first = biorthogonal._gram_dps(lams, 0.1)
     fam = gram_minimal_family(lams, 12, 0.1)
@@ -865,6 +937,30 @@ def test_gram_short_window_solves_again_at_twice_the_digits(gram12):
     # families that pass the gate at the rule's digits keep them
     for T, fam in gram12.items():
         assert fam.meta["dps"] == biorthogonal._gram_dps(fam.lambdas, T)
+
+
+def test_gram_residual_kernel_skipped_when_its_bound_fails(monkeypatch):
+    # the same short window: at 96 digits the bound alone, 3.8e-41, is above
+    # the gate 1e-48, so only the 192-digit solve runs the residual kernel
+    kernel = biorthogonal._gram_residual
+    runs = []
+    monkeypatch.setattr(biorthogonal, "_gram_residual",
+                        lambda R, G0, cond: runs.append(mp.mp.dps) or kernel(R, G0, cond))
+    lams = 0.5 + 0.3 * np.arange(12)
+    fam = gram_minimal_family(lams, 12, 0.1)
+    assert runs == [fam.meta["dps"]] == [2 * biorthogonal._gram_dps(lams, 0.1)]
+
+
+def test_gram_failure_on_the_bound_alone_names_it(monkeypatch, basis64):
+    # a bound of 1 fails every precision before the kernel runs, and the
+    # error names it
+    monkeypatch.setattr(biorthogonal, "_residual_bound", lambda n, cond: (0, mp.mpf(1)))
+    monkeypatch.setattr(biorthogonal, "_gram_residual", None)
+    lams = basis64.lambdas[:4]
+    last = 2 * biorthogonal._gram_dps(lams, 1.0)
+    with pytest.raises(IllConditionedError,
+                       match=f"residual bound 1.0 above the gate at dps={last}$"):
+        gram_minimal_family(lams, 4, 1.0)
 
 
 def test_gram_residual_gate_solves_again_once(monkeypatch, basis64):

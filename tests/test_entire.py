@@ -30,6 +30,7 @@ from heatctrl.entire import (
     _log_f_nodes,
     _log_M_imag,
     _log_sinc_tail_powers,
+    _log_sinh_ratio,
     _loggamma,
     _model_tail,
     _tail_start,
@@ -491,11 +492,23 @@ def _log_M_imag_reference(spec, y):
 
 
 def _log_sinh_ratio_error(t):
-    """Rounding scale of ln(sinh t / t) as t - ln 2 + log1p(-e^{-2t}) - ln t:
-    the terms' sizes, and the exponential's rounding over 1 - e^{-2t}."""
-    if t < 1e-4:
+    """Rounding scale of ln(sinh t / t): the series' size below 1/2, and
+    above it, as t - ln 2 + log1p(-e^{-2t}) - ln t, the terms' sizes and the
+    exponential's rounding over 1 - e^{-2t}."""
+    if t < 0.5:
         return t * t
     return t + 1.0 + abs(math.log(t)) + 1.0 / math.expm1(min(2.0 * t, 700.0))
+
+
+def test_log_sinh_ratio_matches_mpmath():
+    # log-spaced from 1e-8 to 10, both sides of the former 1e-4 cut and of
+    # the series' 1/2
+    ts = np.concatenate([np.geomspace(1e-8, 10.0, 801),
+                         [1e-4, 1.0001e-4, np.nextafter(1e-4, 0.0),
+                          np.nextafter(0.5, 0.0), 0.5]])
+    with mp.workdps(40):
+        want = np.array([float(mp.log(mp.sinh(mp.mpf(t)) / t)) for t in ts])
+    assert np.max(np.abs(_log_sinh_ratio(ts) - want) / want) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)

@@ -274,6 +274,18 @@ def test_two_end_norm_is_exact():
     assert te.norm() == pytest.approx(math.sqrt(exact_sq), rel=1e-12)
 
 
+@pytest.mark.parametrize("T", [0.16, 0.4])
+def test_gram_end_norms_satisfy_the_parallelogram_identity(T):
+    # b-/+ = g -/+ f hold the mp blocks of both one-end families, and their
+    # norms take the cross pair exactly, as TwoEndControl.norm takes f and g:
+    # ||b-||^2 + ||b+||^2 = 2 (||f||^2 + ||g||^2) to rounding
+    te = two_end_control(lambda x: np.exp(-((np.asarray(x) - 0.4) / 0.2) ** 2), T, 2.2,
+                         method="gram", n_modes=32)
+    assert [len(b.blocks) for b in (te.b_minus, te.b_plus)] == [2, 2]
+    assert te.b_minus.norm() ** 2 + te.b_plus.norm() ** 2 == pytest.approx(te.norm() ** 2,
+                                                                           rel=1e-12)
+
+
 def test_sum_of_blocks_and_growing_block_norms_match_gauss_legendre():
     # b- holds the DD family's block at rate 0.49 and the ND family's at rate
     # 0, and g_even is the rate-0.49 block alone: neither norm is Parseval's,
