@@ -41,7 +41,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -85,6 +85,7 @@ _LIVE_TAIL = 2.0 ** -64
 _HORNER_BLOCK = 64  # atoms per inner block of GridBlock.eval
 _TINY = np.finfo(float).tiny
 _GRAM_EXTRA_DIGITS = 60  # digits the Gram solve carries past amplification and conditioning
+_TAIL_RTOL = 1e-12  # tail bound, relative to the cost, of modes past a family
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +305,11 @@ class MpBlock:
     def eval(self, ts) -> np.ndarray:
         """Pointwise values; a float path is used when the coefficients fit.
 
-        Float evaluation costs ~cond(Gram) * eps of relative noise, fine for
-        sampling and norms; exact quantities (moments, Duhamel weights) stay
-        in mp regardless.
+        Float evaluation cancels near the window's end, where the atoms
+        peak: on the Gram-route fundamental solution at T = 0.2 (64 modes)
+        the float samples of b_- miss the exact ones by up to 0.44 max|b_-|.
+        Norms, moments and Duhamel weights never read these samples; they
+        stay exact in mp.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         u = ts - self.origin
@@ -557,27 +560,12 @@ class BiorthogonalFamily:
     signals: list
     kind: str  # "multiplier" | "gram"
     norms: np.ndarray
-    evaluators: list = field(default_factory=list)  # multiplier kind
+    evaluator: Optional[GnEvaluator] = None  # multiplier kind
     meta: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
         return len(self.signals)
-
-    def moment(self, n: int, k: int) -> float:
-        """int s_n(t) e^{-lambda_k t} dt through the stable representation.
-
-        For the gram kind this is exact mp arithmetic.  For the multiplier
-        kind it equals G_n(i lambda_k) by the Paley-Wiener identity (the
-        signal normalization absorbs the transform constants), read from
-        the evaluator's node data, whose zeros are exact; the raw time
-        integral amplifies signal error by e^{lambda_k T / 2} and stops being
-        computable in floats once lambda_k T is large.
-        """
-        if self.kind == "gram":
-            return float(self.signals[n - 1].integral([-float(self.lambdas[k - 1])])[0])
-        logmag, sign = self.evaluators[n - 1].log_G(k)
-        return 0.0 if logmag == -math.inf else sign * math.exp(logmag)
 
     def manifest(self) -> dict:
         return {
@@ -637,26 +625,26 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
         raise ConfigurationError("count outside stored mode range")
     if basis.lambdas[0] <= 0:
         raise ConfigurationError("family needs a reduced basis with lambda_1 > 0")
-    evs = GnEvaluator.build(basis, count, T=T, eps=eps, tol=tol)
+    ev = GnEvaluator.build(basis, count, T=T, eps=eps, tol=tol)
     spec, X_max, tau_type, h, n_freq = _family_grid(T, eps, tol)
     xs = h * np.arange(n_freq)
 
     lm_f, ph_f = _log_f_all_imag_array(basis, xs, tol=tol)
     lm_m, ph_m = _log_M_polar(spec, xs) if log_M is None else log_M
-    n_live = max(_live_prefix(ev.log_abs_G_from_grids(xs, lm_f, lm_m)) for ev in evs)
+    n_live = max(_live_prefix(ev.log_abs_G_from_grids(n, xs, lm_f, lm_m))
+                 for n in range(1, count + 1))
     xs, grids = xs[:n_live], tuple(g[:n_live] for g in (lm_f, ph_f, lm_m, ph_m))
     signals, norms = [], []
-    for ev in evs:
-        lm, ph = ev.log_G_from_grids(xs, *grids)
-        sig = _signal_from_log(h, lm, ph, T,
-                               {"X_max": X_max, "tail_tol": tol, "n": ev.n},
-                               label=f"mode {ev.n}: ")
+    for n in range(1, count + 1):
+        lm, ph = ev.log_G_from_grids(n, xs, *grids)
+        sig = _signal_from_log(h, lm, ph, T, {"X_max": X_max, "tail_tol": tol, "n": n},
+                               label=f"mode {n}: ")
         signals.append(sig)
         norms.append(sig.meta["freq_norm"])
 
     return BiorthogonalFamily(
         lambdas=basis.lambdas[:count].copy(), T=T, signals=signals,
-        kind="multiplier", norms=np.asarray(norms), evaluators=evs,
+        kind="multiplier", norms=np.asarray(norms), evaluator=ev,
         meta={"eps": eps, "tol": tol, "h": h, "n_freq": n_freq, "n_live": n_live,
               "X_max": X_max, "tau_type": tau_type},
     )
@@ -876,7 +864,8 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
     Time-side entries are the closed-form atom integral of the stored
     signal, taken for all rows in one batch over the union of the rows'
     time-side columns.  method "analytic" uses each family's stable
-    representation; "auto" takes the time side exactly where it still
+    representation (for a multiplier family G_n(i lambda_k), read from its
+    evaluator's node data); "auto" takes the time side exactly where it still
     certifies the entry, i.e. while
 
         e^{lambda_k T / 2} * ||g_n|| * max(tol, 1e-8)  <=  1e-4,
@@ -891,36 +880,33 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
         raise ConfigurationError(f"method {method!r} is not 'auto' or 'analytic'")
     if k_max > family.count or k_max > len(family.lambdas):
         raise ConfigurationError("k_max exceeds family size")
-    tol = float(family.meta.get("tol", 1e-9))
     lams = np.asarray(family.lambdas[:k_max], dtype=float)
-    time_side = np.zeros((k_max, k_max), dtype=bool)
-    for n in range(1, k_max + 1):
-        for k in range(1, k_max + 1):
-            log_amp = float(lams[k - 1]) * family.T / 2.0
-            certifiable = (family.kind == "multiplier"
-                           and log_amp + math.log(max(family.norms[n - 1], 1e-300))
-                           + math.log(max(tol, 1e-8)) <= math.log(1e-4))
-            forced = method == "auto" and certifiable
-            if forced and log_amp > _LOG_BUDGET:
-                raise TruncationError("moment weight exceeds the float budget",
-                                      achieved=log_amp)
-            time_side[n - 1, k - 1] = forced or family.kind == "gram"
+    if family.kind == "gram":
+        return ControlSignal.integrals(family.signals[:k_max], -lams)
+    tol = float(family.meta.get("tol", 1e-9))
+    log_amp = lams * family.T / 2.0
+    log_norms = np.array([math.log(max(v, 1e-300)) for v in family.norms[:k_max]])
+    time_side = (method == "auto") & (log_amp[None, :] + log_norms[:, None]
+                                      + math.log(max(tol, 1e-8)) <= math.log(1e-4))
+    over = log_amp[time_side.any(axis=0) & (log_amp > _LOG_BUDGET)]
+    if len(over):
+        raise TruncationError("moment weight exceeds the float budget", achieved=float(over[0]))
     cols = np.flatnonzero(time_side.any(axis=0))
     B = np.empty((k_max, k_max))
     if len(cols):
         B[:, cols] = ControlSignal.integrals(family.signals[:k_max], -lams[cols])
     for n, k in zip(*np.nonzero(~time_side)):
-        B[n, k] = family.moment(n + 1, k + 1)
+        logmag, sign = family.evaluator.log_G(n + 1, k + 1)
+        B[n, k] = 0.0 if logmag == -math.inf else sign * math.exp(logmag)
     return B
 
 
 def assemble_control(basis: SpectralBasis, u0: HeatState,
-                     family: BiorthogonalFamily, T: float,
-                     tail_rtol: float = 1e-12) -> ControlSignal:
+                     family: BiorthogonalFamily, T: float) -> ControlSignal:
     """Null-control for initial data u0 as a weighted sum of family signals.
 
     g(t) = - sum_n (c_n / gamma_n) e^{-lambda_n T/2} s_n(-t) on [-T/2, T/2].
-    Terms stop once the remaining tail bound drops below tail_rtol times the
+    Terms stop once the remaining tail bound drops below _TAIL_RTOL times the
     accumulated cost; live coefficients past the family raise TruncationError.
     """
     if abs(family.T - T) > 1e-12:
@@ -937,7 +923,7 @@ def assemble_control(basis: SpectralBasis, u0: HeatState,
         if n > family.count:
             bound = abs(c) / abs(basis.traces[n - 1]) * math.exp(
                 -basis.lambdas[n - 1] * T / 2.0)
-            if bound**2 > (tail_rtol**2) * max(cost_sq, 1e-300):
+            if bound**2 > (_TAIL_RTOL**2) * max(cost_sq, 1e-300):
                 raise TruncationError(
                     f"mode {n} carries weight beyond the family "
                     f"(tail bound {bound:.2e})", achieved=bound)

@@ -677,22 +677,17 @@ def _log_f_all_imag_array(basis: SpectralBasis, xs: np.ndarray, tol: float = 1e-
 
 @dataclass(frozen=True)
 class GnEvaluator:
-    """Evaluator of G_n = F_n M_n with its two normalizers, ln|f_n(lambda_n)|
-    (f_n(lambda_n) has the phase phase_fn_lam, 0 or pi) and ln M(i lambda_n).
+    """Evaluator of G_n = F_n M_n for every member n of one family, with the
+    two normalizers of G_n read from the diagonals of the node data:
+    ln|f_n(lambda_n)| with its sign, and ln M(i lambda_n).
 
     The family build reads log_G_from_grids; the moments read log_G at the
-    nodes i lambda_k, from the row of node data: ln|f_n(lambda_k)|, its sign and the family's shared
-    ln M(i lambda_k), for k up to the family's count.
+    nodes i lambda_k, from row n of the node table (ln|f_n(lambda_k)| and its
+    sign) and the shared ln M(i lambda_k), for n, k up to the family's count.
     """
 
     basis: SpectralBasis
-    n: int
-    eps: float
-    tau: float
     spec: MultiplierSpec
-    log_fn_lam: float
-    phase_fn_lam: float
-    log_M_ilam: float
     tol: float
     log_f_nodes: np.ndarray = field(repr=False, compare=False)
     sign_f_nodes: np.ndarray = field(repr=False, compare=False)
@@ -700,56 +695,53 @@ class GnEvaluator:
 
     @staticmethod
     def build(basis: SpectralBasis, count: int, T: float, eps: float = 0.05,
-              tol: float = 1e-10) -> list:
-        """The evaluators of G_1, ..., G_count for window length T (type
+              tol: float = 1e-10) -> "GnEvaluator":
+        """The evaluator of G_1, ..., G_count for window length T (type
         budget tau = T/2), from one node table and one ln M(i lambda_k) array."""
         spec = family_multiplier(T, eps)
         log_f, sign_f, _ = _log_f_nodes(basis, count, tol)
-        log_M_nodes = _log_M_imag(spec, basis.lambdas[:count])
-        return [GnEvaluator(basis=basis, n=n, eps=eps, tau=spec.tau, spec=spec,
-                            log_fn_lam=float(log_f[n - 1, n - 1]),
-                            phase_fn_lam=math.pi if sign_f[n - 1, n - 1] < 0 else 0.0,
-                            log_M_ilam=float(log_M_nodes[n - 1]), tol=tol,
-                            log_f_nodes=log_f[n - 1], sign_f_nodes=sign_f[n - 1],
-                            log_M_nodes=log_M_nodes)
-                for n in range(1, count + 1)]
+        return GnEvaluator(basis=basis, spec=spec, tol=tol, log_f_nodes=log_f,
+                           sign_f_nodes=sign_f,
+                           log_M_nodes=_log_M_imag(spec, basis.lambdas[:count]))
 
     # -- evaluation -----------------------------------------------------
 
-    def log_G_array(self, xs: np.ndarray):
+    def log_G_array(self, n: int, xs: np.ndarray):
         """(logmag, phase) of G_n on a real grid."""
         xs = np.asarray(xs, dtype=float)
         ax = np.abs(xs)
         lm, ph = self.log_G_from_grids(
-            ax, *_log_f_all_imag_array(self.basis, ax, tol=self.tol),
+            n, ax, *_log_f_all_imag_array(self.basis, ax, tol=self.tol),
             *_log_M_polar(self.spec, ax))
         # G_n(-x) = conj(G_n(x)) on the real axis
         return lm, wrap_phase_array(np.where(xs < 0, -ph, ph))
 
-    def log_G_from_grids(self, xs, lm_f, ph_f, lm_m, ph_m):
+    def log_G_from_grids(self, n: int, xs, lm_f, ph_f, lm_m, ph_m):
         """(logmag, phase) of G_n at xs >= 0 from the mode-independent grids.
 
         (lm_f, ph_f) is the full product of _log_f_all_imag_array and
         (lm_m, ph_m) the multiplier of _log_M_polar on the same xs; mode n's
         own factor and the two normalizers are divided out here.
         """
-        r = xs / float(self.basis.lambdas[self.n - 1])
-        ph = ph_f - np.arctan(r) + ph_m - self.phase_fn_lam
-        return self.log_abs_G_from_grids(xs, lm_f, lm_m), ph
+        r = xs / float(self.basis.lambdas[n - 1])
+        phase_fn = math.pi if self.sign_f_nodes[n - 1, n - 1] < 0 else 0.0
+        ph = ph_f - np.arctan(r) + ph_m - phase_fn
+        return self.log_abs_G_from_grids(n, xs, lm_f, lm_m), ph
 
-    def log_abs_G_from_grids(self, xs, lm_f, lm_m):
+    def log_abs_G_from_grids(self, n: int, xs, lm_f, lm_m):
         """The logmag half of log_G_from_grids."""
-        r = xs / float(self.basis.lambdas[self.n - 1])
-        return lm_f - 0.5 * np.log1p(r * r) + lm_m - self.log_M_ilam - self.log_fn_lam
+        r = xs / float(self.basis.lambdas[n - 1])
+        return (lm_f - 0.5 * np.log1p(r * r) + lm_m - self.log_M_nodes[n - 1]
+                - self.log_f_nodes[n - 1, n - 1])
 
-    def log_G(self, k: int):
+    def log_G(self, n: int, k: int):
         """(ln|G_n(i lambda_k)|, sign) at node k of the family: G_n(i lambda_k)
         = f_n(lambda_k) M(i lambda_k) / (f_n(lambda_n) M(i lambda_n)), which
         is exactly (0.0, 1.0) at k = n and has ln|G| = -inf at the other nodes."""
-        logmag = ((self.log_f_nodes[k - 1] - self.log_fn_lam)
-                  + (self.log_M_nodes[k - 1] - self.log_M_ilam))
-        return float(logmag), float(self.sign_f_nodes[k - 1] * self.sign_f_nodes[self.n - 1])
-
+        log_f, sign_f = self.log_f_nodes[n - 1], self.sign_f_nodes[n - 1]
+        logmag = ((log_f[k - 1] - log_f[n - 1])
+                  + (self.log_M_nodes[k - 1] - self.log_M_nodes[n - 1]))
+        return float(logmag), float(sign_f[k - 1] * sign_f[n - 1])
 
 
 def family_multiplier(T: float, eps: float) -> MultiplierSpec:

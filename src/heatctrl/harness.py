@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import default_rng  # numpy 2 loads numpy.random on first use
 
-from .biorthogonal import assemble_control, build_multiplier_family
+from .biorthogonal import assemble_control, biorthogonality_matrix, build_multiplier_family
 from .entire import ALPHA_2
 from .errors import ConfigurationError, HeatCtrlError
 from .heatsim import (
@@ -88,7 +88,6 @@ class ExperimentConfig:
     tol: float = 1e-9
     seed: int = 0
     eps_smoothing: Optional[float] = None
-    out_dir: str = "."
 
     @staticmethod
     def from_json(doc) -> "ExperimentConfig":
@@ -115,8 +114,6 @@ class ExperimentConfig:
             raise ConfigurationError("'region' must be two finite numbers a < b")
         if not (_numbers(T_grid) and T_grid):
             raise ConfigurationError("'T_grid' must be a nonempty list of finite numbers")
-        if not isinstance(doc.get("out_dir", "."), str):
-            raise ConfigurationError("'out_dir' must be a string")
         cfg = ExperimentConfig(
             problem=problem,
             region=tuple(region) if region is not None else None,
@@ -127,7 +124,6 @@ class ExperimentConfig:
             tol=_positive(doc, "tol", 1e-9),
             seed=_integer(doc, "seed", 0, least=0),
             eps_smoothing=_positive(doc, "eps_smoothing", None, optional=True),
-            out_dir=doc.get("out_dir", "."),
         )
         cfg.validate()
         return cfg
@@ -229,19 +225,16 @@ def _family_count_for(T: float, basis: SpectralBasis, cap: Optional[int] = None)
 
 def _structural_certificate(family, k_max: int) -> bool:
     """Exact zero placement of the family's frequency data at the moments."""
-    try:
-        for n in range(1, min(k_max, family.count) + 1):
-            for k in range(1, min(k_max, family.count) + 1):
-                m = family.moment(n, k)
-                if abs(m - (1.0 if n == k else 0.0)) > 1e-9:
-                    return False
-        return True
-    except HeatCtrlError:
-        return False
+    B = biorthogonality_matrix(family, k_max, "analytic")
+    return not np.any(np.abs(B - np.eye(k_max)) > 1e-9)
 
 
 def cost_sweep(config: ExperimentConfig):
-    """List of CostReport rows over the config's T grid, plus the slope fit."""
+    """List of CostReport rows over the config's T grid, plus the slope fit;
+    a config with fewer modes or members than the basket's is refused."""
+    if min(config.modes, config.family_count or config.modes) < _BASKET_MODES:
+        raise ConfigurationError(f"'modes' and 'family_count' must be at least "
+                                 f"{_BASKET_MODES}, the modes of the cost basket")
     basis = config.build_basis()
     rows = []
     for T in sorted(config.T_grid):
@@ -261,7 +254,6 @@ def _sweep_row(config: ExperimentConfig, basis: SpectralBasis, T: float) -> Cost
     reduced, sched = reduce_to_canonical(basis, T)
     Tc = sched.T_canonical
     count = _family_count_for(Tc, reduced, cap=config.family_count)
-    count = max(count, 10)  # the basket always carries the first ten modes
     family = build_multiplier_family(reduced, Tc, count,
                                      eps=config.multiplier_eps, tol=config.tol)
     basket = _basket(reduced, config.seed)

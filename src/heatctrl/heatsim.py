@@ -45,6 +45,8 @@ __all__ = [
     "region_mass_matrix",
 ]
 
+_REGION_OVERSAMPLE = 4  # oversampling factor of the region quadrature grid
+
 
 @dataclass(frozen=True)
 class ObservationRegion:
@@ -166,22 +168,22 @@ def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
 
 
 def region_mass_matrix(basis: SpectralBasis, region: ObservationRegion,
-                       n_modes: int, oversample: int = 4) -> np.ndarray:
+                       n_modes: int) -> np.ndarray:
     """M[j, k] = int_region e_j e_k dx by oversampled trapezoid.
 
-    Grid resolution follows the shortest retained wavelength times the
-    oversampling factor.
+    Grid resolution follows the shortest retained wavelength times
+    _REGION_OVERSAMPLE.
     """
     region.clipped(basis.X)
-    E, wE = _region_quadrature(basis, region, n_modes, oversample)[1:]
+    E, wE = _region_quadrature(basis, region, n_modes)[1:]
     return wE @ E.T
 
 
-def _region_quadrature(basis, region, n_modes: int, oversample: int = 4):
+def _region_quadrature(basis, region, n_modes: int):
     """(xs, E, E * w): region grid, modes on it, and modes times trapezoid weights."""
     lam_max = float(basis.lambdas[n_modes - 1])
-    n_pts = int(oversample * max(64, math.sqrt(max(lam_max, 1.0)) / math.pi
-                                 * 2.0 * region.length * 8))
+    n_pts = int(_REGION_OVERSAMPLE * max(64, math.sqrt(max(lam_max, 1.0)) / math.pi
+                                         * 2.0 * region.length * 8))
     xs = np.linspace(region.a, region.b, n_pts)
     E = basis.eigfun_matrix(xs, count=n_modes)
     return xs, E, E * trapezoid_weights(xs)

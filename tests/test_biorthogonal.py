@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath.libmp import from_man_exp
 
 from heatctrl import biorthogonal
@@ -14,13 +14,19 @@ from heatctrl.biorthogonal import (
     MpBlock,
     assemble_control,
     biorthogonality_matrix,
+    build_multiplier_family,
     combine,
     gram_minimal_family,
 )
-from heatctrl.errors import ConfigurationError, IllConditionedError, TruncationError
+from heatctrl.errors import (
+    ConfigurationError,
+    HeatCtrlError,
+    IllConditionedError,
+    TruncationError,
+)
 from heatctrl.heatsim import terminal_state, terminal_states
 from heatctrl.quadrature import gauss_legendre_panels
-from heatctrl.spectral import HeatState, ReductionSchedule
+from heatctrl.spectral import HeatState, ReductionSchedule, build_interval_basis
 
 
 def test_box_sinc_pair():
@@ -53,10 +59,9 @@ def test_forward_transform_round_trip(families):
     rng = np.random.default_rng(0)
     for n in (1, 3):
         s = fam.signals[n - 1]
-        ev = fam.evaluators[n - 1]
         tg, vals = s.sample(4096)
         probes = rng.uniform(0.5, 150.0, 25)
-        lm, ph = ev.log_G_array(probes)
+        lm, ph = fam.evaluator.log_G_array(n, probes)
         Gshape = np.exp(lm + 1j * ph) / math.sqrt(2.0 * math.pi)
         scale = float(np.max(np.abs(Gshape)))
         for x, want in zip(probes, Gshape):
@@ -69,7 +74,7 @@ def test_family_values_are_the_evaluator_grid(families):
     # operation order differs
     fam = families[1.0]
     block = fam.signals[2].blocks[0]
-    lm, ph = fam.evaluators[2].log_G_array(fam.meta["h"] * np.arange(len(block.values)))
+    lm, ph = fam.evaluator.log_G_array(3, fam.meta["h"] * np.arange(len(block.values)))
     want = np.exp(lm + 1j * ph)
     assert np.max(np.abs(block.values - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -127,7 +132,8 @@ def _per_row_moment_matrix(family, k_max, method):
             if (method == "auto" and certifiable) or family.kind == "gram":
                 time_side.append(k - 1)
             else:
-                B[n - 1, k - 1] = family.moment(n, k)
+                logmag, sign = family.evaluator.log_G(n, k)
+                B[n - 1, k - 1] = 0.0 if logmag == -math.inf else sign * math.exp(logmag)
         if time_side:
             B[n - 1, time_side] = family.signals[n - 1].integral(-lams[time_side])
     return B
@@ -144,6 +150,17 @@ def test_batched_moment_matrix_matches_per_row_calls(families, gram12):
             B = biorthogonality_matrix(fam, 12, method)
             want = _per_row_moment_matrix(fam, 12, method)
             assert np.max(np.abs(B - want)) <= 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(kind=st.sampled_from(["DD", "ND"]), X=st.floats(0.5, 4.0), n_modes=st.integers(12, 24),
+       T=st.floats(0.05, 5.0), eps=st.floats(0.1, 0.5))
+def test_analytic_moment_matrix_is_the_identity_on_random_families(kind, X, n_modes, T, eps):
+    try:
+        fam = build_multiplier_family(build_interval_basis(kind, X, n_modes), T, 12, eps=eps)
+    except HeatCtrlError:
+        assume(False)
+    assert np.array_equal(biorthogonality_matrix(fam, 12, "analytic"), np.eye(12))
 
 
 # ---- gram oracle -----------------------------------------------------------

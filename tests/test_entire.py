@@ -35,7 +35,7 @@ from heatctrl.entire import (
     _model_tail,
     _tail_start,
 )
-from heatctrl.errors import ConfigurationError, TruncationError
+from heatctrl.errors import ConfigurationError, HeatCtrlError, TruncationError
 from heatctrl.spectral import (
     ParabolicProblem,
     build_interval_basis,
@@ -567,8 +567,7 @@ def test_log_M_uniform_grid_matches_scalar_and_per_entry(eps, tau, h, n, data):
 
 
 def test_uniform_grids_skip_the_per_entry_kernel(monkeypatch, basis64):
-    ev = GnEvaluator.build(basis64, 3, T=1.0, eps=0.125)[2]
-    sp = ev.spec
+    sp = GnEvaluator.build(basis64, 3, T=1.0, eps=0.125).spec
 
     def refuse(*args):
         raise AssertionError("per-entry ln|M| kernel called on a uniform grid")
@@ -714,31 +713,43 @@ def test_sigma_star_oracle():
 
 
 def test_gn_zero_placement_and_normalization(basis64):
-    evs = GnEvaluator.build(basis64, 40, T=1.0, eps=0.05)
-    ev = evs[2]
-    assert ev.log_G(3) == (0.0, 1.0)  # G_3(i lambda_3) = 1 exactly
+    ev = GnEvaluator.build(basis64, 40, T=1.0, eps=0.05)
+    assert ev.log_G(3, 3) == (0.0, 1.0)  # G_3(i lambda_3) = 1 exactly
     for k in (1, 2, 4, 10, 40):
-        assert ev.log_G(k)[0] == -math.inf
+        assert ev.log_G(3, k)[0] == -math.inf
     # the normalizers are the diagonals of the node data
     log_f, sign, _ = _log_f_nodes(basis64, 40, tol=ev.tol)
-    log_M = _log_M_imag(ev.spec, basis64.lambdas[:40])
-    for n, e in enumerate(evs, 1):
-        assert e.n == n and e.log_fn_lam == log_f[n - 1, n - 1]
-        assert e.phase_fn_lam == (0.0 if n % 2 else math.pi)
-        assert e.log_M_ilam == log_M[n - 1]
+    assert np.array_equal(ev.log_f_nodes, log_f) and np.array_equal(ev.sign_f_nodes, sign)
+    assert np.array_equal(ev.log_M_nodes, _log_M_imag(ev.spec, basis64.lambdas[:40]))
+    assert np.array_equal(np.diag(sign), [1.0 if n % 2 else -1.0 for n in range(1, 41)])
 
 
-def _fit_envelope(ev):
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["DD", "ND"]), X=st.floats(0.5, 4.0), n_modes=st.integers(12, 24),
+       T=st.floats(0.05, 5.0), eps=st.floats(0.02, 0.5))
+def test_gn_node_values_are_exact_on_random_bases(kind, X, n_modes, T, eps):
+    # one evaluator for the whole family: every G_n is 1 at its own node and
+    # has an exact zero at every other node
+    try:
+        ev = GnEvaluator.build(build_interval_basis(kind, X, n_modes), n_modes, T=T, eps=eps)
+    except HeatCtrlError:
+        assume(False)
+    for n in range(1, n_modes + 1):
+        assert ev.log_G(n, n) == (0.0, 1.0)
+        assert all(ev.log_G(n, k)[0] == -math.inf for k in range(1, n_modes + 1) if k != n)
+
+
+def _fit_envelope(ev, n, eps):
     """c with ln|G_n(x)| <= c - eps sqrt x, from the sup over a log grid plus 0.5.
 
     The grid is extended sixteenfold while the sup sits at its top end.
     """
-    lam_n = float(ev.basis.lambdas[ev.n - 1])
+    lam_n = float(ev.basis.lambdas[n - 1])
     hi = max(64.0 * ev.spec.a0, 16.0 * lam_n, 1e3)
     while True:
         xs = np.geomspace(1e-2, hi, 600)
-        lm, _ = ev.log_G_array(xs)
-        resid = lm + ev.eps * np.sqrt(xs)
+        lm, _ = ev.log_G_array(n, xs)
+        resid = lm + eps * np.sqrt(xs)
         k = int(np.argmax(resid))
         if k < len(xs) - 10 or hi > 1e14:
             break
@@ -747,18 +758,18 @@ def _fit_envelope(ev):
 
 
 def test_gn_envelope_holds_on_fresh_grid(basis64):
-    ev = GnEvaluator.build(basis64, 2, T=0.5, eps=0.05)[1]
-    c = _fit_envelope(ev)
+    ev = GnEvaluator.build(basis64, 2, T=0.5, eps=0.05)
+    c = _fit_envelope(ev, 2, 0.05)
     xs = np.geomspace(0.3, 5e5, 700)
-    lm, _ = ev.log_G_array(xs)
-    assert np.all(lm <= c - ev.eps * np.sqrt(xs) + 1e-9)
+    lm, _ = ev.log_G_array(2, xs)
+    assert np.all(lm <= c - 0.05 * np.sqrt(xs) + 1e-9)
 
 
 def test_gn_conjugate_symmetry(basis64):
-    (ev,) = GnEvaluator.build(basis64, 1, T=1.0, eps=0.05)
+    ev = GnEvaluator.build(basis64, 1, T=1.0, eps=0.05)
     xs = np.array([3.7, 120.0])
-    lp, pp = ev.log_G_array(xs)
-    lmn, pn = ev.log_G_array(-xs)
+    lp, pp = ev.log_G_array(1, xs)
+    lmn, pn = ev.log_G_array(1, -xs)
     assert np.allclose(lp, lmn)
     assert np.allclose(pp, -pn)
 
@@ -773,5 +784,5 @@ def test_gn_norm_growth_shape(basis64):
     for n in (1, 3, 6):
         ln_norm = math.log(fam.norms[n - 1]) + 0.5 * math.log(2.0 * math.pi)
         consts.append(ln_norm - eps * math.sqrt(basis64.lambdas[n - 1])
-                      - ALPHA_2 * d * d / (2.0 * fam.evaluators[n - 1].tau))
+                      - ALPHA_2 * d * d / (2.0 * fam.evaluator.spec.tau))
     assert max(consts) < 10.0

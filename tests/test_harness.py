@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heatctrl.cli import main, read_grid
 from heatctrl.errors import ConfigurationError
@@ -25,7 +25,7 @@ BASE = {
     "region": [math.pi / 2 - 0.3, math.pi / 2 + 0.3],
     "T_grid": [0.5],
     "modes": 24,
-    "family_count": 6,
+    "family_count": 10,  # the fewest members a cost sweep accepts
     "multiplier_eps": 0.05,
     "tol": 1e-8,
     "seed": 42,
@@ -43,6 +43,8 @@ def _write_cfg(tmp_path, **over):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_json({"problem": BASE["problem"], "bogus": 1})
+    with pytest.raises(ConfigurationError, match="out_dir"):
+        ExperimentConfig.from_json(dict(BASE, out_dir="."))  # outputs go under --out
 
 
 def test_config_rejects_bad_T_window():
@@ -156,9 +158,9 @@ def test_cli_synthesize_dump_envelope(tmp_path):
     rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
     assert rows.shape == (400, 2) and np.all(np.isfinite(rows))
     # %.17g round-trips, so the rows are the evaluator's grid values exactly
-    ev = made[0].evaluators[0]
+    ev = made[0].evaluator
     xs = np.geomspace(1.0, max(16.0 * ev.spec.a0, 1e4), 400)
-    lm, _ = ev.log_G_array(xs)
+    lm, _ = ev.log_G_array(1, xs)
     assert np.array_equal(rows[:, 0], xs)
     assert np.array_equal(rows[:, 1], lm)
 
@@ -316,9 +318,10 @@ _BAD_FIELDS = {
                                          [_NAN, 1.0], [0.0, _INF], [True, 2.0]]),
                         st.tuples(st.floats(0, 3), st.floats(0, 3))
                         .filter(lambda r: not r[0] < r[1]).map(list)),
-    "modes": st.one_of(st.integers(max_value=0), st.text(), st.floats(),
+    # 1-9 modes or members parse, but a sweep's basket needs the first ten
+    "modes": st.one_of(st.integers(max_value=9), st.text(), st.floats(),
                        st.sampled_from([True, None, [64]])),
-    "family_count": st.one_of(st.integers(max_value=0), st.text(),
+    "family_count": st.one_of(st.integers(max_value=9), st.text(),
                               st.sampled_from([1.5, True, [6]])),
     "seed": st.one_of(st.integers(max_value=-1), st.text(), st.sampled_from([1.5, True, None])),
     "T_grid": st.one_of(st.sampled_from([[], "0.5", 0.5, [None], ["x"], [True], [100.0]]),
@@ -327,12 +330,14 @@ _BAD_FIELDS = {
     "tol": st.sampled_from([_NAN, _INF, -_INF, "x", 0.0, -1e-9, None, True]),
     "multiplier_eps": st.sampled_from([_NAN, _INF, "x", 0.0, -0.05, None]),
     "eps_smoothing": st.sampled_from([_NAN, -_INF, "x", 0.0, -0.2, True]),
-    "out_dir": st.sampled_from([5, [], None]),
+    "out_dir": st.sampled_from([5, [], None, "."]),  # not a config key
     "bogus": st.integers(),
 }
 
 
 @settings(max_examples=150, deadline=None)
+@example(dict(BASE, modes=8))
+@example(dict(BASE, family_count=5))
 @given(st.one_of(
     st.sampled_from([[], 5, "cfg", None]),
     st.sampled_from(sorted(_BAD_FIELDS)).flatmap(

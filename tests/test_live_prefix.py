@@ -85,15 +85,15 @@ def sweep():
          "multiplier_eps": 0.05, "tol": 1e-9, "seed": 0})
     reduced, sched = reduce_to_canonical(cfg.build_basis(), 0.5)
     Tc = sched.T_canonical
-    count = max(_family_count_for(Tc, reduced, cap=cfg.family_count), 10)
+    count = _family_count_for(Tc, reduced, cap=cfg.family_count)
     family = build_multiplier_family(reduced, Tc, count, eps=cfg.multiplier_eps, tol=cfg.tol)
     h, n_freq = family.meta["h"], family.meta["n_freq"]
     xs = h * np.arange(n_freq)
     grids = (*_log_f_all_imag_array(reduced, xs, tol=cfg.tol),
-             *_log_M_polar(family.evaluators[0].spec, xs))
+             *_log_M_polar(family.evaluator.spec, xs))
     full_signals = []
-    for ev, sig in zip(family.evaluators, family.signals):
-        lm, ph = ev.log_G_from_grids(xs, *grids)
+    for n, sig in enumerate(family.signals, 1):
+        lm, ph = family.evaluator.log_G_from_grids(n, xs, *grids)
         block = GridBlock(values=np.exp(lm + 1j * ph), omega=h)
         full_signals.append(replace(sig, blocks=[block]))
     full = replace(family, signals=full_signals)

@@ -7,6 +7,7 @@ read by path and executed in a fresh namespace, without importing perfbench.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -78,3 +79,36 @@ def test_evaluator_spans_stay_live(monkeypatch):
     B = biorthogonality_matrix(family, 4, method="analytic")
     assert calls == {"build": 1, "log_G": 16}
     assert (B == [[float(n == k) for k in range(4)] for n in range(4)]).all()
+
+
+def _count_calls(monkeypatch, module, name):
+    """Rebind every heatctrl binding of module.name to a counting wrapper, as
+    the traced run does; returns the list of the calls' positional args."""
+    orig, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "heatctrl" or mod_name.startswith("heatctrl.")):
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_every_analytic_moment_read_goes_through_the_moment_matrix(monkeypatch, capsys):
+    # the biorthogonal.moment_matrix layer times the structural certificate's
+    # and verify's moments only while both read biorthogonality_matrix
+    from heatctrl import biorthogonal, cli, harness
+    from heatctrl.spectral import build_interval_basis
+
+    calls = _count_calls(monkeypatch, biorthogonal, "biorthogonality_matrix")
+    basis = build_interval_basis("DD", 3.141592653589793, 8)
+    family = biorthogonal.build_multiplier_family(basis, 1.0, 4, eps=0.125, tol=1e-9)
+    assert harness._structural_certificate(family, 4)
+    assert [args[1:] for args in calls] == [(4, "analytic")]
+    assert cli.main(["verify"]) == 0
+    assert "verify: ok" in capsys.readouterr().out
+    assert len(calls) == 2 and calls[1][1:] == (4, "analytic")

@@ -289,8 +289,8 @@ def test_gram_end_norms_satisfy_the_parallelogram_identity(T):
 def test_sum_of_blocks_and_growing_block_norms_match_gauss_legendre():
     # b- holds the DD family's block at rate 0.49 and the ND family's at rate
     # 0, and g_even is the rate-0.49 block alone: neither norm is Parseval's,
-    # so both take the trapezoid over exact samples.  The reference is
-    # composite 24-point Gauss-Legendre on the same samples.
+    # so both sum their blocks' pair rules (GridBlock.inner).  The reference
+    # is composite 24-point Gauss-Legendre on exact samples.
     te = two_end_control(lambda x: np.exp(-((x - 0.4) / 0.2) ** 2), 0.4, 2.2,
                          method="multiplier", n_modes=24, eps=0.125)
     assert [round(b.rate, 2) for b in te.b_minus.blocks] == [0.49, 0.0]
