@@ -86,6 +86,8 @@ _HORNER_BLOCK = 64  # atoms per inner block of GridBlock.eval
 _TINY = np.finfo(float).tiny
 _GRAM_EXTRA_DIGITS = 60  # digits the Gram solve carries past amplification and conditioning
 _TAIL_RTOL = 1e-12  # tail bound, relative to the cost, of modes past a family
+_LIMB_BITS = 24  # limb width of _int_matmul: three bytes
+_LIMB_BLOCK = 32  # inner length of one _int_matmul GEMM: 32 (2^24 - 1)^2 < 2^53
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +316,8 @@ class MpBlock:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         u = ts - self.origin
         with mp.workdps(self.dps):
-            fits = all(abs(c) < mp.mpf("1e290") for c in self.coeffs)
-            if fits:
+            limit = mp.mpf("1e290")
+            if all(abs(c) < limit for c in self.coeffs):
                 cf = np.array([float(c) for c in self.coeffs])
                 z = np.array([float(r) for r in self.rates])
                 return (np.exp(u[:, None] * z[None, :]) * cf[None, :]).sum(axis=1)
@@ -753,19 +755,79 @@ def _residual_bound(n: int, cond):
     return bits, mp.ldexp(5 * n * n * cond, -bits)
 
 
+def _limbs(vecs, nl):
+    """Signed 24-bit limbs of int vectors of one length, least significant
+    first: a float64 array [limb, vector, entry], every limb carrying the
+    sign of its int."""
+    flat = [x for v in vecs for x in v]
+    raw = np.frombuffer(b"".join(abs(x).to_bytes(3 * nl, "little") for x in flat), np.uint8)
+    mag = raw.reshape(len(flat), nl, 3) @ np.array([1.0, 256.0, 65536.0])
+    mag[np.fromiter((x < 0 for x in flat), bool, len(flat))] *= -1.0
+    return np.ascontiguousarray(mag.reshape(len(vecs), -1, nl).transpose(2, 0, 1))
+
+
+def _int_matmul(us, vs):
+    """[sum_j u_j v_j for u in us for v in vs], exact, for int vectors of one
+    length n, as float64 GEMMs on signed 24-bit limbs.
+
+    Each int is split into nl limbs of magnitude at most 2^24 - 1, all with
+    its sign, so u = sum_p U_p 2^(24p).  The n inner entries go in blocks of
+    32, and one GEMM per block and limb q of vs gives sum_j U_pj V_qj for
+    every p, u and v: its products are exact, and every partial sum is an
+    integer of magnitude at most 32 (2^24 - 1)^2 < 2^53, so the GEMM is exact
+    in any order of summation.  The GEMM entries are added into int64 digits
+    d = p + q, and after each block the carries go up by >> 24, leaving
+    digits in [0, 2^24) under a signed top digit that only takes carries
+    (at most n 2^24 in magnitude).  Before a carry pass a digit holds one
+    such digit, at most min(nl_u, nl_v) GEMM entries and the carry from
+    below, under nl 2^53 + 2^40 < 2^63 for nl <= 1023: ints of at most
+    24,552 bits.  The ints are rebuilt from the digits' bytes by
+    int.from_bytes.
+    """
+    n, m = len(us[0]), len(us) * len(vs)
+    nu, nv = (max(1, -(-max(abs(x).bit_length() for w in ws for x in w) // _LIMB_BITS))
+              for ws in (us, vs))
+    top = nu + nv - 1  # digits below the signed top digit
+    U = _limbs(us, nu).reshape(nu * len(us), n)  # rows (p, u)
+    V = _limbs(vs, nv)  # [q, v, j]
+    acc = np.zeros((top + 1, len(us), len(vs)), np.int64)  # [p + q, u, v]
+    for j in range(0, n, _LIMB_BLOCK):
+        Uj = U[:, j:j + _LIMB_BLOCK]
+        for q in range(nv):
+            acc[q:q + nu] += (Uj @ V[q, :, j:j + _LIMB_BLOCK].T).astype(np.int64).reshape(
+                nu, len(us), len(vs))
+        for d in range(top):
+            carry = acc[d] >> _LIMB_BITS
+            acc[d] &= (1 << _LIMB_BITS) - 1
+            acc[d + 1] += carry
+    low = memoryview(np.ascontiguousarray(
+        acc[:top].reshape(top, m).T.astype("<u4", order="C").view(np.uint8)
+        .reshape(m, top, 4)[:, :, :3]).tobytes())
+    shift, step = _LIMB_BITS * top, 3 * top
+    return [int.from_bytes(low[i * step:(i + 1) * step], "little") + (t << shift)
+            for i, t in enumerate(acc[top].ravel().tolist())]
+
+
 def _gram_residual(R, G0, cond):
     """(||R G0 - I||_1, bound) for a symmetric G0, at the current precision.
 
     Rows of R and of G0 (its columns) go to b-bit fixed point, so each entry
-    of R G0 is one exact integer dot product; b and the bound are
-    _residual_bound's.
+    of R G0 is one exact integer dot product, rounded once; b and the bound
+    are _residual_bound's.  The N^2 products are _int_matmul's float64 GEMMs
+    on signed 24-bit limbs: every GEMM entry is an integer below 2^53, and
+    the int64 digit sums stay below 2^63 for ints of up to 1,023 limbs,
+    where b is at most the working precision, 6,647 bits (277 limbs) at the
+    2,000-digit cap.  Only the diagonal has 1 subtracted: x - 0 would
+    rebuild an equal mpf.
     """
     bits, bound = _residual_bound(len(R), cond)
     rows = [_fixed_point(r, bits) for r in R]
     cols = [_fixed_point(g, bits) for g in G0]
-    resid = max(mp.fsum((_exact_dot(ri, gk) - int(i == k) for i, ri in enumerate(rows)),
-                        absolute=True)
-                for k, gk in enumerate(cols))
+    prods = iter(_int_matmul([c for c, _ in cols], [r for r, _ in rows]))
+    entries = [[mp.mpf((next(prods), ei + ek)) for _, ei in rows] for _, ek in cols]
+    for k, col in enumerate(entries):
+        col[k] -= 1
+    resid = max(mp.fsum(col, absolute=True) for col in entries)
     return resid, bound
 
 

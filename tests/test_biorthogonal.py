@@ -914,6 +914,60 @@ def test_gram_residual_kernel_matches_fdot_reference(spectrum):
         assert resid + bound <= mp.mpf(10) ** (-(dps // 2))
 
 
+def _int_vectors(n):
+    """1 to 3 int vectors of length n whose entries are below 2^width in
+    magnitude, for one width from 0 (zero vectors) to 3,000 bits."""
+    def draw_vectors(width):
+        entry = st.integers(1 - (1 << width), (1 << width) - 1)
+        return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3)
+    return st.integers(0, 3000).flatmap(draw_vectors)
+
+
+_ALL_ONES = (1 << 24 * 40) - 1  # 40 limbs of 2^24 - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(_int_vectors(n), _int_vectors(n))))
+@example(([[_ALL_ONES] * 33], [[_ALL_ONES] * 33, [-_ALL_ONES] * 33]))
+@example(([[-_ALL_ONES] * 64] * 2, [[-_ALL_ONES] * 64, [0] * 64]))
+def test_int_matmul_is_exact(case):
+    # n crosses 32, past which one GEMM over all n limb products could
+    # exceed 2^53; the examples make every limb 2^24 - 1 with one sign
+    us, vs = case
+    assert biorthogonal._int_matmul(us, vs) == [sum(map(int.__mul__, u, v))
+                                                for u in us for v in vs]
+
+
+def _gram_residual_by_int_dots(R, G0, cond):
+    """_gram_residual with one Python-int dot product per entry, the form the
+    limb GEMMs replaced."""
+    bits, bound = biorthogonal._residual_bound(len(R), cond)
+    rows = [biorthogonal._fixed_point(r, bits) for r in R]
+    cols = [biorthogonal._fixed_point(g, bits) for g in G0]
+    resid = max(mp.fsum((biorthogonal._exact_dot(ri, gk) - int(i == k)
+                         for i, ri in enumerate(rows)), absolute=True)
+                for k, gk in enumerate(cols))
+    return resid, bound
+
+
+@pytest.mark.parametrize("n_modes, T, dps", [(32, 1.0, 378), (40, 0.5, 353)])
+def test_gram_residual_equals_the_int_dot_form_bit_for_bit(basis64, n_modes, T, dps):
+    # DD [0, pi]: the N = 32, T = 1 system of the moments ordering solve, and
+    # one past the 32 inner entries of a GEMM block
+    lams = basis64.lambdas[:n_modes]
+    assert biorthogonal._gram_dps(lams, T) == dps
+    with mp.workdps(dps):
+        lm = [mp.mpf(float(v)) for v in lams]
+        e = [h * h for h in (mp.exp(-v * mp.mpf(T) / 2) for v in lm)]
+        G0 = [[(1 - e[j] * e[k]) / (lm[j] + lm[k]) for k in range(n_modes)]
+              for j in range(n_modes)]
+        R = biorthogonal._spd_inverse(G0)
+        cond = biorthogonal._norm1(G0) * biorthogonal._norm1(R)
+        got = biorthogonal._gram_residual(R, G0, cond)
+        want = _gram_residual_by_int_dots(R, G0, cond)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
 def test_gram_condition_threshold_raises_before_the_residual(monkeypatch, basis64):
     def unreachable(R, G0, cond):
         raise AssertionError("residual kernel ran on a refused family")
