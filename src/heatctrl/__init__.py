@@ -35,7 +35,6 @@ from .heatsim import (
     observability_quotient,
     simulate_boundary_control,
     simulate_interior_control,
-    terminal_state,
     terminal_states,
 )
 from .spectral import (

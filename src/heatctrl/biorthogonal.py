@@ -71,6 +71,10 @@ __all__ = [
 
 _LOG_BUDGET = 600.0  # ln-magnitude ceiling before linear float work is refused
 _FREQ_CHUNK = 4096  # grid atoms per kernel tile: n_w x 4096 complex entries
+# Most grid atoms a family build accepts: its six float64 grids (xs, ln|f|,
+# arg f, ln|M|, arg M, one ln|G|) take 100 MB at 2^21, 5.6 times the largest
+# grid the tests build (375,814 atoms at T = 7.90, tol 1e-10).
+_FREQ_BUDGET = 2 ** 21
 _GUARD = 16  # bits an integer atom integral and row sum keep past the mp precision
 # A grid signal keeps only its live prefix: the shortest n with
 # sum_{k>=n} |V_k| <= _LIVE_TAIL sum_k |V_k|.  Atom k enters every sample,
@@ -174,24 +178,26 @@ class GridBlock:
         The atoms go in blocks of _HORNER_BLOCK: one matrix product against
         the powers z^0 .. z^63 evaluates every block's polynomial, and an
         outer Horner loop in z^64 adds the blocks from the last.  Coefficients
-        below 2^-1022 are taken as zero, which keeps subnormals out of the
-        sums.  With n = len(values) and F = (omega/pi) |gain| e^{rate u}, to
-        first order in u = 2^-53 each value is within
+        below both 2^-1022 and 2^-64 max_k |V_k| are taken as zero: subnormals
+        stay out of the sums unless the whole block is below 2^-958.  With
+        n = len(values) and F = (omega/pi) |gain| e^{rate u}, to first order in
+        u = 2^-53 and apart from underflow each value is within
 
-            F (2^-52 (n (|omega u| + 4) + |rate u| + 4) sum_k |V_k| + n 2^-1022)
+            F (2^-52 (n (|omega u| + 4) + |rate u| + 4) + n 2^-64) sum_k |V_k|
 
         of s(t) at the float point t (Higham, Accuracy and Stability of
         Numerical Algorithms, 2nd ed., ch. 5).  Rounding u, the angle omega u
         and the exponential moves z^k by at most k (|omega u| + 2) u; the
         powers, the block products and the outer loop add about 5 n u
         sum_k |V_k|; the factor F rounds to (|rate u| + 5) u; the flushed
-        coefficients carry at most n 2^-1022.
+        coefficients carry at most n 2^-64 max_k |V_k|.
         """
         u = np.atleast_1d(np.asarray(ts, dtype=float)) - self.origin
         z = np.exp(-1j * self.omega * u)
         n = len(self.values)
         coef = np.zeros(-(-n // _HORNER_BLOCK) * _HORNER_BLOCK, dtype=complex)
-        coef[:n] = np.where(np.abs(self.values) < _TINY, 0.0, self.values)
+        mag = np.abs(self.values)
+        coef[:n] = np.where(mag < min(_TINY, _LIVE_TAIL * mag.max(initial=0.0)), 0.0, self.values)
         coef[0] *= 0.5  # the k = 0 atom carries Re V_0 / 2
         coef = coef.reshape(-1, _HORNER_BLOCK)
         powers = np.empty((_HORNER_BLOCK, len(u)), dtype=complex)  # row i: z^i
@@ -206,13 +212,10 @@ class GridBlock:
             acc += row
         return (self.omega / math.pi) * self.gain * np.exp(self.rate * u) * acc.real
 
-    def integral(self, ws, lo: float, hi: float, ref: float) -> np.ndarray:
-        """int_lo^hi s(t) e^{w (t - ref)} dt for each w in ws."""
-        return GridBlock.integral_rows([self], ws, lo, hi, ref)[0]
-
     @staticmethod
     def integral_rows(blocks, ws, lo: float, hi: float, ref: float) -> np.ndarray:
-        """Row i is blocks[i].integral(ws, lo, hi, ref), for blocks sharing one key.
+        """Row i is int_lo^hi s_i(t) e^{w (t - ref)} dt, s_i = blocks[i], for
+        each w in ws and blocks sharing one key.
 
         The kernel int_lo^hi e^{z_k (t - origin) + w (t - ref)} dt is built
         once for all rows over the longest live prefix, _FREQ_CHUNK atoms at
@@ -332,13 +335,10 @@ class MpBlock:
         return (lo_, hi_, [mp.exp(z * (lo_ - org)) for z in self.rates],
                 [mp.exp(z * (hi_ - org)) for z in self.rates])
 
-    def integral(self, ws, lo: float, hi: float, ref: float) -> np.ndarray:
-        """int_lo^hi s(t) e^{w (t - ref)} dt for each w in ws, exact in mp."""
-        return MpBlock.integral_rows([self], ws, lo, hi, ref)[0]
-
     @staticmethod
     def integral_rows(blocks, ws, lo: float, hi: float, ref: float) -> np.ndarray:
-        """Row i is blocks[i].integral(ws, lo, hi, ref), for blocks sharing one key.
+        """Row i is int_lo^hi s_i(t) e^{w (t - ref)} dt, s_i = blocks[i], for
+        each w in ws and blocks sharing one key; exact in mp.
 
         Each atom integral K_k = int_lo^hi e^{z_k (t - origin) + w (t - ref)} dt
         is built once for all rows, on integers (_int_atom_integral), and a
@@ -455,18 +455,13 @@ class ControlSignal:
         ts = np.linspace(*self.window, n)
         return ts, self.eval(ts)
 
-    def integral(self, ws, ref: float = 0.0) -> np.ndarray:
-        """I(w) = int_window s(t) e^{w (t - ref)} dt for each w in ws.
-
-        w = -lambda_k with ref 0 is an exponential moment; w = lambda with
-        ref at the window's end is the Duhamel weight e^{-lambda t1} I(lambda).
-        """
-        return ControlSignal.integrals([self], ws, ref)[0]
-
     @staticmethod
     def integrals(signals, ws, ref: float = 0.0) -> np.ndarray:
-        """Row i is signals[i].integral(ws, ref), for signals on one window.
+        """Row i is int_window s_i(t) e^{w (t - ref)} dt, s_i = signals[i], for
+        each w in ws and signals on one window.
 
+        w = -lambda_k with ref 0 is an exponential moment; w = lambda with ref
+        at the window's end t1 is the Duhamel weight, against e^{-lambda (t1 - t)}.
         Blocks are grouped by key as in :func:`combine`, and the blocks on
         one key share one kernel (:meth:`GridBlock.integral_rows`,
         :meth:`MpBlock.integral_rows`).
@@ -595,12 +590,17 @@ def _family_grid(T: float, eps: float, tol: float):
     of the multiplier families on a window of length T.
 
     None of it reads the basis, so the families of one window, eps and tol
-    share the grid and ln|M| on it (_family_log_M).
+    share the grid and ln|M| on it (_family_log_M).  A grid of more than
+    _FREQ_BUDGET atoms is refused before any array exists.
     """
     spec = family_multiplier(T, eps)
     X_max = envelope_tail_cut(eps, tol)
     tau_type = spec.type_sum()[0]
-    return (spec, X_max, tau_type) + _frequency_grid(tau_type, T, X_max)
+    h, n_freq = _frequency_grid(tau_type, T, X_max)
+    if n_freq > _FREQ_BUDGET:
+        raise TruncationError(f"the family grid at T = {T:g}, eps = {eps:g}, tol = {tol:g} "
+                              f"needs {n_freq} atoms, past {_FREQ_BUDGET}", achieved=n_freq)
+    return spec, X_max, tau_type, h, n_freq
 
 
 def _family_log_M(T: float, eps: float, tol: float):

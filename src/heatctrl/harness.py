@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 from numpy.random import default_rng  # numpy 2 loads numpy.random on first use
 
-from .biorthogonal import assemble_control, biorthogonality_matrix, build_multiplier_family
+from .biorthogonal import (_family_grid, assemble_control, biorthogonality_matrix,
+                           build_multiplier_family)
 from .entire import ALPHA_2
 from .errors import ConfigurationError, HeatCtrlError
 from .heatsim import (
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 _FLOAT_BUDGET = 700.0
+# most modes a config may ask for: 8 times the largest config in the tests and
+# README; a sweep's Duhamel kernel tile, modes x (at most 4,096) atoms, stays in 64 MiB
+_MAX_MODES = 1024
 _BASKET_MODES = 10  # the basket's unit states e_1..e_10, and the random states' modes
 _BASKET_RANDOM = 5  # seeded random states in the basket
 _FAMILY_FLOOR = 12  # fewest family members a sweep row builds
@@ -148,11 +152,22 @@ class ExperimentConfig:
             raise ConfigurationError(f"malformed SL problem document: {exc}") from exc
 
     def validate(self):
-        ceiling = min(math.pi, self.basis_length()) ** 2
+        """Refuse, before any basis exists, what no sweep can serve: too many
+        modes, T past min(pi, L)^2, or a family grid refused at (pi/L)^2 T."""
+        if self.modes > _MAX_MODES:
+            raise ConfigurationError(f"'modes' = {self.modes} above the ceiling {_MAX_MODES}")
+        L = self.basis_length()
+        ceiling = min(math.pi, L) ** 2
         for T in self.T_grid:
             if not 0.0 < T <= ceiling + 1e-12:
                 raise ConfigurationError(
                     f"T = {T} outside (0, min(pi, L)^2] = (0, {ceiling:.6g}]")
+            if ALPHA_2 * L ** 2 / T > _FLOAT_BUDGET:
+                continue  # the sweep builds no family there (error:below-float-floor)
+            try:
+                _family_grid((math.pi / L) ** 2 * T, self.multiplier_eps, self.tol)
+            except HeatCtrlError as exc:
+                raise ConfigurationError(f"no multiplier family at T = {T}: {exc}") from exc
 
     def observation_region(self) -> ObservationRegion:
         if self.region is None:
@@ -232,10 +247,15 @@ def _structural_certificate(family, k_max: int) -> bool:
 def cost_sweep(config: ExperimentConfig):
     """List of CostReport rows over the config's T grid, plus the slope fit;
     a config with fewer modes or members than the basket's is refused."""
+    return _cost_sweep(config)
+
+
+def _cost_sweep(config: ExperimentConfig, basis: Optional[SpectralBasis] = None):
+    """cost_sweep on the config's basis, built here unless the caller has it."""
     if min(config.modes, config.family_count or config.modes) < _BASKET_MODES:
         raise ConfigurationError(f"'modes' and 'family_count' must be at least "
                                  f"{_BASKET_MODES}, the modes of the cost basket")
-    basis = config.build_basis()
+    basis = config.build_basis() if basis is None else basis
     rows = []
     for T in sorted(config.T_grid):
         status = "error:below-float-floor"
@@ -318,7 +338,7 @@ def bound_sandwich_report(config: ExperimentConfig) -> dict:
     d = distance_to_region(y, region, basis.X)
 
     lower_vals = lower_bound_reports(config, basis, region, y)
-    rows, fit = cost_sweep(config)
+    rows, fit = _cost_sweep(config, basis)
 
     alpha_effs = [r.alpha_eff for r in rows
                   if r.status in ("ok", "structural") and math.isfinite(r.alpha_eff)]

@@ -37,7 +37,6 @@ __all__ = [
     "evolve_free",
     "simulate_boundary_control",
     "simulate_interior_control",
-    "terminal_state",
     "terminal_states",
     "heat_kernel_eval",
     "observability_quotient",
@@ -46,6 +45,8 @@ __all__ = [
 ]
 
 _REGION_OVERSAMPLE = 4  # oversampling factor of the region quadrature grid
+_ROW_STEPS = 32  # fewest trapezoid steps per boundary trajectory row
+_FINE_STEPS = 4096  # trapezoid steps a boundary trajectory of few rows spreads over them
 
 
 @dataclass(frozen=True)
@@ -103,40 +104,45 @@ def _initial_coeffs(basis: SpectralBasis, u0: HeatState,
     return coeffs0
 
 
-def _window_start(g: ControlSignal, T: float) -> float:
-    """Start of g's window, which must have length T."""
+def _check_window(g: ControlSignal, T: float):
+    """Refuse a control whose window does not have length T."""
     lo, hi = g.window
     if abs(hi - lo - T) > 1e-9 * max(1.0, T):
         raise ConfigurationError(f"control window {g.window} does not have length {T}")
-    return lo
-
-
-def terminal_state(basis: SpectralBasis, u0: HeatState, g: ControlSignal,
-                   T: float, n_modes: Optional[int] = None) -> np.ndarray:
-    """Modal coefficients at time T under boundary control g, in closed form:
-
-        c_j e^{-lambda_j T} + gamma_j int_0^T e^{-lambda_j (T - u)} g(u) du,
-
-    u measured from the start of the control's window, whose length must be T.
-    """
-    return terminal_states(basis, [u0], [g], T, n_modes)[0]
 
 
 def terminal_states(basis: SpectralBasis, states, controls, T: float,
                     n_modes: Optional[int] = None) -> np.ndarray:
-    """Row i is :func:`terminal_state` of states[i] under controls[i].
-
-    The controls share one window, and their Duhamel integrals are one batch
-    integral: controls on one frequency grid share its kernel.
-    """
+    """Row i: modes at T of states[i] under boundary control g = controls[i],
+    c_j e^{-lambda_j T} + gamma_j int_0^T e^{-lambda_j (T - u)} g(u) du with u
+    from the start of the controls' one window, of length T.  The integrals
+    are one batch (ControlSignal.integrals): one frequency grid, one kernel."""
     if len(states) != len(controls):
         raise ConfigurationError("one control per state is needed")
     coeffs0 = np.array([_initial_coeffs(basis, u0, n_modes) for u0 in states])
     for g in controls:
-        _window_start(g, T)
+        _check_window(g, T)
+    lo, hi = controls[0].window
     lam = basis.lambdas[: coeffs0.shape[-1]]
-    return coeffs0 * np.exp(-lam * T) + basis.traces[: len(lam)] * ControlSignal.integrals(
-        controls, lam, ref=controls[0].window[1])
+    return (coeffs0 * np.exp(-lam * (hi - lo))
+            + basis.traces[: len(lam)] * ControlSignal.integrals(controls, lam, ref=hi))
+
+
+def _boundary_rows(lam, start, drives, n_rows: int) -> np.ndarray:
+    """Modes at t_k = k (hi - lo) / n_rows, k = 0..n_rows, of start driven by
+    sum_i gain_i g_i(lo + t), ``drives`` = [(g_i, gain_i per rate)] on one
+    window [lo, hi].  The last row is exact (ControlSignal.integrals); the
+    others are exp_trapezoid, max(_ROW_STEPS, _FINE_STEPS // n_rows) steps a row."""
+    controls = [g for g, _ in drives]
+    lo, hi = controls[0].window
+    stride = max(_ROW_STEPS, _FINE_STEPS // n_rows)
+    us = np.linspace(0.0, hi - lo, stride * n_rows + 1)
+    drive = sum(np.outer(g.eval(us + lo), gain) for g, gain in drives)
+    rows = np.concatenate([start[None], exp_trapezoid(lam, us, drive, stride, start)])
+    weights = ControlSignal.integrals(controls, lam, ref=hi)
+    rows[-1] = sum((gain * w for (_, gain), w in zip(drives, weights)),
+                   start * np.exp(-lam * (hi - lo)))
+    return rows
 
 
 def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
@@ -146,25 +152,14 @@ def simulate_boundary_control(basis: SpectralBasis, u0: HeatState,
     """Trajectory of the boundary-controlled problem on [0, T].
 
     Time u in [0, T] runs from the start of the control's window.  The
-    terminal row is :func:`terminal_state`; the other rows use the
-    exponentially weighted trapezoid on a fine grid nested over them.
+    terminal row is :func:`terminal_states`' closed form; the others use the
+    exponentially weighted trapezoid of :func:`_boundary_rows`.
     """
     coeffs0 = _initial_coeffs(basis, u0, n_modes)
-    lo = _window_start(g, T)
-    n_modes = len(coeffs0)
-
-    n_fine = (max(4096, 8 * (n_times - 1)) // (n_times - 1)) * (n_times - 1) + 1
-    us = np.linspace(0.0, T, n_fine)
-    gu = np.asarray(g.eval(us + lo), dtype=float)
-
-    times = np.linspace(0.0, T, n_times)
-    lam = basis.lambdas[:n_modes]
-    gam = basis.traces[:n_modes]
-    co = np.empty((n_times, n_modes))
-    co[0] = coeffs0
-    co[1:] = exp_trapezoid(lam, us, gu, (n_fine - 1) // (n_times - 1), coeffs0, gam)
-    co[-1] = terminal_state(basis, u0, g, T, n_modes)
-    return Trajectory(times=times, coeffs=co, basis=basis)
+    _check_window(g, T)
+    n = len(coeffs0)
+    co = _boundary_rows(basis.lambdas[:n], coeffs0, [(g, basis.traces[:n])], n_times - 1)
+    return Trajectory(times=np.linspace(0.0, T, n_times), coeffs=co, basis=basis)
 
 
 def region_mass_matrix(basis: SpectralBasis, region: ObservationRegion,
@@ -210,12 +205,9 @@ def simulate_interior_control(basis: SpectralBasis, u0: HeatState, forcing,
         raise ConfigurationError("forcing returned a field of the wrong shape")
     b = F @ wE.T  # (n_fine, n_modes) source coefficients
 
-    times = np.linspace(0.0, T, n_times)
-    stride = (n_fine - 1) // (n_times - 1)
-    co = np.empty((n_times, n_modes))
-    co[0] = coeffs0
-    co[1:] = exp_trapezoid(basis.lambdas[:n_modes], us, b, stride, coeffs0)[: n_times - 1]
-    return Trajectory(times=times, coeffs=co, basis=basis)
+    rows = exp_trapezoid(basis.lambdas[:n_modes], us, b, (n_fine - 1) // (n_times - 1), coeffs0)
+    co = np.concatenate([coeffs0[None], rows[: n_times - 1]])
+    return Trajectory(times=np.linspace(0.0, T, n_times), coeffs=co, basis=basis)
 
 
 def heat_kernel_eval(basis: SpectralBasis, t: float, x: float, y: float,

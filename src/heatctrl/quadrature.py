@@ -29,14 +29,14 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 
 def exp_trapezoid(lam: np.ndarray, grid: np.ndarray, drive, stride: int,
-                  start: np.ndarray, gain=1.0) -> np.ndarray:
-    """Modal Duhamel rows  start e^{-lam u} + gain int_0^u e^{-lam (u-s)} b(s) ds.
+                  start: np.ndarray) -> np.ndarray:
+    """Modal Duhamel rows  start e^{-lam u} + int_0^u e^{-lam (u-s)} b(s) ds.
 
-    ``drive[i]`` is b(grid[i]) on the uniform ``grid`` starting at 0, either
-    one scalar or one value per rate.  The integral is the exponentially
-    weighted trapezoid, and a row is taken at every ``stride``-th grid point
-    (``grid[stride]``, ``grid[2 stride]``, ...); grid points past the last
-    row are not read.
+    ``drive[i]`` is b(grid[i]) on the uniform ``grid`` starting at 0, one
+    value per rate (shape (len(grid), len(lam))).  The integral is the
+    exponentially weighted trapezoid, and a row is taken at every
+    ``stride``-th grid point (``grid[stride]``, ``grid[2 stride]``, ...);
+    grid points past the last row are not read.
 
     The rule is summed one stride block at a time.  Over the block ending at
     grid index r s (s = stride) it is
@@ -60,15 +60,11 @@ def exp_trapezoid(lam: np.ndarray, grid: np.ndarray, drive, stride: int,
     weights = du * powers
     weights[0] *= 0.5
     b = np.asarray(drive)
-    blocks = b[:n].reshape(n_rows, stride, *b.shape[1:])
-    ends = 0.5 * du * b[stride:n + 1:stride]
-    if b.ndim == 1:
-        rows = blocks @ weights + ends[:, None]
-    else:
-        rows = np.einsum("rjm,jm->rm", blocks, weights) + ends
+    blocks = b[:n].reshape(n_rows, stride, b.shape[1])
+    rows = np.einsum("rjm,jm->rm", blocks, weights) + 0.5 * du * b[stride:n + 1:stride]
     for r in range(1, n_rows):
         rows[r] += decay * rows[r - 1]
-    return start * np.exp(-np.outer(grid[stride:n + 1:stride], lam)) + gain * rows
+    return start * np.exp(-np.outer(grid[stride:n + 1:stride], lam)) + rows
 
 
 def gauss_legendre_panels(a: float, b: float, rate: float, order: int = 16,

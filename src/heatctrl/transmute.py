@@ -30,8 +30,8 @@ from .biorthogonal import (
     gram_minimal_family,
 )
 from .errors import ConfigurationError, IllConditionedError
-from .heatsim import ObservationRegion, Trajectory, region_mass_matrix
-from .quadrature import exp_trapezoid, trapezoid_weights
+from .heatsim import ObservationRegion, Trajectory, _boundary_rows, region_mass_matrix
+from .quadrature import trapezoid_weights
 from .spectral import HeatState, SpectralBasis, build_interval_basis, reduce_to_canonical
 
 __all__ = [
@@ -296,30 +296,20 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     #   vdot_j = -lam_j v_j + e_j'(-L) b_-(t') - e_j'(L) b_+(t')
     e_prime_mL, e_prime_pL = _end_slopes(modes)
 
-    # trajectory rows: free rows explicit, control rows by the incremental
-    # exponentially weighted trapezoid on one shared fine grid
+    # trajectory rows: free rows explicit, control rows by the boundary
+    # stepper of the one-end simulator, with both ends as drives
     n_free = max(2, int(round(eps * (n_times - 1))) + 1)
     t_rows_free = np.linspace(0.0, t_free, n_free)
     n_ctrl_rows = n_times - n_free
-    stride = 32
-    n_fine = stride * n_ctrl_rows
-    rc = np.linspace(0.0, T_ctrl, n_fine + 1)
-    bm, bp = ctrl.b_minus.eval(rc), ctrl.b_plus.eval(rc)
-    drive = bm[:, None] * e_prime_mL[None, :] - bp[:, None] * e_prime_pL[None, :]
+    rc = np.linspace(0.0, T_ctrl, n_ctrl_rows + 1)[1:]
 
-    times = np.concatenate([t_rows_free, t_free + rc[stride::stride]])
+    times = np.concatenate([t_rows_free, t_free + rc])
     v_modal = np.empty((len(times), J))
     v_modal[:n_free] = e0[None, :] * np.exp(-np.outer(t_rows_free, lam))
-    v_modal[n_free:] = exp_trapezoid(lam, rc, drive, stride, v_smooth)
-    b_minus_rows = np.zeros(len(times))
-    b_plus_rows = np.zeros(len(times))
-    b_minus_rows[n_free:] = bm[stride::stride]
-    b_plus_rows[n_free:] = bp[stride::stride]
-
-    # exact final row through the control representations; b-/+ share one
-    # window and one kernel
-    w_minus, w_plus = ControlSignal.integrals([ctrl.b_minus, ctrl.b_plus], lam, ref=T_ctrl)
-    v_modal[-1] = v_smooth * np.exp(-lam * T_ctrl) + e_prime_mL * w_minus - e_prime_pL * w_plus
+    v_modal[n_free:] = _boundary_rows(
+        lam, v_smooth, [(ctrl.b_minus, e_prime_mL), (ctrl.b_plus, -e_prime_pL)], n_ctrl_rows)[1:]
+    b_minus_rows, b_plus_rows = (np.concatenate([np.zeros(n_free), b.eval(rc)])
+                                 for b in (ctrl.b_minus, ctrl.b_plus))
 
     # L2((0,T) x (-L,L)) norm: free phase analytic + control phase trapezoid
     free_sq = float(np.sum(e0**2 * (1.0 - np.exp(-2.0 * lam * t_free)) / (2.0 * lam)))

@@ -24,7 +24,7 @@ from heatctrl.errors import (
     IllConditionedError,
     TruncationError,
 )
-from heatctrl.heatsim import terminal_state, terminal_states
+from heatctrl.heatsim import terminal_states
 from heatctrl.quadrature import gauss_legendre_panels
 from heatctrl.spectral import HeatState, ReductionSchedule, build_interval_basis
 
@@ -79,6 +79,16 @@ def test_family_values_are_the_evaluator_grid(families):
     assert np.max(np.abs(block.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_family_grid_past_the_budget_is_refused_with_its_size(basis64):
+    # eps 0.001 at T = 0.5 needs 106,975,241 atoms; the refusal comes before
+    # any array, and carries the count
+    with pytest.raises(TruncationError, match="106975241") as info:
+        biorthogonal._family_grid(0.5, 0.001, 1e-9)
+    assert info.value.achieved == 106_975_241
+    with pytest.raises(TruncationError):
+        build_multiplier_family(basis64, 0.5, 4, eps=0.05, tol=1e-300)
+
+
 def test_signal_window_support(families):
     fam = families[1.0]
     s = fam.signals[0]
@@ -102,7 +112,7 @@ def test_moment_matrix_rejects_an_unknown_method(families):
 def test_time_side_moments_where_certifiable(families):
     fam = families[1.0]
     for n, k in [(1, 1), (1, 2), (2, 1), (3, 2)]:
-        q = fam.signals[n - 1].integral([-fam.lambdas[k - 1]])[0]
+        q = ControlSignal.integrals([fam.signals[n - 1]], [-fam.lambdas[k - 1]])[0, 0]
         assert q == pytest.approx(1.0 if n == k else 0.0, abs=5e-4)
 
 
@@ -135,7 +145,8 @@ def _per_row_moment_matrix(family, k_max, method):
                 logmag, sign = family.evaluator.log_G(n, k)
                 B[n - 1, k - 1] = 0.0 if logmag == -math.inf else sign * math.exp(logmag)
         if time_side:
-            B[n - 1, time_side] = family.signals[n - 1].integral(-lams[time_side])
+            B[n - 1, time_side] = ControlSignal.integrals([family.signals[n - 1]],
+                                                          -lams[time_side])[0]
     return B
 
 
@@ -247,7 +258,7 @@ def test_assemble_moment_identity(basis64, families):
     g = assemble_control(basis64, u0, fam, 1.0)
     for n in range(1, 7):
         lam = float(basis64.lambdas[n - 1])
-        lhs = basis64.traces[n - 1] * g.integral([lam], ref=g.window[1])[0]
+        lhs = basis64.traces[n - 1] * ControlSignal.integrals([g], [lam], ref=g.window[1])[0, 0]
         rhs = -math.exp(-lam) * c[n - 1]
         assert lhs == pytest.approx(rhs, abs=5e-8 * np.linalg.norm(c))
 
@@ -403,6 +414,17 @@ def test_block_canonical_rescale_commutes_with_eval(b, L, T, lam):
     _assert_close(mapped.eval(ts), np.exp(lam * ts) * b.eval(sched.sigma * ts - half))
 
 
+def test_grid_block_at_subnormal_scale_is_not_flushed_to_zero():
+    # a combine weight of 2^-1022 puts every coefficient below the normal
+    # range; eval flushes only coefficients negligible against the largest
+    b = GridBlock(values=np.array([0.0, 0.5j, 0.25 - 0.125j]), omega=1.0)
+    w = 2.0 ** -1022
+    (scaled,) = combine([(w, b)])
+    want = w * b.eval(TS)
+    assert np.max(np.abs(want)) > 0
+    assert np.max(np.abs(scaled.eval(TS) - want)) <= 2.0 ** -1060
+
+
 _CONST_ATOM = MpBlock(coeffs=(mp.mpf(0.1875),), rates=(mp.mpf(0),), origin=0.0, dps=30)
 
 
@@ -436,7 +458,7 @@ def test_block_integral_matches_gauss_legendre(b, lo, length, ref, frac, limit, 
     integrand = b.eval(nodes) * np.exp(w * (nodes - ref))
     want = float(np.sum(weights * integrand))
     scale = float(np.sum(weights * np.abs(integrand)))
-    got = float(b.integral([w], lo, hi, ref)[0])
+    got = float(type(b).integral_rows([b], [w], lo, hi, ref)[0, 0])
     assert abs(got - want) <= 1e-10 * max(scale, abs(want))
 
 
@@ -452,7 +474,7 @@ def test_block_integral_over_several_kernel_tiles():
     ws = np.array([-b.rate, 2.5, -3.0])
     nodes, weights = gauss_legendre_panels(lo, hi, rate=3.0 + b.omega * len(k), order=24)
     vals = b.eval(nodes)
-    got = b.integral(ws, lo, hi, ref)
+    got = GridBlock.integral_rows([b], ws, lo, hi, ref)[0]
     for w, g in zip(ws, got):
         integrand = vals * np.exp(w * (nodes - ref))
         want = float(np.sum(weights * integrand))
@@ -494,8 +516,10 @@ def test_batch_integral_rows_match_single_calls(basis64, signals, ws, ref, n_mod
     rows = ControlSignal.integrals(signals, ws, ref)
     assert rows.shape == (len(signals), len(ws))
     for sig, row in zip(signals, rows):
-        per_block = sum((b.integral(ws, *sig.window, ref) for b in sig.blocks), np.zeros(len(ws)))
-        for w, got, one, want in zip(ws, row, sig.integral(ws, ref), per_block):
+        per_block = sum((type(b).integral_rows([b], ws, *sig.window, ref)[0] for b in sig.blocks),
+                        np.zeros(len(ws)))
+        for w, got, one, want in zip(ws, row, ControlSignal.integrals([sig], ws, ref)[0],
+                                     per_block):
             tol = 1e-12 * _abs_mass(sig, w, ref)
             assert abs(got - want) <= tol and abs(one - want) <= tol
 
@@ -505,7 +529,7 @@ def test_batch_integral_rows_match_single_calls(basis64, signals, ws, ref, n_mod
     finals = terminal_states(basis64, states, signals, hi - lo, n_modes)
     assert finals.shape == (len(signals), n_modes)
     for u0, sig, got in zip(states, signals, finals):
-        want = terminal_state(basis64, u0, sig, hi - lo, n_modes)
+        want = terminal_states(basis64, [u0], [sig], hi - lo, n_modes)[0]
         for j, lam in enumerate(basis64.lambdas[:n_modes]):
             bound = 1e-12 * abs(basis64.traces[j]) * _abs_mass(sig, lam, hi)
             assert abs(got[j] - want[j]) <= bound
@@ -600,7 +624,7 @@ def test_mp_integral_rows_equal_single_block_calls(b, coeff_rows, ws, lo, length
     rows = MpBlock.integral_rows(blocks, ws, lo, hi, ref)
     assert rows.shape == (len(blocks), len(ws))
     for blk, row in zip(blocks, rows):
-        assert np.array_equal(row, blk.integral(ws, lo, hi, ref))
+        assert np.array_equal(row, MpBlock.integral_rows([blk], ws, lo, hi, ref)[0])
         # the kernel rounds once where the mp form rounds every product: within
         # its bound of the 4x reference, and never further from it than the
         # mp form is, but for half an ulp

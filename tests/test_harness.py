@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from heatctrl.errors import ConfigurationError
 from heatctrl.harness import (
     CostReport,
     ExperimentConfig,
+    bound_sandwich_report,
     cost_sweep,
     fit_small_time_slope,
     write_cost_csv,
@@ -253,7 +255,7 @@ def test_fit_small_time_slope_uses_row_length():
 
 def test_sandwich_lower_end_is_smallest_T(monkeypatch):
     from heatctrl import harness
-    monkeypatch.setattr(harness, "cost_sweep", lambda cfg: ([], {"n_valid": 0}))
+    monkeypatch.setattr(harness, "_cost_sweep", lambda cfg, basis: ([], {"n_valid": 0}))
     cfg = ExperimentConfig.from_json(dict(BASE, modes=64, T_grid=[0.5, 0.1, 0.2]))
     doc = harness.bound_sandwich_report(cfg)
     smallest = min(doc["lower_experiments"], key=lambda v: v["T"])
@@ -269,6 +271,24 @@ def test_config_sturm_liouville_ceiling_uses_its_length():
     ExperimentConfig.from_json({"problem": sl, "T_grid": [0.9]})
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_json({"problem": sl, "T_grid": [5.0]})
+
+
+def test_config_checks_each_family_at_its_canonical_window():
+    # on [0, 2] the sweep's family at T runs on (pi/2)^2 T, which the eps 0.05
+    # multiplier serves up to 9.19: T = 3.7 maps to 9.13, T = 3.9 to 9.62
+    dd2 = dict(BASE, problem={"kind": "DD", "X": 2.0}, region=None)
+    ExperimentConfig.from_json(dict(dd2, T_grid=[3.7]))
+    with pytest.raises(ConfigurationError, match="T = 3.9"):
+        ExperimentConfig.from_json(dict(dd2, T_grid=[0.5, 3.9]))
+
+
+def test_sandwich_builds_its_basis_once():
+    cfg = ExperimentConfig.from_json(dict(BASE))
+    with mock.patch.object(ExperimentConfig, "build_basis", autospec=True,
+                           side_effect=ExperimentConfig.build_basis) as built:
+        report = bound_sandwich_report(cfg)
+    assert built.call_count == 1
+    assert report["cost_rows"][0]["status"] == "ok"
 
 
 @pytest.mark.parametrize("over", [{"region": 5}, {"modes": "abc"},
@@ -318,26 +338,51 @@ _BAD_FIELDS = {
                                          [_NAN, 1.0], [0.0, _INF], [True, 2.0]]),
                         st.tuples(st.floats(0, 3), st.floats(0, 3))
                         .filter(lambda r: not r[0] < r[1]).map(list)),
-    # 1-9 modes or members parse, but a sweep's basket needs the first ten
+    # 1-9 modes or members parse, but a sweep's basket needs the first ten;
+    # 300000 modes would ask the Duhamel kernel for 1.43 GiB
     "modes": st.one_of(st.integers(max_value=9), st.text(), st.floats(),
-                       st.sampled_from([True, None, [64]])),
+                       st.sampled_from([True, None, [64], 1025, 300000])),
     "family_count": st.one_of(st.integers(max_value=9), st.text(),
                               st.sampled_from([1.5, True, [6]])),
     "seed": st.one_of(st.integers(max_value=-1), st.text(), st.sampled_from([1.5, True, None])),
-    "T_grid": st.one_of(st.sampled_from([[], "0.5", 0.5, [None], ["x"], [True], [100.0]]),
+    # T = 9.5 is below pi^2, past the T = 9.19 the eps 0.05 multiplier serves
+    "T_grid": st.one_of(st.sampled_from([[], "0.5", 0.5, [None], ["x"], [True], [100.0],
+                                         [9.5]]),
                         st.lists(st.floats(max_value=0.0), min_size=1, max_size=3),
                         st.lists(st.sampled_from([_NAN, _INF, -_INF]), min_size=1, max_size=2)),
-    "tol": st.sampled_from([_NAN, _INF, -_INF, "x", 0.0, -1e-9, None, True]),
-    "multiplier_eps": st.sampled_from([_NAN, _INF, "x", 0.0, -0.05, None]),
+    # tol 2 is no tolerance; tol 1e-300 and eps 0.005, 0.001 are valid, but their
+    # frequency grids need 38,526,185, 4,278,787 and 106,975,241 atoms
+    "tol": st.sampled_from([_NAN, _INF, -_INF, "x", 0.0, -1e-9, None, True, 2.0, 1e-300]),
+    "multiplier_eps": st.sampled_from([_NAN, _INF, "x", 0.0, -0.05, None, 0.005, 0.001]),
     "eps_smoothing": st.sampled_from([_NAN, -_INF, "x", 0.0, -0.2, True]),
     "out_dir": st.sampled_from([5, [], None, "."]),  # not a config key
     "bogus": st.integers(),
 }
 
 
+@contextlib.contextmanager
+def _address_space_cap(extra: int):
+    """This process's RLIMIT_AS at its current size plus extra bytes, restored on exit."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        cap = int(fh.read().split()[0]) * resource.getpagesize() + extra
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 @settings(max_examples=150, deadline=None)
 @example(dict(BASE, modes=8))
 @example(dict(BASE, family_count=5))
+@example(dict(BASE, modes=300000))
+@example(dict(BASE, tol=2.0))
+@example(dict(BASE, tol=1e-300))
+@example(dict(BASE, multiplier_eps=0.001))
+@example(dict(BASE, T_grid=[9.5]))
 @given(st.one_of(
     st.sampled_from([[], 5, "cfg", None]),
     st.sampled_from(sorted(_BAD_FIELDS)).flatmap(
@@ -346,10 +391,11 @@ def test_cli_fuzzed_malformed_configs_exit_2(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(json.dumps(doc))
     err = io.StringIO()
-    # every malformed document must be refused before a basis is built
+    # every malformed or oversized document must be refused before a basis is
+    # built, and within 2 GiB more address space than the process holds
     with mock.patch.object(ExperimentConfig, "build_basis",
                            side_effect=AssertionError("basis built")), \
-            contextlib.redirect_stderr(err):
+            _address_space_cap(2 << 30), contextlib.redirect_stderr(err):
         code = main(["cost-sweep", "--config", str(path), "--out", str(path.parent)])
     assert code == 2
     assert "Traceback" not in err.getvalue() and "usage error" in err.getvalue()

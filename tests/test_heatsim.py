@@ -8,8 +8,11 @@ from scipy.integrate import quad
 from heatctrl.biorthogonal import ControlSignal, MpBlock, assemble_control
 from heatctrl.errors import ConfigurationError, DegenerateInputError, TruncationError
 from heatctrl.heatsim import (
+    _FINE_STEPS,
+    _ROW_STEPS,
     ObservationRegion,
     Trajectory,
+    _boundary_rows,
     distance_to_region,
     evolve_free,
     heat_kernel_eval,
@@ -17,7 +20,6 @@ from heatctrl.heatsim import (
     observability_quotient,
     simulate_boundary_control,
     simulate_interior_control,
-    terminal_state,
     terminal_states,
 )
 from heatctrl.spectral import HeatState, build_interval_basis
@@ -52,6 +54,57 @@ def test_boundary_control_constant_closed_form(basis64):
     assert traj.coeffs[-1, 0] == pytest.approx(want, abs=1e-8)
 
 
+def _constant(c, window):
+    """The control g = c on window: one atom of rate 0."""
+    return ControlSignal(window=window, blocks=[
+        MpBlock(coeffs=(mp.mpf(c),), rates=(mp.mpf(0),), origin=window[0], dps=30)])
+
+
+def _constant_drive_rows(lam, start, drive, T, n_rows):
+    """Rows of the stepper under a constant drive b = sum_i gain_i c_i.
+
+    The exponentially weighted trapezoid with step du integrates e^{-lam (t - s)}
+    to (1 - e^{-lam t}) (du/2) coth(lam du/2); the last row is the exact
+    start e^{-lam T} + b (1 - e^{-lam T}) / lam."""
+    du = T / (max(_ROW_STEPS, _FINE_STEPS // n_rows) * n_rows)
+    t = np.linspace(0.0, T, n_rows + 1)[:, None]
+    decay = np.exp(-lam * t)
+    rows = start * decay + drive * (1.0 - decay) * (0.5 * du) / np.tanh(0.5 * lam * du)
+    rows[-1] = start * decay[-1] + drive * (1.0 - decay[-1]) / lam
+    return rows
+
+
+@pytest.mark.parametrize("n_times", [3, 129, 1025])
+def test_boundary_rows_under_a_constant_control_are_the_rule_in_closed_form(basis64, n_times):
+    # every row, not only the last: rows between the ends are the trapezoid
+    # rule's closed form at the stepper's step, the last row the exact one
+    T, c, n = 0.7, 0.8, 45
+    c0 = np.random.default_rng(5).standard_normal(n)
+    u0 = HeatState(c0, basis64.basis_id)
+    traj = simulate_boundary_control(basis64, u0, _constant(c, (-T / 2, T / 2)), T,
+                                     n_times=n_times, n_modes=n)
+    lam, gam = basis64.lambdas[:n], basis64.traces[:n]
+    want = _constant_drive_rows(lam, c0, gam * c, T, n_times - 1)
+    scale = np.abs(c0) + np.abs(gam * c) / lam
+    assert traj.coeffs.shape == (n_times, n)
+    assert np.all(np.abs(traj.coeffs - want) <= 1e-13 * scale)
+
+
+def test_boundary_rows_sum_two_constant_drives(basis64):
+    # the fundamental solution's shape: two controls on one window, each with
+    # its own gain per rate
+    lo, hi, n, n_rows = 0.3, 1.0, 30, 64
+    lam = basis64.lambdas[:n]
+    rng = np.random.default_rng(6)
+    c0, gain_a, gain_b = (rng.standard_normal(n) for _ in range(3))
+    rows = _boundary_rows(lam, c0, [(_constant(0.6, (lo, hi)), gain_a),
+                                    (_constant(-1.7, (lo, hi)), gain_b)], n_rows)
+    want = _constant_drive_rows(lam, c0, 0.6 * gain_a - 1.7 * gain_b, hi - lo, n_rows)
+    scale = np.abs(c0) + (np.abs(0.6 * gain_a) + np.abs(1.7 * gain_b)) / lam
+    assert rows.shape == (n_rows + 1, n)
+    assert np.all(np.abs(rows - want) <= 1e-13 * scale)
+
+
 def test_boundary_control_zero_is_free_decay(basis64):
     T = 0.4
     g = ControlSignal(window=(0.0, T), blocks=[])
@@ -81,9 +134,9 @@ def test_terminal_state_is_the_simulated_last_row(basis64, families):
     u0 = HeatState(np.array([0.3, -1.0, 0.5]), basis64.basis_id)
     g = assemble_control(basis64, u0, fam, 1.0)
     traj = simulate_boundary_control(basis64, u0, g, 1.0, n_times=3)
-    assert np.array_equal(terminal_state(basis64, u0, g, 1.0), traj.coeffs[-1])
+    assert np.array_equal(terminal_states(basis64, [u0], [g], 1.0)[0], traj.coeffs[-1])
     with pytest.raises(ConfigurationError):
-        terminal_state(basis64, u0, g, 0.5)
+        terminal_states(basis64, [u0], [g], 0.5)
 
 
 def test_terminal_states_rejects_a_window_of_another_length(basis64):

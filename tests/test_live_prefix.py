@@ -134,7 +134,8 @@ def test_trimmed_blocks_keep_the_grid_through_maps_and_sums(sweep):
     K = _kernel_abs(b, ws, -0.25, 0.25, 0.25)
     for row, blk in zip(rows, (short, b)):
         mass = b.omega / math.pi * (K[:, : len(blk.values)] @ np.abs(blk.values))
-        assert np.all(np.abs(row - blk.integral(ws, -0.25, 0.25, 0.25)) <= 1e-13 * mass)
+        one = GridBlock.integral_rows([blk], ws, -0.25, 0.25, 0.25)[0]
+        assert np.all(np.abs(row - one) <= 1e-13 * mass)
 
 
 def _kernel_abs(block, ws, lo, hi, ref):
