@@ -92,6 +92,7 @@ _GRAM_EXTRA_DIGITS = 60  # digits the Gram solve carries past amplification and 
 _TAIL_RTOL = 1e-12  # tail bound, relative to the cost, of modes past a family
 _LIMB_BITS = 24  # limb width of _int_matmul: three bytes
 _LIMB_BLOCK = 32  # inner length of one _int_matmul GEMM: 32 (2^24 - 1)^2 < 2^53
+_GRAM_COND_LIMIT = 1e250  # largest 1-norm condition estimate a Gram inverse may have
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +492,6 @@ class ControlSignal:
               + 2.0 * sum(a.inner(b, *w) for a, b in itertools.combinations(self.blocks, 2)))
         return math.sqrt(max(sq, 0.0))
 
-    def to_csv(self, path):
-        """(t, value) rows at the 4096 points of :meth:`sample`."""
-        ts, vals = self.sample(4096)
-        with open(path, "w") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(ts, vals):
-                fh.write(f"{t:.17g},{v:.17g}\n")
-
 
 # ---------------------------------------------------------------------------
 # multiplier family
@@ -570,19 +563,11 @@ class BiorthogonalFamily:
             "lambdas": [float(v) for v in self.lambdas],
             "window": [-self.T / 2.0, self.T / 2.0],
             "norms": [float(v) for v in self.norms],
-            "meta": {k: v for k, v in self.meta.items() if _json_ok(v)},
+            "meta": dict(self.meta),
         }
 
     def manifest_json(self) -> str:
         return json.dumps(self.manifest(), indent=2)
-
-
-def _json_ok(v):
-    try:
-        json.dumps(v)
-        return True
-    except TypeError:
-        return False
 
 
 def _family_grid(T: float, eps: float, tol: float):
@@ -831,8 +816,7 @@ def _gram_residual(R, G0, cond):
     return resid, bound
 
 
-def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
-                        cond_threshold: float = 1e250) -> BiorthogonalFamily:
+def gram_minimal_family(lambdas: Sequence[float], count: int, T: float) -> BiorthogonalFamily:
     """Minimal-norm biorthogonal family on the span of the first N exponentials.
 
     Solves the Gram system of {e^{-lambda_k t}} on the centered window.  The
@@ -880,7 +864,7 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float,
                     f"Gram matrix not positive definite at dps={dps}", cond=math.inf)
             # crude 1-norm condition estimate
             cond = _norm1(G0) * _norm1(R)
-            if float(cond) > cond_threshold:
+            if float(cond) > _GRAM_COND_LIMIT:
                 raise IllConditionedError(
                     f"Gram matrix condition {mp.nstr(cond, 3)} above threshold",
                     cond=float(cond))

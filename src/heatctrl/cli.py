@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import struct
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import harness
 from .biorthogonal import assemble_control, biorthogonality_matrix, build_multiplier_family
 from .entire import sigma_star
-from .errors import ConfigurationError, HeatCtrlError
+from .errors import ConfigurationError, HeatCtrlError, TruncationError
 from .harness import ExperimentConfig, bound_sandwich_report, cost_sweep, write_cost_csv
 from .heatsim import simulate_boundary_control
 from .spectral import HeatState, reduce_to_canonical
@@ -54,17 +55,23 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_json(doc)
 
 
-def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
-def _write_json(args, name: str, doc, echo: bool = False):
-    """Write doc as indented JSON under --out, and print it when echo is set."""
-    text = json.dumps(doc, indent=2)
-    harness._atomic_write(_out_path(args, name), text)
+def _write(args, name: str, payload, echo: bool = False):
+    """Write one output file (str or bytes) under --out atomically; echo prints it."""
+    harness._atomic_write(os.path.join(args.out, name), payload)
     if echo:
-        print(text)
+        print(payload)
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of numbers at %.17g."""
+    return "".join([header + "\n"] + [",".join(f"{v:.17g}" for v in r) + "\n" for r in rows])
+
+
+def _trajectory_csv(traj) -> str:
+    """(t, norm, modes...): one row per trajectory time."""
+    cols = ",".join(f"mode{j + 1}" for j in range(traj.coeffs.shape[1]))
+    return _csv(f"t,norm,{cols}", ([t, np.linalg.norm(row), *row]
+                                   for t, row in zip(traj.times, traj.coeffs)))
 
 
 def _unit_control(args):
@@ -72,6 +79,10 @@ def _unit_control(args):
     at the config's first T."""
     cfg = _load_config(args)
     T = cfg.T_grid[0]
+    exponent = harness._float_floor(cfg.basis_length(), T)
+    if exponent is not None:
+        raise TruncationError(f"cost exponent alpha_2 L^2 / T = {exponent:.4g} past the "
+                              f"float budget at T = {T}", achieved=exponent)
     reduced, sched = reduce_to_canonical(cfg.build_basis(), T)
     count = cfg.family_count or harness._family_count_for(sched.T_canonical, reduced)
     fam = build_multiplier_family(reduced, sched.T_canonical, count,
@@ -85,16 +96,15 @@ def _unit_control(args):
 
 def _cmd_synthesize(args) -> int:
     T, _, sched, fam, _, g = _unit_control(args)
-    g.to_csv(_out_path(args, "control.csv"))
+    _write(args, "control.csv", _csv("t,value", zip(*g.sample(4096))))
     manifest = fam.manifest()
     manifest["cost"] = g.norm() * sched.cost_factor
-    _write_json(args, "family.json", manifest)
+    _write(args, "family.json", json.dumps(manifest, indent=2))
     if args.dump_envelope:
         ev = fam.evaluator
         xs = np.geomspace(1.0, max(16.0 * ev.spec.a0, 1e4), 400)
         lm, _ = ev.log_G_array(1, xs)
-        lines = ["x,ln_abs_G\n"] + [f"{x:.17g},{v:.17g}\n" for x, v in zip(xs, lm)]
-        harness._atomic_write(_out_path(args, "envelope.csv"), "".join(lines))
+        _write(args, "envelope.csv", _csv("x,ln_abs_G", zip(xs, lm)))
     print(f"synthesized {fam.count}-mode family at T={T}; cost {manifest['cost']:.6g}")
     return 0
 
@@ -102,7 +112,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_simulate(args) -> int:
     _, reduced, sched, _, u0, g = _unit_control(args)
     traj = simulate_boundary_control(reduced, u0, g, sched.T_canonical)
-    traj.to_csv(_out_path(args, "trajectory.csv"))
+    _write(args, "trajectory.csv", _trajectory_csv(traj))
     resid = float(np.linalg.norm(traj.coeffs[-1]))
     print(f"terminal residual {resid:.3e}")
     return 0 if resid <= 1e-3 else 1
@@ -111,8 +121,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_cost_sweep(args) -> int:
     cfg = _load_config(args)
     rows, fit = cost_sweep(cfg)
-    write_cost_csv(rows, _out_path(args, "cost_sweep.csv"))
-    _write_json(args, "cost_fit.json", fit)
+    write_cost_csv(rows, os.path.join(args.out, "cost_sweep.csv"))
+    _write(args, "cost_fit.json", json.dumps(fit, indent=2))
     bad = [r for r in rows if r.status.startswith("error") or r.status == "failed"]
     print(f"{len(rows)} rows, fit: {fit}")
     return 0 if not bad else 1
@@ -124,7 +134,7 @@ def _cmd_lower_bound(args) -> int:
     region = cfg.observation_region()
     reports = harness.lower_bound_reports(cfg, basis, region,
                                           harness.probe_point(region, basis.X))
-    _write_json(args, "lower_bound.json", reports, echo=True)
+    _write(args, "lower_bound.json", json.dumps(reports, indent=2), echo=True)
     return 0
 
 
@@ -133,10 +143,10 @@ def _cmd_fundamental(args) -> int:
     T = cfg.T_grid[0]
     L = cfg.basis_length() / 2.0
     v = fundamental_solution(T, L, n_modes=cfg.modes)
-    _write_grid(_out_path(args, "fundamental.bin"), v.times, v.s_grid, v.field())
+    _write(args, "fundamental.bin", _grid_bytes(v.times, v.s_grid, v.field()))
     summary = {"T": T, "L": L, "norm": v.norm, "A": v.A, "alpha": v.alpha,
                "terminal": v.v_final_norm(), "method": v.meta["method"]}
-    _write_json(args, "fundamental.json", summary, echo=True)
+    _write(args, "fundamental.json", json.dumps(summary, indent=2), echo=True)
     return 0
 
 
@@ -154,24 +164,24 @@ def _cmd_transmute(args) -> int:
     v = fundamental_solution(T, S, n_modes=cfg.modes)
     traj, g = transmute_control(v, wave)
 
-    _write_grid(_out_path(args, "fundamental.bin"), v.times, v.s_grid, v.field())
+    _write(args, "fundamental.bin", _grid_bytes(v.times, v.s_grid, v.field()))
     xs = np.linspace(0.0, basis.X, 257)
     ss = np.linspace(0.0, S, 2049)
-    _write_grid(_out_path(args, "wave_w.bin"), ss, xs, wave.w_field(ss, xs))
-    _write_grid(_out_path(args, "wave_f.bin"), ss, xs, wave.f_field(ss, xs))
-    traj.to_csv(_out_path(args, "transmuted_trajectory.csv"))
+    _write(args, "wave_w.bin", _grid_bytes(ss, xs, wave.w_field(ss, xs)))
+    _write(args, "wave_f.bin", _grid_bytes(ss, xs, wave.f_field(ss, xs)))
+    _write(args, "transmuted_trajectory.csv", _trajectory_csv(traj))
 
     resid = float(np.linalg.norm(traj.coeffs[-1]))
     summary = {"T": T, "S": S, "terminal": resid, "g_norm": g.norm,
                "v_norm": v.norm, "wave_cond": wave.gramian_cond}
-    _write_json(args, "transmute.json", summary, echo=True)
+    _write(args, "transmute.json", json.dumps(summary, indent=2), echo=True)
     return 0 if resid <= 1e-3 * u0.norm() else 1
 
 
 def _cmd_sandwich(args) -> int:
     cfg = _load_config(args)
     report = bound_sandwich_report(cfg)
-    _write_json(args, "sandwich.json", report)
+    _write(args, "sandwich.json", json.dumps(report, indent=2))
     print(json.dumps({k: report[k] for k in
                       ("empirical_lower", "empirical_upper", "ordering_ok",
                        "inside_slack_band")}, indent=2))
@@ -198,19 +208,17 @@ def _cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
-def _write_grid(path, t_axis, s_axis, field):
+def _grid_bytes(t_axis, s_axis, field) -> bytes:
     """Binary grid: magic, dims, spacings, then row-major float64 payload."""
-    import struct
     header = struct.pack(
         "<8sqqdddd", b"HCGRID01", len(t_axis), len(s_axis),
         float(t_axis[0]), float(t_axis[1] - t_axis[0]),
         float(s_axis[0]), float(s_axis[1] - s_axis[0]))
-    harness._atomic_write(path, header + np.ascontiguousarray(field, dtype="<f8").tobytes())
+    return header + np.ascontiguousarray(field, dtype="<f8").tobytes()
 
 
 def read_grid(path):
-    """Inverse of the binary grid writer; returns (t_axis, s_axis, field)."""
-    import struct
+    """Inverse of _grid_bytes; returns (t_axis, s_axis, field)."""
     with open(path, "rb") as fh:
         head = fh.read(8 + 8 + 8 + 4 * 8)
         magic, nt, ns, t0, dt, s0, ds = struct.unpack("<8sqqdddd", head)

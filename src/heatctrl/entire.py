@@ -245,6 +245,8 @@ def make_multiplier(d: float, tau: float) -> MultiplierSpec:
     if d <= 0 or tau <= 0:
         raise ConfigurationError("d and tau must be positive")
     A = d / (_SLOPE_RATIO + 1.0 / 12.0)
+    if not 2.0 * A / tau < math.sqrt(np.finfo(float).max):  # a0 would overflow
+        raise TruncationError(f"(2A/tau)^2 overflows at tau = {tau:.3g}", achieved=2.0 * A / tau)
     a0 = (2.0 * A / tau) ** 2
     K = int(math.ceil(A * math.sqrt(a0) - 1e-12))
     return MultiplierSpec(d=d, tau=tau, A=A, a0=a0, K=K)

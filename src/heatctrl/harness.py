@@ -162,7 +162,7 @@ class ExperimentConfig:
             if not 0.0 < T <= ceiling + 1e-12:
                 raise ConfigurationError(
                     f"T = {T} outside (0, min(pi, L)^2] = (0, {ceiling:.6g}]")
-            if ALPHA_2 * L ** 2 / T > _FLOAT_BUDGET:
+            if _float_floor(L, T) is not None:
                 continue  # the sweep builds no family there (error:below-float-floor)
             try:
                 _family_grid((math.pi / L) ** 2 * T, self.multiplier_eps, self.tol)
@@ -199,6 +199,12 @@ def _integer(doc: dict, key: str, default, least: int = 1, optional: bool = Fals
     if isinstance(v, bool) or not isinstance(v, int) or v < least:
         raise ConfigurationError(f"{key!r} must be an integer >= {least}")
     return v
+
+
+def _float_floor(L: float, T: float) -> Optional[float]:
+    """alpha_2 L^2 / T, the cost bound's exponent, where past _FLOAT_BUDGET; else None."""
+    exponent = ALPHA_2 * L ** 2 / T
+    return exponent if exponent > _FLOAT_BUDGET else None
 
 
 def probe_point(region: ObservationRegion, X: float) -> float:
@@ -259,7 +265,7 @@ def _cost_sweep(config: ExperimentConfig, basis: Optional[SpectralBasis] = None)
     rows = []
     for T in sorted(config.T_grid):
         status = "error:below-float-floor"
-        if ALPHA_2 * basis.L ** 2 / T <= _FLOAT_BUDGET:
+        if _float_floor(basis.L, T) is None:
             try:
                 rows.append(_sweep_row(config, basis, T))
                 continue

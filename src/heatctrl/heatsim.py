@@ -47,6 +47,7 @@ __all__ = [
 _REGION_OVERSAMPLE = 4  # oversampling factor of the region quadrature grid
 _ROW_STEPS = 32  # fewest trapezoid steps per boundary trajectory row
 _FINE_STEPS = 4096  # trapezoid steps a boundary trajectory of few rows spreads over them
+_KERNEL_TAIL_TOL = 1e-10  # largest heat-kernel tail bound heat_kernel_eval accepts
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,6 @@ class Trajectory:
     times: np.ndarray
     coeffs: np.ndarray  # (n_times, n_modes)
     basis: SpectralBasis
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            cols = ",".join(f"mode{j+1}" for j in range(self.coeffs.shape[1]))
-            fh.write(f"t,norm,{cols}\n")
-            for t, row in zip(self.times, self.coeffs):
-                fh.write(f"{t:.17g},{np.linalg.norm(row):.17g},"
-                         + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def evolve_free(basis: SpectralBasis, state: HeatState, dt: float) -> HeatState:
@@ -210,13 +203,12 @@ def simulate_interior_control(basis: SpectralBasis, u0: HeatState, forcing,
     return Trajectory(times=np.linspace(0.0, T, n_times), coeffs=co, basis=basis)
 
 
-def heat_kernel_eval(basis: SpectralBasis, t: float, x: float, y: float,
-                     tol: float = 1e-10):
+def heat_kernel_eval(basis: SpectralBasis, t: float, x: float, y: float):
     """k(t, x, y) = sum_j e^{-lambda_j t} e_j(y) e_j(x), with its tail bound.
 
     Returns (value, tail_bound).  The bound uses the sup of the stored
     eigenfunction amplitudes and a geometric majorant of the remaining
-    decay; if it exceeds tol the mode count is insufficient for this t.
+    decay; above _KERNEL_TAIL_TOL the mode count is insufficient for this t.
     """
     if t <= 0:
         raise ConfigurationError("t must be positive")
@@ -232,7 +224,7 @@ def heat_kernel_eval(basis: SpectralBasis, t: float, x: float, y: float,
     gap = float(basis.tail.lam(J + 2) - lam_next)
     ratio = math.exp(-gap * t)
     bound = amp2 * math.exp(-lam_next * t) / max(1.0 - ratio, 1e-16)
-    if bound > tol:
+    if bound > _KERNEL_TAIL_TOL:
         raise TruncationError(
             f"kernel tail bound {bound:.2e} above tol at t = {t}", achieved=bound)
     return value, bound
@@ -278,14 +270,14 @@ def distance_to_region(y: float, region: ObservationRegion, X: float) -> float:
 
 
 def lower_bound_experiment(basis: SpectralBasis, region: ObservationRegion,
-                           y: float, T: float, eps: Optional[float] = None,
-                           n_times: int = 513) -> LowerBoundReport:
+                           y: float, T: float, eps: Optional[float] = None) -> LowerBoundReport:
     """Observability quotient of near-kernel data concentrated away from the region.
 
     Data: c_j = e^{-eps T lambda_j} e_j(y) over the modes with
-    sqrt(lambda_j) <= 1/(eps T); the free solution is compared on the
-    region against its final norm, and -T ln q estimates the small-time
-    rate, to be held against d(y, region)^2 / 4.  The data are
+    sqrt(lambda_j) <= 1/(eps T); the free solution's mass on (0, T) x region,
+    c^T (M o K) c with K_jk = (1 - e^{-(lambda_j + lambda_k) T}) / (lambda_j + lambda_k)
+    and M the region mass matrix, is compared against its final norm, and -T ln q
+    estimates the small-time rate, to be held against d(y, region)^2 / 4.  The data are
     e^{eps T Delta} delta_y, so for fixed eps the estimate tends to
     d^2 / (4 (1 + eps)) from above, with a correction of order T ln(1/T);
     it reaches d^2 / 4 only as eps -> 0.
@@ -308,10 +300,12 @@ def lower_bound_experiment(basis: SpectralBasis, region: ObservationRegion,
 
     ey = basis.eigfun_matrix(np.array([y]), count=n_live)[:, 0]
     c0 = np.exp(-eps * T * lam[:n_live]) * ey
-    times = np.linspace(0.0, T, n_times)
-    co = c0[None, :] * np.exp(-lam[None, :n_live] * times[:, None])
-    traj = Trajectory(times=times, coeffs=co, basis=basis)
-    q = 1.0 / observability_quotient(traj, region, T)
+    rate = lam[:n_live, None] + lam[None, :n_live]
+    K = np.where(rate == 0.0, T, -np.expm1(-rate * T) / np.where(rate == 0.0, 1.0, rate))
+    window_sq = float(c0 @ (region_mass_matrix(basis, region, n_live) * K) @ c0)
+    if window_sq <= 0:
+        raise DegenerateInputError("observation window carries no signal")
+    q = math.sqrt(window_sq) / float(np.linalg.norm(c0 * np.exp(-lam[:n_live] * T)))
     return LowerBoundReport(
         T=T, q=q, minus_T_ln_q=-T * math.log(q), d_squared_over_4=d * d / 4.0,
         eps=eps, y=y, modes_used=n_live)

@@ -370,11 +370,14 @@ def build_sturm_liouville_basis(problem: ParabolicProblem, count: int,
 
     L = problem.effective_length()
     a_model = (math.pi / L) ** 2
-    # fit (b, s) of the tail model on the top half of the spectrum
-    top = np.arange(count // 2, count)
-    nu_fit = float(np.mean(np.sqrt(np.abs(lam_rich[top])) / math.sqrt(a_model) - (top + 1)))
-    s_fit = float(np.mean(lam_rich[top] - a_model * (top + 1 + nu_fit) ** 2))
-    delta = float(np.max(np.abs(lam_rich[top] - (a_model * (top + 1 + nu_fit) ** 2 + s_fit))))
+    # tail model (b, s) by least squares on the top half: lambda_k - a k^2 = 2ab k + ab^2 + s
+    top = slice(count // 2, count)
+    k, lam_top = np.arange(1.0, count + 1.0)[top], lam_rich[top]
+    y = lam_top - a_model * k * k
+    slope, icept = np.polyfit(k, y, 1) if k.size > 1 else (0.0, y[0])
+    nu_fit = float(slope / (2.0 * a_model))
+    s_fit = float(icept - a_model * nu_fit ** 2)
+    delta = float(np.max(np.abs(lam_top - (a_model * (k + nu_fit) ** 2 + s_fit))))
 
     return SpectralBasis(
         kind="numeric-SL",

@@ -52,6 +52,7 @@ from .entire import ALPHA_2
 
 _FAMILY_TOL = 1e-10  # tail tolerance of the two-end multiplier families
 _N_S_FUNDAMENTAL = 641  # s grid of the fundamental solution on [-L, L]
+_WAVE_COND_LIMIT = 1e12  # largest condition number of the wave Gramian
 
 
 def longest_avoiding_ray(region: ObservationRegion, X: float) -> float:
@@ -434,8 +435,7 @@ def _trig_int_sc(a, b, s):
 
 
 def wave_hum_control(basis: SpectralBasis, region: ObservationRegion,
-                     u0: HeatState, S: float, N: int,
-                     cond_threshold: float = 1e12) -> WaveControlledTrajectory:
+                     u0: HeatState, S: float, N: int) -> WaveControlledTrajectory:
     """Minimal-norm interior control of the N-mode wave system over time S.
 
     State (w, w') of w''_j = -lambda_j w_j + (Q phi)_j with Q the region
@@ -466,7 +466,7 @@ def wave_hum_control(basis: SpectralBasis, region: ObservationRegion,
     W[N:, N:] = Q * _trig_int_pm(oj, ok, S, 1.0)
 
     cond = float(np.linalg.cond(W))
-    if cond > cond_threshold:
+    if cond > _WAVE_COND_LIMIT:
         raise IllConditionedError(
             f"wave Gramian condition {cond:.2e} above threshold", cond=cond)
 

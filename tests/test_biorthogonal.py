@@ -293,11 +293,10 @@ def test_norm_stable_under_grid_refinement(families):
     assert math.sqrt(val) == pytest.approx(s.norm(), rel=1e-6)
 
 
-def test_signal_csv_round_trip(tmp_path, families):
+def test_signal_csv_round_trip(families):
+    from heatctrl.cli import _csv
     s = families[1.0].signals[0]
-    path = tmp_path / "sig.csv"
-    s.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    lines = _csv("t,value", zip(*s.sample(4096))).strip().splitlines()
     assert lines[0] == "t,value"
     assert len(lines) == 4097
     # the rows span the whole window
@@ -997,8 +996,9 @@ def test_gram_condition_threshold_raises_before_the_residual(monkeypatch, basis6
         raise AssertionError("residual kernel ran on a refused family")
 
     monkeypatch.setattr(biorthogonal, "_gram_residual", unreachable)
+    monkeypatch.setattr(biorthogonal, "_GRAM_COND_LIMIT", 1e10)
     with pytest.raises(IllConditionedError, match="above threshold"):
-        gram_minimal_family(basis64.lambdas[:12], 12, 1.0, cond_threshold=1e10)
+        gram_minimal_family(basis64.lambdas[:12], 12, 1.0)
 
 
 def test_gram_precision_ceiling_raises():
@@ -1010,11 +1010,12 @@ def test_gram_precision_ceiling_raises():
     assert err.value.cond == float(dps)
 
 
-def test_gram_condition_threshold_raises(basis64, gram12):
+def test_gram_condition_threshold_raises(monkeypatch, basis64, gram12):
     reached = gram12[1.0].meta["cond"]
     assert 1e12 < reached < 1e13
+    monkeypatch.setattr(biorthogonal, "_GRAM_COND_LIMIT", 1e10)
     with pytest.raises(IllConditionedError) as err:
-        gram_minimal_family(basis64.lambdas[:12], 12, 1.0, cond_threshold=1e10)
+        gram_minimal_family(basis64.lambdas[:12], 12, 1.0)
     assert err.value.cond == reached
 
 

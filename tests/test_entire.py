@@ -340,6 +340,13 @@ def test_make_multiplier_tau_halved():
     assert sp2.K in (2 * sp1.K - 1, 2 * sp1.K, 2 * sp1.K + 1)
 
 
+def test_make_multiplier_refuses_an_overflowing_a0():
+    # (2A/tau)^2 past the float range is a typed error carrying 2A/tau
+    with pytest.raises(TruncationError) as err:
+        make_multiplier(math.pi + 0.3, 1e-300)
+    assert err.value.achieved > 1e154
+
+
 def test_multiplier_rejects_closed_ratio():
     A = 1.5
     with pytest.raises(ConfigurationError):

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import resource
+import signal
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from heatctrl.cli import main, read_grid
 from heatctrl.errors import ConfigurationError
 from heatctrl.harness import (
     CostReport,
+    _atomic_write,
     ExperimentConfig,
     bound_sandwich_report,
     cost_sweep,
@@ -119,6 +122,41 @@ def test_cli_usage_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+@pytest.mark.parametrize("T", [0.02, 1e-20, 1e-50, 1e-300])
+def test_cli_refuses_T_past_the_float_floor(tmp_path, capsys, command, T):
+    # alpha_2 pi^2 / T is past the float budget (700) from T = 0.02 on: a
+    # typed error and exit 1, no cost inf, no overflow warning or traceback
+    cfg = _write_cfg(tmp_path, T_grid=[T], modes=64, family_count=None)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cost exponent") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_failed_write_keeps_the_previous_file(tmp_path):
+    # a write refused past RLIMIT_FSIZE (with SIGXFSZ ignored, an OSError)
+    # leaves the last good trajectory.csv and no temporary file behind
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    main(["simulate", "--config", cfg, "--out", str(out)])
+    first = (out / "trajectory.csv").read_bytes()
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (len(first) // 2, hard))
+    try:
+        with pytest.raises(OSError):
+            main(["simulate", "--config", cfg, "--out", str(out)])
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert (out / "trajectory.csv").read_bytes() == first
+    assert not list(out.glob("*.tmp"))
 
 
 def test_cli_verify():
@@ -402,12 +440,12 @@ def test_cli_fuzzed_malformed_configs_exit_2(tmp_path_factory, doc):
 
 
 def test_grid_writer_ignores_stale_tmp_name(tmp_path):
-    from heatctrl.cli import _write_grid
+    from heatctrl.cli import _grid_bytes
     path = tmp_path / "fundamental.bin"
     (tmp_path / "fundamental.bin.tmp").mkdir()  # a fixed temp name would collide
     t, s = np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)
     field = np.arange(12.0).reshape(3, 4)
-    _write_grid(str(path), t, s, field)
+    _atomic_write(str(path), _grid_bytes(t, s, field))
     t2, s2, f2 = read_grid(str(path))
     assert np.array_equal(f2, field) and np.allclose(t2, t) and np.allclose(s2, s)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fundamental.bin",

@@ -286,11 +286,10 @@ def test_lower_bound_matches_image_kernel():
         assert rep.minus_T_ln_q == pytest.approx(want, abs=1e-4)
 
 
-def test_trajectory_csv(tmp_path, basis64):
+def test_trajectory_csv(basis64):
+    from heatctrl.cli import _trajectory_csv
     times = np.linspace(0, 1, 5)
     co = np.ones((5, 2))
-    path = tmp_path / "traj.csv"
-    Trajectory(times, co, basis64).to_csv(path)
-    lines = path.read_text().splitlines()
+    lines = _trajectory_csv(Trajectory(times, co, basis64)).splitlines()
     assert lines[0].startswith("t,norm,mode1")
     assert len(lines) == 6

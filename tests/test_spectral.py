@@ -72,6 +72,15 @@ def test_sl_constant_potential_shift():
     assert np.allclose(b.lambdas, [-1.0, 2.0, 7.0], atol=1e-7)
 
 
+def test_sl_tail_model_fits_a_shifted_quadratic_spectrum():
+    # q = 1/2 shifts the Dirichlet string to n^2 - 1/2: the fitted tail model
+    # is a (k + b)^2 + s with s = -q, close on the stored top half
+    prob = ParabolicProblem(X=math.pi, p=1.0, q=0.5, bc0=(1, 0), bc1=(1, 0))
+    tail = build_sturm_liouville_basis(prob, 64).tail
+    assert abs(tail.s + 0.5) <= 1e-4
+    assert tail.delta <= 1e-4
+
+
 def test_sl_rescaled_string():
     prob = ParabolicProblem(X=math.pi, p=4.0, q=0.0, bc0=(1, 0), bc1=(1, 0))
     b = build_sturm_liouville_basis(prob, 2)

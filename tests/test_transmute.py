@@ -143,12 +143,13 @@ def test_hum_requires_time_above_ray(basis64):
         wave_hum_control(basis64, reg, u0, 1.9, 4)
 
 
-def test_hum_ill_conditioning_gate(basis64):
+def test_hum_ill_conditioning_gate(monkeypatch, basis64):
     # sliver region: cond ~ 6e2 at 16 modes; the gate trips below that
     reg = ObservationRegion(1.50, 1.52)
     u0 = HeatState(np.array([1.0]), basis64.basis_id)
+    monkeypatch.setattr(transmute, "_WAVE_COND_LIMIT", 1e2)
     with pytest.raises(IllConditionedError):
-        wave_hum_control(basis64, reg, u0, 2 * math.pi, 16, cond_threshold=1e2)
+        wave_hum_control(basis64, reg, u0, 2 * math.pi, 16)
 
 
 # ---- two-end control -------------------------------------------------------
