@@ -338,54 +338,52 @@ class MpBlock:
 
     @staticmethod
     def integral_rows(blocks, ws, lo: float, hi: float, ref: float) -> np.ndarray:
-        """Row i is int_lo^hi s_i(t) e^{w (t - ref)} dt, s_i = blocks[i], for
-        each w in ws and blocks sharing one key; exact in mp.
+        """_exact_rows at the blocks' digits for float rates ws, rounded to float."""
+        with mp.workdps(blocks[0].dps):
+            return np.array(MpBlock._exact_rows(blocks, [mp.mpf(float(w)) for w in ws],
+                                                lo, hi, ref), dtype=float)
+
+    @staticmethod
+    def _exact_rows(blocks, ws, lo: float, hi: float, ref: float) -> list:
+        """Row i is int_lo^hi s_i(t) e^{w (t - ref)} dt, s_i = blocks[i] sharing
+        one key, as an mpf at the working precision p, for each mpf w in ws.
 
         Each atom integral K_k = int_lo^hi e^{z_k (t - origin) + w (t - ref)} dt
-        is built once for all rows, on integers (_int_atom_integral), and a
-        row is one integer sum of the exact products c_k K_k, truncated
-        p + 16 + log2 N bits below its largest term and rounded once to the
-        block's p bits.  Take each K_k exactly from the same rounded
-        exponentials and s_k = z_k + w (on the expm1 branch, the mp form's
-        value): the row before its float conversion is then within
-        2^-p (|sum_k c_k K_k| + 2^-12 sum_k |c_k K_k|) of sum_k c_k K_k, the
-        size of the mp form's own rounding error.  The one rounding gives
-        2^-p |sum|; the truncated quotients and terms stay below
-        2^-(p+13) sum_k |c_k K_k|.
+        is built once for all rows, on integers (_int_atom_integral), and a row
+        is one integer sum of the exact products c_k K_k, truncated
+        p + 16 + log2 N bits below its largest term and rounded once to p bits.
+        With each K_k exact from the same rounded exponentials and s_k = z_k + w
+        (on the expm1 branch, the mp form's value), a row is within
+        2^-p (|sum_k c_k K_k| + 2^-12 sum_k |c_k K_k|) of sum_k c_k K_k, the size
+        of the mp form's own rounding error: 2^-p |sum| from the one rounding,
+        below 2^-(p+13) sum_k |c_k K_k| from the truncated quotients and terms.
         """
-        b0 = blocks[0]
-        out = np.empty((len(blocks), len(ws)))
-        with mp.workdps(b0.dps):
-            lo_, hi_, e_lo, e_hi = b0._ends(lo, hi)
-            ref_, length = mp.mpf(ref), hi_ - lo_
-            rows = [_fixed_point(blk.coeffs) for blk in blocks]
-            bits = mp.mp.prec + _GUARD + len(b0.rates).bit_length()
-            for i, w in enumerate(ws):
-                w_ = mp.mpf(float(w))
-                a, b = mp.exp(w_ * (lo_ - ref_)), mp.exp(w_ * (hi_ - ref_))
-                ker = [_int_atom_integral(el, a, eh, b, z, w_, length)
-                       for z, el, eh in zip(b0.rates, e_lo, e_hi)]
-                for r, (cs, ec) in enumerate(rows):
-                    terms = [(c * k, e) for c, (k, e) in zip(cs, ker)]
-                    top = max((e + t.bit_length() for t, e in terms if t), default=bits) - bits
-                    total = sum(t << (e - top) if e >= top else t >> (top - e) for t, e in terms)
-                    out[r, i] = float(mp.mpf((total, top + ec)))
+        b0, out = blocks[0], [[] for _ in blocks]
+        lo_, hi_, e_lo, e_hi = b0._ends(lo, hi)
+        ref_, length = mp.mpf(ref), hi_ - lo_
+        coeffs = [_fixed_point(blk.coeffs) for blk in blocks]
+        bits = mp.mp.prec + _GUARD + len(b0.rates).bit_length()
+        for w in ws:
+            a, b = mp.exp(w * (lo_ - ref_)), mp.exp(w * (hi_ - ref_))
+            ker = [_int_atom_integral(el, a, eh, b, z, w, length)
+                   for z, el, eh in zip(b0.rates, e_lo, e_hi)]
+            for row, (cs, ec) in zip(out, coeffs):
+                terms = [(c * k, e) for c, (k, e) in zip(cs, ker)]
+                top = max((e + t.bit_length() for t, e in terms if t), default=bits) - bits
+                total = sum(t << (e - top) if e >= top else t >> (top - e) for t, e in terms)
+                row.append(mp.mpf((total, top + ec)))
         return out
 
     def _pair_sum(self, other, lo: float, hi: float):
-        """int_lo^hi s(t) o(t) dt as one mp.fsum of the N_s N_o atom-pair
-        integrals, at the working precision.  The self pair is a symmetric
-        form: each pair k > j once, doubled exactly by ldexp."""
-        lo_, hi_, e_lo, e_hi = self._ends(lo, hi)
-        _, _, f_lo, f_hi = other._ends(lo, hi)
-        mine = list(zip(self.coeffs, self.rates, e_lo, e_hi))
-        theirs = list(zip(other.coeffs, other.rates, f_lo, f_hi))
-        same = other is self
-        return mp.fsum(mp.ldexp(cj * ck * _mp_atom_integral(lj * lk, hj * hk, zj + zk,
-                                                            hi_ - lo_), same and k > j)
-                       for j, (cj, zj, lj, hj) in enumerate(mine)
-                       for k, (ck, zk, lk, hk) in enumerate(theirs[j:] if same else theirs,
-                                                            j if same else 0))
+        """int_lo^hi s(t) o(t) dt at the working precision p: o's atoms are
+        d_k e^{w_k (t - o.origin)}, so it is S = sum_k d_k R_k, R the _exact_rows
+        row of s at the rates w_k, summed by one mp.fsum.  R_k's bound, one
+        rounding per product and the fsum's put S within 2^-p (|S| + sum_k
+        |d_k| (2 |R_k| + 2^-12 A_k)) of exact, A_k = sum_j |c_j K_jk|, to first
+        order: at most about twice the 2^-p sum_k |d_k| A_k of an fsum of
+        rounded pair terms, and far below it where the rows cancel."""
+        row, = MpBlock._exact_rows([self], other.rates, lo, hi, other.origin)
+        return mp.fsum(d * r for d, r in zip(other.coeffs, row))
 
     def inner(self, other, lo: float, hi: float) -> float:
         """int_lo^hi s(t) o(t) dt for another mp block o, exact at the larger

@@ -84,7 +84,7 @@ def _unit_control(args):
         raise TruncationError(f"cost exponent alpha_2 L^2 / T = {exponent:.4g} past the "
                               f"float budget at T = {T}", achieved=exponent)
     reduced, sched = reduce_to_canonical(cfg.build_basis(), T)
-    count = cfg.family_count or harness._family_count_for(sched.T_canonical, reduced)
+    count = harness._family_count_for(sched.T_canonical, reduced, cap=cfg.family_count)
     fam = build_multiplier_family(reduced, sched.T_canonical, count,
                                   eps=cfg.multiplier_eps, tol=cfg.tol)
     c = np.zeros(count)
@@ -110,12 +110,13 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _, reduced, sched, _, u0, g = _unit_control(args)
+    _, reduced, sched, fam, u0, g = _unit_control(args)
     traj = simulate_boundary_control(reduced, u0, g, sched.T_canonical)
     _write(args, "trajectory.csv", _trajectory_csv(traj))
     resid = float(np.linalg.norm(traj.coeffs[-1]))
-    print(f"terminal residual {resid:.3e}")
-    return 0 if resid <= 1e-3 else 1
+    status = harness._row_status(resid, g.norm() * sched.cost_factor, fam)
+    print(f"terminal residual {resid:.3e} ({status})")
+    return 1 if status == "failed" else 0
 
 
 def _cmd_cost_sweep(args) -> int:

@@ -288,17 +288,22 @@ def _sweep_row(config: ExperimentConfig, basis: SpectralBasis, T: float) -> Cost
     worst_cost = max(g.norm() * sched.cost_factor for g in controls)
     worst_resid = max(float(np.linalg.norm(f)) / u0.norm() for f, u0 in zip(finals, basket))
 
-    cancel_floor = 1e-15 * worst_cost * math.sqrt(count)
-    if worst_resid <= 1e-3:
-        status = "ok"
-    elif worst_resid <= 10.0 * cancel_floor and _structural_certificate(family, count):
-        status = "structural"
-    else:
-        status = "failed"
     cost_log = math.log(worst_cost) if worst_cost > 0 else -math.inf
     return CostReport(T=T, L=basis.L, cost_log=cost_log,
-                      alpha_eff=T * cost_log, n_modes=count,
-                      terminal_residual=worst_resid, status=status)
+                      alpha_eff=T * cost_log, n_modes=count, terminal_residual=worst_resid,
+                      status=_row_status(worst_resid, worst_cost, family))
+
+
+def _row_status(residual: float, cost: float, family) -> str:
+    """'ok' for a relative terminal residual within 1e-3; 'structural' for one
+    within ten times the float cancellation floor 1e-15 cost sqrt(members) of
+    a family whose moments certify it; 'failed' otherwise."""
+    if residual <= 1e-3:
+        return "ok"
+    cancel_floor = 1e-15 * cost * math.sqrt(family.count)
+    if residual <= 10.0 * cancel_floor and _structural_certificate(family, family.count):
+        return "structural"
+    return "failed"
 
 
 def fit_small_time_slope(rows) -> dict:

@@ -48,6 +48,10 @@ _REGION_OVERSAMPLE = 4  # oversampling factor of the region quadrature grid
 _ROW_STEPS = 32  # fewest trapezoid steps per boundary trajectory row
 _FINE_STEPS = 4096  # trapezoid steps a boundary trajectory of few rows spreads over them
 _KERNEL_TAIL_TOL = 1e-10  # largest heat-kernel tail bound heat_kernel_eval accepts
+# Most fine-grid entries (points x columns) a trajectory accepts: 134 MB of
+# float64 at 2^24, 1.25 times the largest the tests take (the fundamental
+# solution at n_times 8,193: 209,729 points x 64 modes).
+_FINE_BUDGET = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,25 @@ def terminal_states(basis: SpectralBasis, states, controls, T: float,
             + basis.traces[: len(lam)] * ControlSignal.integrals(controls, lam, ref=hi))
 
 
+def _fine_grid(n_rows: int, width: int, points_for) -> tuple:
+    """(points, steps per row) of a trajectory's fine grid of points_for(n_rows)
+    points for n_rows rows past the start.  Refused before any array exists:
+    no row past the start, and (carrying its size) a grid of more than
+    _FINE_BUDGET entries, points x width columns."""
+    if n_rows < 1:
+        raise ConfigurationError(f"{n_rows} stepped trajectory rows: at least 1 is needed")
+    points = points_for(n_rows)
+    if points * width > _FINE_BUDGET:
+        raise TruncationError(f"fine grid of {points} points x {width} columns past the "
+                              f"budget of {_FINE_BUDGET} entries", achieved=points * width)
+    return points, (points - 1) // n_rows
+
+
+def _boundary_points(n_rows: int) -> int:
+    """max(_ROW_STEPS, _FINE_STEPS // n_rows) steps a row, and the end point."""
+    return max(_ROW_STEPS, _FINE_STEPS // n_rows) * n_rows + 1
+
+
 def _boundary_rows(lam, start, drives, n_rows: int) -> np.ndarray:
     """Modes at t_k = k (hi - lo) / n_rows, k = 0..n_rows, of start driven by
     sum_i gain_i g_i(lo + t), ``drives`` = [(g_i, gain_i per rate)] on one
@@ -128,8 +151,8 @@ def _boundary_rows(lam, start, drives, n_rows: int) -> np.ndarray:
     others are exp_trapezoid, max(_ROW_STEPS, _FINE_STEPS // n_rows) steps a row."""
     controls = [g for g, _ in drives]
     lo, hi = controls[0].window
-    stride = max(_ROW_STEPS, _FINE_STEPS // n_rows)
-    us = np.linspace(0.0, hi - lo, stride * n_rows + 1)
+    points, stride = _fine_grid(n_rows, len(lam), _boundary_points)
+    us = np.linspace(0.0, hi - lo, points)
     drive = sum(np.outer(g.eval(us + lo), gain) for g, gain in drives)
     rows = np.concatenate([start[None], exp_trapezoid(lam, us, drive, stride, start)])
     weights = ControlSignal.integrals(controls, lam, ref=hi)
@@ -191,14 +214,15 @@ def simulate_interior_control(basis: SpectralBasis, u0: HeatState, forcing,
     n_modes = len(coeffs0)
     xs, _, wE = _region_quadrature(basis, region, n_modes)
 
-    n_fine = max(2049, 8 * n_times)
+    n_fine, stride = _fine_grid(n_times - 1, len(xs) + n_modes,
+                                lambda n: max(2049, 8 * (n + 1)))
     us = np.linspace(0.0, T, n_fine)
     F = np.asarray(forcing(us, xs), dtype=float)
     if F.shape != (n_fine, len(xs)):
         raise ConfigurationError("forcing returned a field of the wrong shape")
     b = F @ wE.T  # (n_fine, n_modes) source coefficients
 
-    rows = exp_trapezoid(basis.lambdas[:n_modes], us, b, (n_fine - 1) // (n_times - 1), coeffs0)
+    rows = exp_trapezoid(basis.lambdas[:n_modes], us, b, stride, coeffs0)
     co = np.concatenate([coeffs0[None], rows[: n_times - 1]])
     return Trajectory(times=np.linspace(0.0, T, n_times), coeffs=co, basis=basis)
 

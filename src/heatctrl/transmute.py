@@ -30,7 +30,8 @@ from .biorthogonal import (
     gram_minimal_family,
 )
 from .errors import ConfigurationError, IllConditionedError
-from .heatsim import ObservationRegion, Trajectory, _boundary_rows, region_mass_matrix
+from .heatsim import (ObservationRegion, Trajectory, _boundary_points, _boundary_rows, _fine_grid,
+                      region_mass_matrix)
 from .quadrature import trapezoid_weights
 from .spectral import HeatState, SpectralBasis, build_interval_basis, reduce_to_canonical
 
@@ -272,6 +273,11 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
         raise ConfigurationError(
             f"T = {T} beyond L^2 = {L ** 2}: (pi/L)^2 T passes pi^2, past the "
             "canonical windows of the one-end syntheses on [0, L]")
+    # trajectory rows: free rows explicit, control rows by the boundary
+    # stepper of the one-end simulator, with both ends as drives
+    n_free = max(2, int(round(eps * (n_times - 1))) + 1)
+    n_ctrl_rows = n_times - n_free
+    _fine_grid(n_ctrl_rows, n_modes, _boundary_points)
     modes = build_interval_basis("DD", 2.0 * L, n_modes)
     J, lam = n_modes, modes.lambdas
     e0 = modes.eigfun_matrix(np.array([L]))[:, 0]  # e_j(0)
@@ -297,11 +303,7 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     #   vdot_j = -lam_j v_j + e_j'(-L) b_-(t') - e_j'(L) b_+(t')
     e_prime_mL, e_prime_pL = _end_slopes(modes)
 
-    # trajectory rows: free rows explicit, control rows by the boundary
-    # stepper of the one-end simulator, with both ends as drives
-    n_free = max(2, int(round(eps * (n_times - 1))) + 1)
     t_rows_free = np.linspace(0.0, t_free, n_free)
-    n_ctrl_rows = n_times - n_free
     rc = np.linspace(0.0, T_ctrl, n_ctrl_rows + 1)[1:]
 
     times = np.concatenate([t_rows_free, t_free + rc])

@@ -1,3 +1,6 @@
+import contextlib
+import resource
+
 import numpy as np
 import pytest
 
@@ -27,3 +30,18 @@ def families(basis64):
 def gram12(basis64):
     return {T: gram_minimal_family(basis64.lambdas[:12], 12, T)
             for T in (0.5, 1.0, 2.0)}
+
+
+@contextlib.contextmanager
+def _address_space_cap(extra: int):
+    """This process's RLIMIT_AS at its current size plus extra bytes, restored on exit."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        cap = int(fh.read().split()[0]) * resource.getpagesize() + extra
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

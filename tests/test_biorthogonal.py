@@ -794,6 +794,49 @@ def test_mp_block_norm_equals_full_pair_sum(b, lo, length):
     assert b.norm(lo, lo + length) == _mp_norm_full_sum(b, lo, lo + length)
 
 
+def _mp_inner_full_sum(a, b, lo, hi):
+    """MpBlock.inner over all N_a N_b atom pairs (j, k), one fsum at the
+    larger of the two precisions: the cross-pair form unfolded."""
+    with mp.workdps(max(a.dps, b.dps)):
+        lo_, hi_, a_lo, a_hi = a._ends(lo, hi)
+        _, _, b_lo, b_hi = b._ends(lo, hi)
+        return float(mp.fsum(cj * ck * biorthogonal._mp_atom_integral(lj * lk, hj * hk, zj + zk,
+                                                                      hi_ - lo_)
+                             for cj, zj, lj, hj in zip(a.coeffs, a.rates, a_lo, a_hi)
+                             for ck, zk, lk, hk in zip(b.coeffs, b.rates, b_lo, b_hi)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mp_blocks(), mp_blocks(), st.sampled_from([30, 60, 200]), _reals(-1, 0), _reals(0.1, 2.0))
+def test_mp_cross_pair_equals_full_pair_sum(a, b, dps, lo, length):
+    # blocks of different origins and digits: the kernel row of one against
+    # the other's rates, summed against its coefficients, is the float of the
+    # unfolded N_a N_b sum, either way round
+    b = replace(b, dps=dps)
+    assume(a.origin != b.origin)
+    hi = lo + length
+    assert a.inner(b, lo, hi) == _mp_inner_full_sum(a, b, lo, hi)
+    assert b.inner(a, lo, hi) == _mp_inner_full_sum(b, a, lo, hi)
+
+
+def test_mp_block_eval_sums_in_mp_past_1e290():
+    # coefficients +-1e300 that cancel to 1e280 at the origin, below the
+    # float spacing of either (ulp(1e300) = 1.5e284), so a float sum reads 0
+    # there: eval sums each point's atoms in mp at the block's digits, within
+    # one float rounding of the mp value
+    with mp.workdps(60):
+        big = mp.mpf("1e300")
+        b = MpBlock(coeffs=(big, mp.mpf("1e280") - big), rates=(mp.mpf(-1), mp.mpf("1.5")),
+                    origin=0.25, dps=60)
+        ts = [0.25, 0.0, 0.5, 1.0]
+        want = [float(mp.fdot(b.coeffs, [mp.exp(z * (mp.mpf(t) - mp.mpf(b.origin)))
+                                         for z in b.rates])) for t in ts]
+    got = b.eval(ts)
+    assert got[0] == pytest.approx(1e280, rel=1e-15)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= math.ulp(w)
+
+
 # ---- gram arithmetic and its gates -------------------------------------------
 
 

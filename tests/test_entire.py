@@ -85,8 +85,8 @@ def test_node_normalizers_in_closed_form(kind):
 def test_node_zeros_off_the_diagonal_on_a_numeric_basis():
     # a Sturm-Liouville spectrum, reduced as a family build reduces it: the
     # zeros are lambda_k - lambda_k in real arithmetic, not a closed form.
-    # Its tail model's error bound (up to 1.0e-6 here) sizes the values, not
-    # the zeros, so tol admits it.
+    # Its tail model's error bound (at most 8.6e-9 over the 8 nodes here)
+    # sizes the values, not the zeros, so tol admits it.
     prob = ParabolicProblem(X=1.0, p=lambda x: 1.0 + 0.5 * np.sin(x), q=0.0,
                             bc0=(1, 0), bc1=(1, 0))
     b, _ = reduce_to_canonical(build_sturm_liouville_basis(prob, 32), 0.5)

@@ -25,6 +25,8 @@ from heatctrl.harness import (
 )
 from heatctrl.spectral import build_interval_basis
 
+from conftest import _address_space_cap
+
 BASE = {
     "problem": {"kind": "DD", "X": math.pi},
     "region": [math.pi / 2 - 0.3, math.pi / 2 + 0.3],
@@ -157,6 +159,30 @@ def test_cli_failed_write_keeps_the_previous_file(tmp_path):
         signal.signal(signal.SIGXFSZ, handler)
     assert (out / "trajectory.csv").read_bytes() == first
     assert not list(out.glob("*.tmp"))
+
+
+def test_cli_simulate_takes_the_cost_row_status(tmp_path, capsys):
+    # at T = 0.2 the float terminal residual (7.1e6) is under ten times the
+    # cancellation floor of a certified family: cost-sweep writes the row as
+    # structural, and simulate prints that status and exits 0
+    cfg = _write_cfg(tmp_path, T_grid=[0.2], modes=64, family_count=None, tol=1e-9)
+    out = tmp_path / "out"
+    assert main(["cost-sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "cost_sweep.csv").read_text().splitlines()[1].endswith(",structural")
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("(structural)")
+
+
+def test_cli_family_count_is_a_cap(tmp_path):
+    # the T = 0.5 window needs 13 members; family_count 40 caps that count in
+    # synthesize as it does in cost-sweep
+    cfg = _write_cfg(tmp_path, T_grid=[0.5], modes=64, family_count=40, tol=1e-9)
+    out = tmp_path / "out"
+    assert main(["cost-sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "cost_sweep.csv").read_text().splitlines()[1].split(",")[4] == "13"
+    assert main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
+    assert len(json.loads((out / "family.json").read_text())["lambdas"]) == 13
 
 
 def test_cli_verify():
@@ -396,21 +422,6 @@ _BAD_FIELDS = {
     "out_dir": st.sampled_from([5, [], None, "."]),  # not a config key
     "bogus": st.integers(),
 }
-
-
-@contextlib.contextmanager
-def _address_space_cap(extra: int):
-    """This process's RLIMIT_AS at its current size plus extra bytes, restored on exit."""
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    with open("/proc/self/statm") as fh:
-        cap = int(fh.read().split()[0]) * resource.getpagesize() + extra
-    if hard != resource.RLIM_INFINITY:
-        cap = min(cap, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +24,9 @@ from heatctrl.heatsim import (
     terminal_states,
 )
 from heatctrl.spectral import HeatState, build_interval_basis
+from heatctrl.transmute import fundamental_solution
+
+from conftest import _address_space_cap
 
 
 def test_evolve_free_identity_and_decay(basis64):
@@ -118,6 +122,50 @@ def test_boundary_control_window_mismatch(basis64):
     u0 = HeatState(np.array([1.0]), basis64.basis_id)
     with pytest.raises(ConfigurationError):
         simulate_boundary_control(basis64, u0, g, 1.0)
+
+
+def _trajectories(basis, n_times):
+    """The three trajectory builders at n_times rows, each as a thunk; the
+    fundamental solution's two-end control may not be built."""
+    u0 = HeatState(np.array([1.0]), basis.basis_id)
+    g = ControlSignal(window=(0.0, 0.5), blocks=[])
+    forcing = lambda ts, xs: np.zeros((len(ts), len(xs)))
+
+    def fundamental():
+        with mock.patch("heatctrl.transmute.two_end_control",
+                        side_effect=AssertionError("control built")):
+            fundamental_solution(0.5, 2.2, n_modes=64, n_times=n_times)
+
+    return [lambda: simulate_boundary_control(basis, u0, g, 0.5, n_times=n_times),
+            lambda: simulate_interior_control(basis, u0, forcing, ObservationRegion(0.5, 2.0),
+                                              0.5, n_times=n_times),
+            fundamental]
+
+
+@pytest.mark.parametrize("n_times", [0, 1])
+def test_trajectories_refuse_too_few_rows(basis64, n_times):
+    for build in _trajectories(basis64, n_times):
+        with pytest.raises(ConfigurationError, match="stepped trajectory rows"):
+            build()
+
+
+def test_fundamental_solution_needs_a_control_row(basis64):
+    # its first two rows are free ones: two rows leave none to the control
+    with pytest.raises(ConfigurationError, match="0 stepped trajectory rows"):
+        _trajectories(basis64, 2)[2]()
+
+
+def test_trajectories_refuse_a_fine_grid_past_the_budget(basis64):
+    # 10^6 rows of 32 steps over 64 modes: 2.0e9 drive entries, past the 2^24
+    # budget (the fundamental solution's first 200,001 rows are free ones).
+    # The refusal carries the size and comes before any grid array exists,
+    # which the address-space cap would refuse.
+    sizes = [(32 * 999_999 + 1) * 64, None, (32 * 799_999 + 1) * 64]
+    with _address_space_cap(256 << 20):
+        for build, size in zip(_trajectories(basis64, 10 ** 6), sizes):
+            with pytest.raises(TruncationError, match="past the budget") as exc:
+                build()
+            assert size is None or exc.value.achieved == size
 
 
 def test_null_control_end_to_end(basis64, families):
