@@ -308,16 +308,23 @@ def _log_M_imag(spec: MultiplierSpec, ys) -> np.ndarray:
     return spec.K * _log_sinh_ratio(ys / spec.a0) + np.sum(direct, axis=1) + tail
 
 
-# The real-axis kernel works on tiles of _ROW_CHUNK grid points by
-# _LATTICE_CHUNK lattice zeros (a numeric spectrum's ln|f| grid tiles its
-# modes alike; an exact one is a Gamma ratio per point) and
-# takes one log per block of _SIN_BLOCK factors.  A point with a block
-# product below _UNDERFLOW (x = 0 among them) is recomputed factor by factor.
-# On the uniform grid the sines come by angle addition over _ANGLE_STEP points.
+# The real-axis kernel works on tiles of _ROW_CHUNK grid points and folds
+# the lattice zeros in chunks of _LATTICE_CHUNK, each evaluated in sub-blocks
+# of _LATTICE_SUB zeros, so its working arrays are (_LATTICE_SUB x tile).  It
+# takes one log per block of _SIN_BLOCK factors and sums a chunk's block logs
+# at once.  A point with a block product below _UNDERFLOW (x = 0 among them)
+# is recomputed factor by factor.  On the uniform grid the sines come by angle
+# addition over _ANGLE_STEP points, from zero-side tables of 4 _ANGLE_STEP
+# doubles per zero; a lattice whose tables would pass _TABLE_BUDGET doubles is
+# refused.  ln|f| works on tiles of _ROW_CHUNK points, a numeric spectrum's
+# modes in chunks of _LATTICE_CHUNK by as many points as a sub-block has
+# entries.
 _SIN_BLOCK = 16
 _LATTICE_CHUNK = 256
+_LATTICE_SUB = 64
 _ROW_CHUNK = 4096
 _ANGLE_STEP = 64
+_TABLE_BUDGET = 2 ** 23  # 64 MiB: 32,768 zeros; family grids stay below 10,000
 _UNDERFLOW = 1e-290
 
 
@@ -339,8 +346,9 @@ def _a0_factor(spec: MultiplierSpec, x: np.ndarray):
     return logmag, spec.K * (s0 < 0), np.abs(s0) < _UNDERFLOW
 
 
-def _add_blocks(sines, theta_prods, logmag, negative, guard):
-    """Fold a chunk of factors, padded to whole blocks by sin = theta = 1, into the row sums.
+def _block_logs(sines, theta_prods, logs, negative, guard):
+    """Fold a sub-block of factors, padded to whole blocks by sin = theta = 1,
+    into one row of logs per block, and its signs and underflows into the row sums.
 
     A block of factors contributes ln(prod|sin theta| / prod theta), so no
     two sums of size n ln x are ever subtracted: where |M| is near 1 that
@@ -351,7 +359,26 @@ def _add_blocks(sines, theta_prods, logmag, negative, guard):
     np.abs(prods, out=prods)
     guard |= np.any(prods < _UNDERFLOW, axis=0)
     prods /= theta_prods
-    logmag += np.sum(np.log(prods), axis=0)
+    np.log(prods, out=logs)
+
+
+def _fold_lattice(n_zeros: int, logmag: np.ndarray, fold):
+    """Add the block logs of n_zeros lattice zeros to logmag.
+
+    fold(lo, size, logs) evaluates zeros lo, ..., lo + size - 1, a sub-block
+    of at most _LATTICE_SUB, and writes one row of logs per block of
+    _SIN_BLOCK (the last zero's block padded).  Each _LATTICE_CHUNK of zeros
+    is summed as one (blocks x points) array, so the sums do not depend on
+    the sub-block height.
+    """
+    logs = np.empty((_LATTICE_CHUNK // _SIN_BLOCK, logmag.size))
+    for lo in range(0, n_zeros, _LATTICE_CHUNK):
+        hi = min(lo + _LATTICE_CHUNK, n_zeros)
+        for sub in range(lo, hi, _LATTICE_SUB):
+            size = min(_LATTICE_SUB, hi - sub)
+            row = (sub - lo) // _SIN_BLOCK
+            fold(sub, size, logs[row: row + -(-size // _SIN_BLOCK)])
+        logmag += np.sum(logs[: -(-(hi - lo) // _SIN_BLOCK)], axis=0)
 
 
 def _redo_guarded(spec, zeros, x, logmag, negative, guard):
@@ -367,18 +394,19 @@ def _redo_guarded(spec, zeros, x, logmag, negative, guard):
 def _log_abs_M_rows(spec: MultiplierSpec, zeros: np.ndarray, x: np.ndarray):
     """(ln|sinc(x/a0)^K prod sinc(x/zeros)|, number of negative factors), x >= 0."""
     logmag, negative, guard = _a0_factor(spec, x)
-    blocks = (-1, _SIN_BLOCK, x.size)
+    thetas = np.empty((_LATTICE_SUB, x.size))
+    sines = np.empty_like(thetas)
+
+    def fold(lo, size, logs):
+        width = logs.shape[0] * _SIN_BLOCK
+        np.divide(x[None, :], zeros[lo: lo + size, None], out=thetas[:size])
+        np.sin(thetas[:size], out=sines[:size])
+        thetas[size:width] = sines[size:width] = 1.0
+        _block_logs(sines[:width], thetas[:width].reshape(-1, _SIN_BLOCK, x.size).prod(axis=1),
+                    logs, negative, guard)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        thetas = np.empty((_LATTICE_CHUNK, x.size))
-        sines = np.empty_like(thetas)
-        for lo in range(0, zeros.size, _LATTICE_CHUNK):
-            blk = zeros[lo: lo + _LATTICE_CHUNK]
-            width = -(-blk.size // _SIN_BLOCK) * _SIN_BLOCK
-            np.divide(x[None, :], blk[:, None], out=thetas[: blk.size])
-            np.sin(thetas[: blk.size], out=sines[: blk.size])
-            thetas[blk.size: width] = sines[blk.size: width] = 1.0
-            _add_blocks(sines[:width], thetas[:width].reshape(blocks).prod(axis=1),
-                        logmag, negative, guard)
+        _fold_lattice(zeros.size, logmag, fold)
     _redo_guarded(spec, zeros, x, logmag, negative, guard)
     return logmag, negative
 
@@ -472,7 +500,7 @@ def _log_abs_M_uniform_rows(spec: MultiplierSpec, zeros: np.ndarray, x: np.ndarr
     h, steps, rhs, d_prods = tables
     logmag, negative, guard = _a0_factor(spec, x)
     n_p = -(-x.size // _ANGLE_STEP)
-    sines = np.empty((_LATTICE_CHUNK, n_p * _ANGLE_STEP))
+    sines = np.empty((_LATTICE_SUB, n_p * _ANGLE_STEP))
     offsets = np.empty_like(sines)
     with np.errstate(divide="ignore", invalid="ignore"):
         j = j0 + np.arange(x.size, dtype=float)
@@ -481,10 +509,10 @@ def _log_abs_M_uniform_rows(spec: MultiplierSpec, zeros: np.ndarray, x: np.ndarr
         rel_shift = np.zeros(n_p * _ANGLE_STEP)  # s/j, and 0 at j = 0
         rel_shift[: x.size] = ((x - j * h_top) - j * h_low) / (h * np.maximum(j, 1.0))
         m = j0 + _ANGLE_STEP * np.arange(n_p, dtype=float)
-        for lo in range(0, zeros.size, _LATTICE_CHUNK):
-            chunk = slice(lo, lo + _LATTICE_CHUNK)
-            size = zeros[chunk].size
-            width = -(-size // _SIN_BLOCK) * _SIN_BLOCK
+
+        def fold(lo, size, logs):
+            chunk = slice(lo, lo + size)
+            width = logs.shape[0] * _SIN_BLOCK
             sa, ca = _angle_table(m, [s[chunk] for s in steps])
             np.matmul(np.stack([sa, ca], axis=2), rhs[chunk, :2],
                       out=sines[:size].reshape(size, n_p, _ANGLE_STEP))
@@ -501,9 +529,11 @@ def _log_abs_M_uniform_rows(spec: MultiplierSpec, zeros: np.ndarray, x: np.ndarr
             sines[size:width] = 1.0
             theta_prods = np.multiply.outer(
                 d_prods[lo // _SIN_BLOCK: (lo + width) // _SIN_BLOCK], j16)
-            if width > size:  # the last block holds size % 16 factors
+            if width > size:  # the lattice's last block holds size % 16 factors
                 theta_prods[-1] = d_prods[-1] * j ** (size + _SIN_BLOCK - width)
-            _add_blocks(sines[:width, : x.size], theta_prods, logmag, negative, guard)
+            _block_logs(sines[:width, : x.size], theta_prods, logs, negative, guard)
+
+        _fold_lattice(zeros.size, logmag, fold)
         logmag -= (zeros.size // _SIN_BLOCK) * j16_err
     _redo_guarded(spec, zeros, x, logmag, negative, guard)
     return logmag, negative
@@ -513,13 +543,19 @@ def _log_abs_M_real_array(spec: MultiplierSpec, xs: np.ndarray):
     """(ln|M(x)|, sign) on a real grid, sharing the lattice across the grid.
 
     Zeros up to the cutoff of max|x| are taken directly, in blocks of sines
-    (see _add_blocks); the sign is the parity of the negative sines.  On the
+    (see _block_logs); the sign is the parity of the negative sines.  On the
     uniform grid xs = xs[1] * arange(n) the sines come by angle addition
     (_log_abs_M_uniform_rows).  The lattice beyond is the tail series of
-    _log_sinc_tail_powers, as in _log_M_imag.
+    _log_sinc_tail_powers, as in _log_M_imag.  A lattice past _TABLE_BUDGET
+    raises TruncationError carrying its zero count, before any array exists.
     """
     xs = np.abs(np.asarray(xs, dtype=float))
-    m_big = _lattice_cutoff(spec, float(np.max(xs, initial=0.0)))
+    x_max = float(np.max(xs, initial=0.0))
+    m_big = _lattice_cutoff(spec, x_max)
+    n_zeros = m_big - spec.m_start + 1
+    if 4 * _ANGLE_STEP * n_zeros > _TABLE_BUDGET:
+        raise TruncationError(f"ln|M| up to |x| = {x_max:.4g} needs {n_zeros} lattice zeros, "
+                              f"whose tables pass {_TABLE_BUDGET} doubles", achieved=n_zeros)
     zeros = spec.lattice_zero(np.arange(spec.m_start, m_big + 1))
     uniform = xs.size > 1 and xs[1] > 0 and np.array_equal(xs, xs[1] * np.arange(xs.size))
     if uniform:
@@ -641,16 +677,21 @@ def _log_f_nodes(basis: SpectralBasis, count: int, tol: float = 1e-10):
 def _log_f_mode_tiles(lam: np.ndarray, xs: np.ndarray):
     """(sum_k ln|1 + i x/lambda_k|, sum_k arctan(x/lambda_k)) over given modes.
 
-    Tiles of _ROW_CHUNK grid points by _LATTICE_CHUNK modes.
+    Tiles of _LATTICE_CHUNK modes by as many points as a ln|M| sub-block has
+    entries; each point sums its modes chunk by chunk, whatever the point tile.
     """
     logmag = np.zeros_like(xs)
     phase = np.zeros_like(xs)
-    for row in range(0, xs.size, _ROW_CHUNK):
-        rows = slice(row, row + _ROW_CHUNK)
+    step = _ROW_CHUNK * _LATTICE_SUB // _LATTICE_CHUNK
+    for row in range(0, xs.size, step):
+        rows = slice(row, row + step)
         for lo in range(0, lam.size, _LATTICE_CHUNK):
             r = xs[rows, None] / lam[None, lo: lo + _LATTICE_CHUNK]
-            logmag[rows] += 0.5 * np.sum(np.log1p(r * r), axis=1)
-            phase[rows] += np.sum(np.arctan(r), axis=1)
+            terms = r * r
+            np.log1p(terms, out=terms)
+            logmag[rows] += 0.5 * np.sum(terms, axis=1)
+            np.arctan(r, out=r)
+            phase[rows] += np.sum(r, axis=1)
     return logmag, phase
 
 
@@ -661,16 +702,25 @@ def _log_f_all_imag_array(basis: SpectralBasis, xs: np.ndarray, tol: float = 1e-
     model lambda_k = a (k+b)^2 + s for every k, so the whole product is the
     Gamma ratio from k = 1, one per grid point.  A numeric Sturm-Liouville
     spectrum takes its first K modes (stored, then model) factor by factor
-    and the Gamma tail beyond.
+    and the Gamma tail beyond.  Both run in tiles of _ROW_CHUNK points.
     """
     xs = np.asarray(xs, dtype=float)
-    if basis.tail.exact:
-        total = _model_tail(basis, 0, -1j * xs)
-        return total.real, wrap_phase_array(total.imag)
-    K = _tail_start(basis, float(np.max(np.abs(xs), initial=0.0)), tol)
-    logmag, phase = _log_f_mode_tiles(basis.lam_extended(np.arange(1, K + 1)), xs)
-    tail = _model_tail(basis, K, -1j * xs)
-    return logmag + tail.real, wrap_phase_array(phase + tail.imag)
+    exact = basis.tail.exact
+    if not exact:
+        K = _tail_start(basis, float(np.max(np.abs(xs), initial=0.0)), tol)
+        lam = basis.lam_extended(np.arange(1, K + 1))
+    logmag = np.empty_like(xs)
+    phase = np.empty_like(xs)
+    for lo in range(0, xs.size, _ROW_CHUNK):
+        rows = slice(lo, lo + _ROW_CHUNK)
+        if exact:
+            total = _model_tail(basis, 0, -1j * xs[rows])
+            logmag[rows], phase[rows] = total.real, wrap_phase_array(total.imag)
+        else:
+            lm, ph = _log_f_mode_tiles(lam, xs[rows])
+            tail = _model_tail(basis, K, -1j * xs[rows])
+            logmag[rows], phase[rows] = lm + tail.real, wrap_phase_array(ph + tail.imag)
+    return logmag, phase
 
 
 # ---------------------------------------------------------------------------

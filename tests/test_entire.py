@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -17,7 +18,7 @@ from heatctrl.entire import (
     wrap_phase_array,
 )
 from heatctrl import entire
-from heatctrl.biorthogonal import build_multiplier_family
+from heatctrl.biorthogonal import _family_grid, build_multiplier_family
 from heatctrl.entire import (
     _EULER_MACLAURIN,
     _LOG_SINC_COEF,
@@ -144,6 +145,28 @@ def test_f_all_row_tiles_match_the_untiled_sum():
     assert K > 256
     assert np.array_equal(lm, logmag + tail.real)
     assert np.array_equal(ph, wrap_phase_array(phase + tail.imag))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.5, 8.0), st.integers(2, 9000), st.booleans())
+@example(7.0, 4096 + 905, False)  # K = 265: two mode chunks, two point tiles
+@example(3.3, 8191, True)
+def test_point_tiles_keep_log_f_bit_for_bit(h, n, exact):
+    xs = h * np.arange(n)
+    assume(xs[-1] <= 35000.0)  # K <= 300 stored modes at tol 1e-9
+    basis = build_interval_basis("DD", math.pi, 300)
+    basis = basis if exact else _numeric(basis)
+    # one tile of every point (the untiled Gamma ratio), the default tiles,
+    # and tiles off every power of two
+    got = []
+    with pytest.MonkeyPatch.context() as mp_:
+        for rows, height in ((10 ** 9, 256), (_ROW_CHUNK, 64), (1000, 16)):
+            mp_.setattr(entire, "_ROW_CHUNK", rows)
+            mp_.setattr(entire, "_LATTICE_SUB", height)
+            got.append(_log_f_all_imag_array(basis, xs, tol=1e-9))
+    (lm, ph), *others = got
+    for lm_t, ph_t in others:
+        assert np.array_equal(lm_t, lm) and np.array_equal(ph_t, ph)
 
 
 def test_wrap_phase_array_interval():
@@ -586,6 +609,81 @@ def test_uniform_grids_skip_the_per_entry_kernel(monkeypatch, basis64):
     build_multiplier_family(basis64, 1.0, 3, eps=0.125)
     with pytest.raises(AssertionError, match="per-entry"):
         _log_abs_M_real_array(sp, np.array([0.0, 1.0, 2.5]))
+
+
+def _polar_at_heights(spec, xs, heights=(16, 64, 256)):
+    """_log_M_polar with the lattice sub-block height set to each of heights;
+    256, one sub-block per chunk, is the single-buffer fold."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp_:
+        for height in heights:
+            mp_.setattr(entire, "_LATTICE_SUB", height)
+            out.append(entire._log_M_polar(spec, xs))
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.2, 2.0), st.floats(0.1, 0.5), st.floats(1e-9, 1e-3))
+@example(0.5, 0.1, 1e-9)  # 10,700 points (three tiles), 492 zeros (two chunks)
+@example(2.0, 0.3, 1e-6)  # 1,230 points (one partial tile), 124 zeros
+def test_sub_block_height_keeps_log_M_bit_for_bit(T, eps, tol):
+    spec, _, _, h, n = _family_grid(T, eps, tol)
+    xs = h * np.arange(n)
+    n_zeros = _lattice_cutoff(spec, float(xs[-1])) - spec.m_start + 1
+    assume(n % 64 != 0 and n_zeros % 16 != 0)
+    (lm, ph), *others = _polar_at_heights(spec, xs)
+    for lm_h, ph_h in others:
+        assert np.array_equal(lm_h, lm) and np.array_equal(ph_h, ph)
+
+
+def test_sub_block_height_keeps_off_grid_log_M_bit_for_bit():
+    # a geometric grid takes the per-entry kernel; 1,193 zeros, 4,100 points
+    spec = make_multiplier(math.pi + 0.2, 0.3)
+    xs = np.geomspace(1e-3, 3e5, 4100)
+    assert (_lattice_cutoff(spec, float(xs[-1])) - spec.m_start + 1) % 16 != 0
+    (lm, ph), *others = _polar_at_heights(spec, xs)
+    for lm_h, ph_h in others:
+        assert np.array_equal(lm_h, lm) and np.array_equal(ph_h, ph)
+
+
+def test_lattice_past_the_table_budget_is_refused_before_any_array(monkeypatch):
+    spec = make_multiplier(math.pi + 0.1, 0.25)
+    xs = 3.0 * np.arange(20000)
+    n_zeros = _lattice_cutoff(spec, float(xs[-1])) - spec.m_start + 1
+
+    def refuse(*args):
+        raise AssertionError("lattice arrays built past the budget")
+
+    monkeypatch.setattr(entire, "_TABLE_BUDGET", 4 * entire._ANGLE_STEP * n_zeros)
+    lm, _ = _log_abs_M_real_array(spec, xs)  # at the budget: evaluated
+    assert np.all(np.isfinite(lm[1:]))
+    monkeypatch.setattr(entire, "_TABLE_BUDGET", 4 * entire._ANGLE_STEP * n_zeros - 1)
+    monkeypatch.setattr(MultiplierSpec, "lattice_zero", refuse)
+    monkeypatch.setattr(entire, "_uniform_tables", refuse)
+    for grid in (xs, xs[::-1]):  # the uniform and the per-entry kernel
+        with pytest.raises(TruncationError) as info:
+            _log_abs_M_real_array(spec, grid)
+        assert info.value.achieved == n_zeros
+
+
+def test_frequency_grid_kernels_stay_in_their_working_set(basis64):
+    # the sweep's family grid: 42,794 points and 976 lattice zeros.  With
+    # 256 x 4,096 working arrays and untiled ln|f| the peaks are 22.1 MB
+    # (ln|M|), 12.4 MB (the Gamma ratio) and 25.9 MB (300 modes).
+    spec, _, _, h, n = _family_grid(0.5, 0.05, 1e-9)
+    xs = h * np.arange(n)
+    lam = build_interval_basis("DD", math.pi, 300).lambdas
+    budgets = {"ln|M|": (lambda: entire._log_M_polar(spec, xs), 9e6),
+               "ln|f| exact": (lambda: _log_f_all_imag_array(basis64, xs), 4e6),
+               "ln|f| modes": (lambda: entire._log_f_mode_tiles(lam, xs), 6e6)}
+    for name, (run, budget) in budgets.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (name, peak)
 
 
 def test_multiplier_envelope_across_tau():
