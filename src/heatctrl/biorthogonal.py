@@ -442,7 +442,6 @@ class ControlSignal:
 
     window: tuple
     blocks: list
-    meta: dict = field(default_factory=dict)
 
     def eval(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -477,8 +476,7 @@ class ControlSignal:
 
     def mapped(self, p: float, q: float, lam: float, window) -> "ControlSignal":
         """The signal e^{lam t} s(p t + q) on `window`."""
-        return ControlSignal(window=window, blocks=[b.mapped(p, q, lam) for b in self.blocks],
-                             meta=dict(self.meta))
+        return ControlSignal(window=window, blocks=[b.mapped(p, q, lam) for b in self.blocks])
 
     def norm(self) -> float:
         """L^2 norm on the window, from its blocks' norms and the inner
@@ -520,7 +518,7 @@ def _live_prefix(lm) -> int:
     return max(1, int(np.count_nonzero(tail > _LIVE_TAIL * tail[0])))
 
 
-def _signal_from_log(h, lm, ph, T, meta, label="") -> ControlSignal:
+def _signal_from_log(h, lm, ph, T, label="") -> ControlSignal:
     """Family signal with values G = e^{lm + i ph} on the grid x_k = k h.
 
     s(t) = (2 pi)^{-1/2} raw(-t) with raw the unitary inverse transform of G;
@@ -534,9 +532,7 @@ def _signal_from_log(h, lm, ph, T, meta, label="") -> ControlSignal:
         raise TruncationError(f"{label}peak log-magnitude {peak:.1f} exceeds the "
                               "float budget (T too small)", achieved=peak)
     block = GridBlock(values=np.exp(lm + 1j * ph), omega=h)
-    sig = ControlSignal(window=(-T / 2.0, T / 2.0), blocks=[block], meta=meta)
-    sig.meta["freq_norm"] = sig.norm()
-    return sig
+    return ControlSignal(window=(-T / 2.0, T / 2.0), blocks=[block])
 
 
 @dataclass
@@ -619,17 +615,11 @@ def build_multiplier_family(basis: SpectralBasis, T: float, count: int,
     n_live = max(_live_prefix(ev.log_abs_G_from_grids(n, xs, lm_f, lm_m))
                  for n in range(1, count + 1))
     xs, grids = xs[:n_live], tuple(g[:n_live] for g in (lm_f, ph_f, lm_m, ph_m))
-    signals, norms = [], []
-    for n in range(1, count + 1):
-        lm, ph = ev.log_G_from_grids(n, xs, *grids)
-        sig = _signal_from_log(h, lm, ph, T, {"X_max": X_max, "tail_tol": tol, "n": n},
-                               label=f"mode {n}: ")
-        signals.append(sig)
-        norms.append(sig.meta["freq_norm"])
-
+    signals = [_signal_from_log(h, *ev.log_G_from_grids(n, xs, *grids), T, label=f"mode {n}: ")
+               for n in range(1, count + 1)]
     return BiorthogonalFamily(
         lambdas=basis.lambdas[:count].copy(), T=T, signals=signals,
-        kind="multiplier", norms=np.asarray(norms), evaluator=ev,
+        kind="multiplier", norms=np.asarray([s.norm() for s in signals]), evaluator=ev,
         meta={"eps": eps, "tol": tol, "h": h, "n_freq": n_freq, "n_live": n_live,
               "X_max": X_max, "tau_type": tau_type},
     )
@@ -886,8 +876,7 @@ def gram_minimal_family(lambdas: Sequence[float], count: int, T: float) -> Biort
             coeffs = tuple(half[n] * r for r in R[n])
             # s_n(t) = sum_k c_k e^{-lambda_k (t + T/2)}
             block = MpBlock(coeffs=coeffs, rates=rates, origin=-T / 2.0, dps=dps)
-            signals.append(ControlSignal(window=(-T / 2.0, T / 2.0), blocks=[block],
-                                        meta={"dps": dps, "n": n + 1}))
+            signals.append(ControlSignal(window=(-T / 2.0, T / 2.0), blocks=[block]))
             norms.append(float(half[n] * mp.sqrt(R[n][n])))
 
     return BiorthogonalFamily(
@@ -908,9 +897,9 @@ def biorthogonality_matrix(family: BiorthogonalFamily, k_max: int,
     Time-side entries are the closed-form atom integral of the stored
     signal, taken for all rows in one batch over the union of the rows'
     time-side columns.  method "analytic" uses each family's stable
-    representation (for a multiplier family G_n(i lambda_k), read from its
-    evaluator's node data); "auto" takes the time side exactly where it still
-    certifies the entry, i.e. while
+    representation (for a multiplier family G_n(i lambda_k) from its
+    evaluator's log_G: delta_nk by construction); "auto" takes the time side
+    exactly where it still certifies the entry, i.e. while
 
         e^{lambda_k T / 2} * ||g_n|| * max(tol, 1e-8)  <=  1e-4,
 
@@ -980,5 +969,4 @@ def assemble_control(basis: SpectralBasis, u0: HeatState,
     # exponentials), and the flip t -> -t is then one coefficient map
     blocks = [b.mapped(-1.0, 0.0, 0.0)
               for b in combine([(w, family.signals[n - 1].blocks[0]) for n, w in weights])]
-    return ControlSignal(window=(-T / 2.0, T / 2.0), blocks=blocks,
-                         meta={"terms": len(weights)})
+    return ControlSignal(window=(-T / 2.0, T / 2.0), blocks=blocks)

@@ -24,7 +24,7 @@ from .entire import sigma_star
 from .errors import ConfigurationError, HeatCtrlError, TruncationError
 from .harness import ExperimentConfig, bound_sandwich_report, cost_sweep, write_cost_csv
 from .heatsim import simulate_boundary_control
-from .spectral import HeatState, reduce_to_canonical
+from .spectral import HeatState
 from .transmute import (
     fundamental_solution,
     longest_avoiding_ray,
@@ -83,11 +83,8 @@ def _unit_control(args):
     if exponent is not None:
         raise TruncationError(f"cost exponent alpha_2 L^2 / T = {exponent:.4g} past the "
                               f"float budget at T = {T}", achieved=exponent)
-    reduced, sched = reduce_to_canonical(cfg.build_basis(), T)
-    count = harness._family_count_for(sched.T_canonical, reduced, cap=cfg.family_count)
-    fam = build_multiplier_family(reduced, sched.T_canonical, count,
-                                  eps=cfg.multiplier_eps, tol=cfg.tol)
-    c = np.zeros(count)
+    reduced, sched, fam = harness._config_family(cfg, cfg.build_basis(), T)
+    c = np.zeros(fam.count)
     c[0] = 1.0
     u0 = HeatState(c, reduced.basis_id)
     return T, reduced, sched, fam, u0, assemble_control(reduced, u0, fam,
@@ -190,7 +187,8 @@ def _cmd_sandwich(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Fast self-checks: multiplier constants and a miniature family."""
+    """Fast self-checks: multiplier constants and a miniature family, whose
+    analytic moments G_n(i lambda_k) are delta_nk by construction."""
     from .spectral import build_interval_basis
     failures = []
     sig, a1, a2 = sigma_star(1e-12)

@@ -17,9 +17,10 @@ their magnitudes travel between exp(-900) and exp(+900):
   Fourier side of the control synthesis integrates.
 
 Every evaluation is an array kernel: real-axis grids share work across the
-whole grid, and the interpolation data G_n(i lambda_k) of a family come from
-two kernels on the imaginary axis, where every factor is real: ln M(i y)
-(_log_M_imag) and the node table f_n(lambda_k) (_log_f_nodes).
+whole grid.  The interpolation data G_n(i lambda_k) = delta_nk hold by
+construction; the normalizers of G_n come from two kernels on the imaginary
+axis, where every factor is real: ln M(i y) (_log_M_imag) and f_n(lambda_n)
+(_log_f_nodes).
 """
 
 from __future__ import annotations
@@ -642,32 +643,26 @@ def _tail_start(basis: SpectralBasis, absz: float, tol: float, n_protect: int = 
 
 
 def _log_f_nodes(basis: SpectralBasis, count: int, tol: float = 1e-10):
-    """(ln|f_n(lambda_k)|, sign f_n(lambda_k), zero) for 1 <= n, k <= count,
-    indexed [n-1, k-1]; the diagonal holds the normalizers ln|f_n(lambda_n)|.
+    """(ln|f_n(lambda_n)|, sign f_n(lambda_n)) for 1 <= n <= count: the
+    normalizers of F_n.
 
-    Row k takes its first K_k modes (stored, then model) factor by factor,
-    K_k from _tail_start at lambda_k, and the Gamma tail beyond: one table of
-    factors (lambda_j - lambda_k)/lambda_j, padded with ones past each row's
-    K_k.  Its sum over j != n is the row sum less factor n, so the table is
-    count x max K_k, not count x count x K.  A factor lambda_k - lambda_k is
-    an exact zero, so ln|f_n(lambda_k)| is -inf wherever a factor other than
-    j = n vanishes, which is every k != n.
+    Row n takes its first K_n modes (stored, then model) factor by factor,
+    K_n from _tail_start at lambda_n, and the Gamma tail beyond: one table of
+    factors (lambda_j - lambda_n)/lambda_j with factor j = n left out, padded
+    with ones past each row's K_n.  f_n(lambda_k) for k != n is not computed:
+    it holds the factor 1 - lambda_k/lambda_k, so it is an exact zero.
     """
     if not 1 <= count <= basis.n_modes:
         raise ConfigurationError(f"node count {count} outside stored range")
     lam = basis.lambdas[:count]
     K = np.array([_tail_start(basis, float(v), tol, n_protect=k) for k, v in enumerate(lam, 1)])
     lam_j = basis.lam_extended(np.arange(1, K.max() + 1))
-    # one rounding: the difference is exact where lambda_j is near lambda_k
-    factors = np.where(np.arange(K.max()) < K[:, None], (lam_j - lam[:, None]) / lam_j, 1.0)
-    zero, negative = factors == 0.0, factors < 0.0
-    with np.errstate(divide="ignore"):
-        logs = np.where(zero, 0.0, np.log(np.abs(factors)))
-    total = np.sum(logs, axis=1) + _model_tail(basis, K, lam).real
-    zero_nk = (np.count_nonzero(zero, axis=1) - zero[:, :count].T) > 0
-    n_negative = np.count_nonzero(negative, axis=1) - negative[:, :count].T
-    logmag = np.where(zero_nk, -np.inf, total - logs[:, :count].T)
-    return logmag, np.where(n_negative % 2 == 1, -1.0, 1.0), zero_nk
+    j = np.arange(K.max())
+    keep = (j < K[:, None]) & (j != np.arange(count)[:, None])
+    # one rounding: the difference is exact where lambda_j is near lambda_n
+    factors = np.where(keep, (lam_j - lam[:, None]) / lam_j, 1.0)
+    logmag = np.sum(np.log(np.abs(factors)), axis=1) + _model_tail(basis, K, lam).real
+    return logmag, np.where(np.count_nonzero(factors < 0.0, axis=1) % 2 == 1, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -730,37 +725,38 @@ def _log_f_all_imag_array(basis: SpectralBasis, xs: np.ndarray, tol: float = 1e-
 @dataclass(frozen=True)
 class GnEvaluator:
     """Evaluator of G_n = F_n M_n for every member n of one family, with the
-    two normalizers of G_n read from the diagonals of the node data:
-    ln|f_n(lambda_n)| with its sign, and ln M(i lambda_n).
+    two normalizers of G_n: ln|f_n(lambda_n)| with its sign, and
+    ln M(i lambda_n).
 
     The family build reads log_G_from_grids; the moments read log_G at the
-    nodes i lambda_k, from row n of the node table (ln|f_n(lambda_k)| and its
-    sign) and the shared ln M(i lambda_k), for n, k up to the family's count.
+    nodes i lambda_k, where G_n is delta_nk by construction.
     """
 
     basis: SpectralBasis
     spec: MultiplierSpec
     tol: float
-    log_f_nodes: np.ndarray = field(repr=False, compare=False)
-    sign_f_nodes: np.ndarray = field(repr=False, compare=False)
+    log_f_normalizers: np.ndarray = field(repr=False, compare=False)
+    sign_f_normalizers: np.ndarray = field(repr=False, compare=False)
     log_M_nodes: np.ndarray = field(repr=False, compare=False)
 
     @staticmethod
     def build(basis: SpectralBasis, count: int, T: float, eps: float = 0.05,
               tol: float = 1e-10) -> "GnEvaluator":
         """The evaluator of G_1, ..., G_count for window length T (type
-        budget tau = T/2), from one node table and one ln M(i lambda_k) array."""
+        budget tau = T/2), from the normalizers f_n(lambda_n) and one
+        ln M(i lambda_k) array."""
         spec = family_multiplier(T, eps)
-        log_f, sign_f, _ = _log_f_nodes(basis, count, tol)
-        return GnEvaluator(basis=basis, spec=spec, tol=tol, log_f_nodes=log_f,
-                           sign_f_nodes=sign_f,
+        log_f, sign_f = _log_f_nodes(basis, count, tol)
+        return GnEvaluator(basis=basis, spec=spec, tol=tol, log_f_normalizers=log_f,
+                           sign_f_normalizers=sign_f,
                            log_M_nodes=_log_M_imag(spec, basis.lambdas[:count]))
 
     # -- evaluation -----------------------------------------------------
 
-    def log_G_array(self, n: int, xs: np.ndarray):
-        """(logmag, phase) of G_n on a real grid."""
-        xs = np.asarray(xs, dtype=float)
+    def log_G_array(self, n: int, xs):
+        """(logmag, phase) of G_n on a real grid; a scalar x gives the
+        one-element arrays of [x]."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ax = np.abs(xs)
         lm, ph = self.log_G_from_grids(
             n, ax, *_log_f_all_imag_array(self.basis, ax, tol=self.tol),
@@ -776,7 +772,7 @@ class GnEvaluator:
         own factor and the two normalizers are divided out here.
         """
         r = xs / float(self.basis.lambdas[n - 1])
-        phase_fn = math.pi if self.sign_f_nodes[n - 1, n - 1] < 0 else 0.0
+        phase_fn = math.pi if self.sign_f_normalizers[n - 1] < 0 else 0.0
         ph = ph_f - np.arctan(r) + ph_m - phase_fn
         return self.log_abs_G_from_grids(n, xs, lm_f, lm_m), ph
 
@@ -784,16 +780,13 @@ class GnEvaluator:
         """The logmag half of log_G_from_grids."""
         r = xs / float(self.basis.lambdas[n - 1])
         return (lm_f - 0.5 * np.log1p(r * r) + lm_m - self.log_M_nodes[n - 1]
-                - self.log_f_nodes[n - 1, n - 1])
+                - self.log_f_normalizers[n - 1])
 
     def log_G(self, n: int, k: int):
-        """(ln|G_n(i lambda_k)|, sign) at node k of the family: G_n(i lambda_k)
-        = f_n(lambda_k) M(i lambda_k) / (f_n(lambda_n) M(i lambda_n)), which
-        is exactly (0.0, 1.0) at k = n and has ln|G| = -inf at the other nodes."""
-        log_f, sign_f = self.log_f_nodes[n - 1], self.sign_f_nodes[n - 1]
-        logmag = ((log_f[k - 1] - log_f[n - 1])
-                  + (self.log_M_nodes[k - 1] - self.log_M_nodes[n - 1]))
-        return float(logmag), float(sign_f[k - 1] * sign_f[n - 1])
+        """(ln|G_n(i lambda_k)|, sign) at node k: (0.0, 1.0) at k = n and
+        (-inf, 1.0) elsewhere, as f_n(lambda_k) holds the factor 1 - lambda_k/lambda_k
+        at every other node: G_n(i lambda_k) = delta_nk by construction."""
+        return (0.0, 1.0) if k == n else (-math.inf, 1.0)
 
 
 def family_multiplier(T: float, eps: float) -> MultiplierSpec:

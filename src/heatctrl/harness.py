@@ -245,7 +245,8 @@ def _family_count_for(T: float, basis: SpectralBasis, cap: Optional[int] = None)
 
 
 def _structural_certificate(family, k_max: int) -> bool:
-    """Exact zero placement of the family's frequency data at the moments."""
+    """Exact zero placement of the family's frequency data at the moments:
+    the analytic entries G_n(i lambda_k) are delta_nk by construction."""
     B = biorthogonality_matrix(family, k_max, "analytic")
     return not np.any(np.abs(B - np.eye(k_max)) > 1e-9)
 
@@ -276,12 +277,20 @@ def _cost_sweep(config: ExperimentConfig, basis: Optional[SpectralBasis] = None)
     return rows, fit_small_time_slope(rows)
 
 
-def _sweep_row(config: ExperimentConfig, basis: SpectralBasis, T: float) -> CostReport:
+def _config_family(config: ExperimentConfig, basis: SpectralBasis, T: float):
+    """(reduced basis, schedule, multiplier family) of the config at window T:
+    the family lives on the canonical window, its member count capped by the
+    config's family_count."""
     reduced, sched = reduce_to_canonical(basis, T)
     Tc = sched.T_canonical
     count = _family_count_for(Tc, reduced, cap=config.family_count)
-    family = build_multiplier_family(reduced, Tc, count,
-                                     eps=config.multiplier_eps, tol=config.tol)
+    return reduced, sched, build_multiplier_family(reduced, Tc, count,
+                                                   eps=config.multiplier_eps, tol=config.tol)
+
+
+def _sweep_row(config: ExperimentConfig, basis: SpectralBasis, T: float) -> CostReport:
+    reduced, sched, family = _config_family(config, basis, T)
+    Tc, count = sched.T_canonical, family.count
     basket = _basket(reduced, config.seed)
     controls = [assemble_control(reduced, u0, family, Tc) for u0 in basket]
     finals = terminal_states(reduced, basket, controls, Tc)
@@ -346,7 +355,7 @@ def bound_sandwich_report(config: ExperimentConfig) -> dict:
         raise ConfigurationError("sandwich needs a region strictly inside the interval")
     L_omega = longest_avoiding_ray(region, basis.X)
     y = probe_point(region, basis.X)
-    d = distance_to_region(y, region, basis.X)
+    d = distance_to_region(y, region)
 
     lower_vals = lower_bound_reports(config, basis, region, y)
     rows, fit = _cost_sweep(config, basis)

@@ -286,8 +286,8 @@ class LowerBoundReport:
         return asdict(self)
 
 
-def distance_to_region(y: float, region: ObservationRegion, X: float) -> float:
-    """Euclidean distance from y to the closed region inside [0, X]."""
+def distance_to_region(y: float, region: ObservationRegion) -> float:
+    """Euclidean distance from y to the closed region."""
     if region.a <= y <= region.b:
         return 0.0
     return min(abs(y - region.a), abs(y - region.b))
@@ -309,7 +309,7 @@ def lower_bound_experiment(basis: SpectralBasis, region: ObservationRegion,
     region.clipped(basis.X)
     if region.a <= y <= region.b:
         raise ConfigurationError("y must lie outside the closed region")
-    d = distance_to_region(y, region, basis.X)
+    d = distance_to_region(y, region)
     if eps is None:
         beta = 0.9 * d * d / 4.0
         eps = min(0.2, 1.0 / (8.0 * beta))

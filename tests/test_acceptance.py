@@ -182,7 +182,7 @@ def test_criterion_07_paley_wiener_round_trip(families):
             worst_probe = max(worst_probe, abs(got - want) / abs(want))
             count += 1
         tnorm = math.sqrt(float(np.trapezoid(vals**2, tg)))
-        fnorm = s.meta["freq_norm"]
+        fnorm = fam.norms[n - 1]
         worst_norm = max(worst_norm, abs(tnorm - fnorm) / fnorm)
     ok = worst_probe <= 1e-3 and worst_norm <= 1e-3
     assert _report(7, ok,

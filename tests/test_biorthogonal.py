@@ -38,7 +38,7 @@ def test_box_sinc_pair():
     with np.errstate(divide="ignore"):
         lm, ph = np.log(np.abs(v)), np.where(v < 0, np.pi, 0.0)
     n_live = biorthogonal._live_prefix(lm)
-    sig = biorthogonal._signal_from_log(h, lm[:n_live], ph[:n_live], T, {})
+    sig = biorthogonal._signal_from_log(h, lm[:n_live], ph[:n_live], T)
     inside = sig.eval(np.linspace(-0.4, 0.4, 9))
     assert np.allclose(inside, 1.0 / T, atol=2e-3)
     assert sig.norm() == pytest.approx(1.0 / math.sqrt(T), abs=2e-3)
@@ -50,7 +50,7 @@ def test_plancherel_time_vs_frequency(families):
             s = fam.signals[n - 1]
             tg, vals = s.sample(4096)
             tnorm = math.sqrt(float(np.trapezoid(vals**2, tg)))
-            fnorm = s.meta["freq_norm"]
+            fnorm = fam.norms[n - 1]
             assert abs(tnorm - fnorm) <= 1e-3 * fnorm
 
 

@@ -56,17 +56,22 @@ def test_f_n_at_zero_is_one(basis64):
 
 
 def test_f_n_exact_zero_at_other_eigenvalue(basis64):
-    logmag, sign, zero = _log_f_nodes(basis64, 7)
-    assert zero[0, 1] and zero[2, 6]  # f_1(4) and f_3(49)
-    assert np.array_equal(zero, ~np.eye(7, dtype=bool))
-    assert np.all(logmag[zero] == -np.inf) and np.all(np.isfinite(np.diag(logmag)))
+    # f_n(lambda_k), k != n, holds the factor (lambda_k - lambda_k)/lambda_k:
+    # an exact zero, as the table's lambda_k are the stored eigenvalues.  Only
+    # the normalizers f_n(lambda_n) are computed, and they are finite.
+    logmag, sign = _log_f_nodes(basis64, 7)
+    assert logmag.shape == sign.shape == (7,) and np.all(np.isfinite(logmag))
+    lam = basis64.lam_extended(np.arange(1, 8))
+    assert np.array_equal(lam, basis64.lambdas[:7])
+    assert log_F_n_alt(basis64, 1, lam[1])[0] == -math.inf  # f_1(4)
+    assert log_F_n_alt(basis64, 3, lam[6])[0] == -math.inf  # f_3(49)
 
 
 def test_telescoping_oracle(basis64):
     # prod_{k>=2} (1 - 1/k^2) = 1/2, an independent closed form
-    logmag, sign, _ = _log_f_nodes(basis64, 1)
-    assert logmag[0, 0] == pytest.approx(-math.log(2.0), abs=1e-10)
-    assert sign[0, 0] == 1.0
+    logmag, sign = _log_f_nodes(basis64, 1)
+    assert logmag[0] == pytest.approx(-math.log(2.0), abs=1e-10)
+    assert sign[0] == 1.0
 
 
 @pytest.mark.parametrize("kind", ["DD", "ND"])
@@ -75,26 +80,26 @@ def test_node_normalizers_in_closed_form(kind):
     # lambda_k = (k - 1/2)^2: |f_n(lambda_n)| = (pi/2)(n - 1/2), sign (-1)^{n-1}.
     # The error grows with n from the Gamma tail's cancellation at B ~ 1.4 n.
     count = 32
-    logmag, sign, zero = _log_f_nodes(build_interval_basis(kind, math.pi, 64), count)
+    logmag, sign = _log_f_nodes(build_interval_basis(kind, math.pi, 64), count)
     n = np.arange(1, count + 1)
     want = np.full(count, -math.log(2.0)) if kind == "DD" else np.log(0.5 * math.pi * (n - 0.5))
-    assert np.all(np.abs(np.diag(logmag) - want) <= 8e-14 * np.maximum(1.0, np.abs(want)))
-    assert np.array_equal(np.diag(sign), (-1.0) ** (n - 1))
-    assert np.array_equal(zero, ~np.eye(count, dtype=bool))
+    assert np.all(np.abs(logmag - want) <= 8e-14 * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(sign, (-1.0) ** (n - 1))
 
 
 def test_node_zeros_off_the_diagonal_on_a_numeric_basis():
     # a Sturm-Liouville spectrum, reduced as a family build reduces it: the
-    # zeros are lambda_k - lambda_k in real arithmetic, not a closed form.
+    # zeros are lambda_k - lambda_k in real arithmetic, not a closed form, so
+    # they hold because the factor table reads the stored eigenvalues.
     # Its tail model's error bound (at most 8.6e-9 over the 8 nodes here)
     # sizes the values, not the zeros, so tol admits it.
     prob = ParabolicProblem(X=1.0, p=lambda x: 1.0 + 0.5 * np.sin(x), q=0.0,
                             bc0=(1, 0), bc1=(1, 0))
     b, _ = reduce_to_canonical(build_sturm_liouville_basis(prob, 32), 0.5)
-    logmag, sign, zero = _log_f_nodes(b, 8, tol=1e-4)
-    assert np.array_equal(zero, ~np.eye(8, dtype=bool))
-    assert np.all(logmag[zero] == -np.inf) and np.all(np.isfinite(np.diag(logmag)))
-    assert np.array_equal(np.diag(sign), (-1.0) ** np.arange(8))
+    logmag, sign = _log_f_nodes(b, 8, tol=1e-4)
+    assert np.array_equal(b.lam_extended(np.arange(1, 9)), b.lambdas[:8])
+    assert np.all(np.isfinite(logmag))
+    assert np.array_equal(sign, (-1.0) ** np.arange(8))
     with pytest.raises(ConfigurationError):
         _log_f_nodes(b, 33)
 
@@ -254,12 +259,13 @@ def test_exact_spectra_do_no_per_mode_work(monkeypatch, basis64):
 
 
 def test_F_n_interpolation_data(basis64):
-    # F_n(i lambda_k) = f_n(lambda_k) / f_n(lambda_n) = delta_nk
-    logmag, sign, _ = _log_f_nodes(basis64, 10)
+    # F_n(i lambda_k) = f_n(lambda_k) / f_n(lambda_n) = delta_nk: a finite
+    # normalizer with a sign, and G_n = F_n M_n reads delta_nk at the nodes
+    logmag, sign = _log_f_nodes(basis64, 10)
+    ev = GnEvaluator.build(basis64, 10, T=1.0)
     for n in (1, 4, 9):
-        ln_F = logmag[n - 1] - logmag[n - 1, n - 1]
-        assert ln_F[n - 1] == 0.0 and sign[n - 1, n - 1] ** 2 == 1.0
-        assert ln_F[n % 5 + 5] == -np.inf
+        assert np.isfinite(logmag[n - 1]) and sign[n - 1] ** 2 == 1.0
+        assert ev.log_G(n, n) == (0.0, 1.0) and ev.log_G(n, n % 5 + 6)[0] == -np.inf
 
 
 def test_F_n_growth_bound(basis64):
@@ -267,7 +273,7 @@ def test_F_n_growth_bound(basis64):
     # full product less mode 1's factor, over f_1(lambda_1)
     xs = np.array([1e2, 1e4])
     lm, _ = _log_f_all_imag_array(basis64, xs)
-    ln_F = lm - 0.5 * np.log1p((xs / basis64.lambdas[0]) ** 2) - _log_f_nodes(basis64, 1)[0][0, 0]
+    ln_F = lm - 0.5 * np.log1p((xs / basis64.lambdas[0]) ** 2) - _log_f_nodes(basis64, 1)[0][0]
     assert np.all(ln_F <= 3.3 * np.sqrt(xs))
 
 
@@ -318,10 +324,10 @@ def test_alt_product_normalization_and_zeros(basis64):
 def test_alt_and_main_agree_on_zero_sets(basis64):
     n = 3
     # zero-vs-nonzero decision at every node of a 64-member family
-    _, _, zero = _log_f_nodes(basis64, basis64.n_modes)
+    ev = GnEvaluator.build(basis64, basis64.n_modes, T=1.0)
     for k in range(1, basis64.n_modes + 1):
         alt, _ = log_F_n_alt(basis64, n, float(basis64.lambdas[k - 1]))
-        assert zero[n - 1, k - 1] == (alt == -math.inf) == (k != n)
+        assert (ev.log_G(n, k)[0] == -math.inf) == (alt == -math.inf) == (k != n)
     # finite and real-valued at random real points off the spectrum
     rng = np.random.default_rng(5)
     for x in rng.uniform(0.5, 300.0, 20):
@@ -822,11 +828,20 @@ def test_gn_zero_placement_and_normalization(basis64):
     assert ev.log_G(3, 3) == (0.0, 1.0)  # G_3(i lambda_3) = 1 exactly
     for k in (1, 2, 4, 10, 40):
         assert ev.log_G(3, k)[0] == -math.inf
-    # the normalizers are the diagonals of the node data
-    log_f, sign, _ = _log_f_nodes(basis64, 40, tol=ev.tol)
-    assert np.array_equal(ev.log_f_nodes, log_f) and np.array_equal(ev.sign_f_nodes, sign)
+    # the normalizers are the node kernels' values at each member's own node
+    log_f, sign = _log_f_nodes(basis64, 40, tol=ev.tol)
+    assert np.array_equal(ev.log_f_normalizers, log_f)
+    assert np.array_equal(ev.sign_f_normalizers, sign)
     assert np.array_equal(ev.log_M_nodes, _log_M_imag(ev.spec, basis64.lambdas[:40]))
-    assert np.array_equal(np.diag(sign), [1.0 if n % 2 else -1.0 for n in range(1, 41)])
+    assert np.array_equal(sign, [1.0 if n % 2 else -1.0 for n in range(1, 41)])
+
+
+def test_log_G_array_takes_a_scalar(basis64):
+    # a scalar x gives the one-element arrays of [x], on either side of 0
+    ev = GnEvaluator.build(basis64, 4, T=1.0)
+    for x in (5.0, -5.0, 0.0):
+        got, want = ev.log_G_array(1, x), ev.log_G_array(1, [x])
+        assert all(g.shape == (1,) and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @settings(max_examples=40, deadline=None)

@@ -201,9 +201,9 @@ def test_cli_cost_sweep_outputs(tmp_path):
 
 
 def test_cli_synthesize_dump_envelope(tmp_path):
-    from heatctrl import cli
+    from heatctrl import harness
 
-    build = cli.build_multiplier_family
+    build = harness.build_multiplier_family
     made = []
 
     def record(*args, **kwargs):
@@ -214,7 +214,7 @@ def test_cli_synthesize_dump_envelope(tmp_path):
     dumps = []
     for run in ("a", "b"):
         out = tmp_path / run
-        with mock.patch("heatctrl.cli.build_multiplier_family", side_effect=record):
+        with mock.patch("heatctrl.harness.build_multiplier_family", side_effect=record):
             assert main(["synthesize", "--config", cfg, "--out", str(out),
                          "--dump-envelope"]) == 0
         dumps.append((out / "envelope.csv").read_bytes())
@@ -288,7 +288,7 @@ def test_sandwich_geometry_monotone_under_shrinking_region():
     lowers, uppers = [], []
     for w in widths:
         reg = ObservationRegion(X / 2 - w / 2, X / 2 + w / 2)
-        d = distance_to_region(0.0, reg, X)
+        d = distance_to_region(0.0, reg)
         lowers.append(d * d / 4.0)
         uppers.append(longest_avoiding_ray(reg, X) ** 2)
     assert all(a < b for a, b in zip(lowers, lowers[1:]))

@@ -294,7 +294,7 @@ def test_lower_bound_geometry_and_sandwich():
     b = build_interval_basis("DD", math.pi, 128)
     reg = ObservationRegion(math.pi / 2 - 0.3, math.pi / 2 + 0.3)
     y = 0.02
-    d = distance_to_region(y, reg, math.pi)
+    d = distance_to_region(y, reg)
     assert d == pytest.approx(math.pi / 2 - 0.3 - y, abs=1e-12)
     reps = [lower_bound_experiment(b, reg, y, T) for T in (0.2, 0.1, 0.05)]
     # sandwich invariant: window mass <= A e^{-alpha/T} final mass with
