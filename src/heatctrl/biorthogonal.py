@@ -38,7 +38,6 @@ of blocks of one class (:meth:`GridBlock.inner`, :meth:`MpBlock.inner`).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -559,9 +558,6 @@ class BiorthogonalFamily:
             "norms": [float(v) for v in self.norms],
             "meta": dict(self.meta),
         }
-
-    def manifest_json(self) -> str:
-        return json.dumps(self.manifest(), indent=2)
 
 
 def _family_grid(T: float, eps: float, tol: float):

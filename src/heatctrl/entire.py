@@ -229,11 +229,6 @@ class MultiplierSpec:
         exact = self.K / self.a0 + self.A**2 * float(_hurwitz_zeta(2.0, self.m_start))
         return exact, self.tau
 
-    def counting_function(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        above = np.maximum(self.K, np.floor(self.A * np.sqrt(np.maximum(r, 0.0))))
-        return np.where(r >= self.a0, above, 0.0)
-
 
 def make_multiplier(d: float, tau: float) -> MultiplierSpec:
     """Multiplier spec for decay rate d and type budget tau.

@@ -148,16 +148,32 @@ def _boundary_rows(lam, start, drives, n_rows: int) -> np.ndarray:
     """Modes at t_k = k (hi - lo) / n_rows, k = 0..n_rows, of start driven by
     sum_i gain_i g_i(lo + t), ``drives`` = [(g_i, gain_i per rate)] on one
     window [lo, hi].  The last row is exact (ControlSignal.integrals); the
-    others are exp_trapezoid, max(_ROW_STEPS, _FINE_STEPS // n_rows) steps a row."""
-    controls = [g for g, _ in drives]
-    lo, hi = controls[0].window
+    others are exp_trapezoid, max(_ROW_STEPS, _FINE_STEPS // n_rows) steps a row.
+
+    A drive's Duhamel weights are integrated only at the rates its gain
+    reaches (gain != 0), and a zero control (no blocks) is neither sampled
+    nor integrated: the parity drives of the fundamental solution each
+    reach half the modes, and an even start has no odd control at all."""
+    window = drives[0][0].window
+    if any(g.window != window for g, _ in drives):
+        raise ConfigurationError("boundary drives need controls on one window")
+    lo, hi = window
+    live = [(g, gain) for g, gain in drives if g.blocks]
     points, stride = _fine_grid(n_rows, len(lam), _boundary_points)
     us = np.linspace(0.0, hi - lo, points)
-    drive = sum(np.outer(g.eval(us + lo), gain) for g, gain in drives)
+    # sampled before the drive array exists, so no sampling temporary sits
+    # beside it
+    samples = [(g.eval(us + lo), gain) for g, gain in live]
+    drive = np.zeros((points, len(lam)))
+    for values, gain in samples:
+        drive += np.outer(values, gain)
     rows = np.concatenate([start[None], exp_trapezoid(lam, us, drive, stride, start)])
-    weights = ControlSignal.integrals(controls, lam, ref=hi)
-    rows[-1] = sum((gain * w for (_, gain), w in zip(drives, weights)),
-                   start * np.exp(-lam * (hi - lo)))
+    rows[-1] = start * np.exp(-lam * (hi - lo))
+    for g, gain in live:
+        reached = gain != 0
+        w = np.zeros(len(lam))
+        w[reached] = ControlSignal.integrals([g], lam[reached], ref=hi)[0]
+        rows[-1] += gain * w
     return rows
 
 

@@ -197,12 +197,6 @@ class HeatState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def reconstruct(self, basis: SpectralBasis, xs: np.ndarray) -> np.ndarray:
-        if basis.basis_id != self.basis_id:
-            raise ConfigurationError("state/basis mismatch")
-        E = basis.eigfun_matrix(xs, count=len(self.coeffs))
-        return self.coeffs @ E
-
 
 # ---------------------------------------------------------------------------
 # closed-form interval bases

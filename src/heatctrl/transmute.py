@@ -261,9 +261,13 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     The Dirac mass at the origin is expanded over `n_modes` interval modes
     (odd indices only carry weight), smoothed by free evolution over eps*T,
     then steered to zero through the two-end control on the remaining
-    window.  The recorded cost pair is (A, alpha) = (||v|| e^{-alpha L^2/T},
-    alpha_2): a valid instance certificate with the theoretical rate; the
-    meaningful slope comes from fitting runs across T (fit_cost_rate).
+    window.  The control rows step the modes with the parity controls g
+    (at the odd j) and f (at the even j) rather than b-/+ = g -/+ f: the
+    same Duhamel ODE, whose exact last row builds each control's kernel on
+    the rates it reaches only.  The recorded cost pair is (A, alpha) =
+    (||v|| e^{-alpha L^2/T}, alpha_2): a valid instance certificate with the
+    theoretical rate; the meaningful slope comes from fitting runs across T
+    (fit_cost_rate).
     """
     if not 0.0 < eps < 1.0:
         raise ConfigurationError("eps must be in (0, 1)")
@@ -274,7 +278,7 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
             f"T = {T} beyond L^2 = {L ** 2}: (pi/L)^2 T passes pi^2, past the "
             "canonical windows of the one-end syntheses on [0, L]")
     # trajectory rows: free rows explicit, control rows by the boundary
-    # stepper of the one-end simulator, with both ends as drives
+    # stepper of the one-end simulator, with the two parity controls as drives
     n_free = max(2, int(round(eps * (n_times - 1))) + 1)
     n_ctrl_rows = n_times - n_free
     _fine_grid(n_ctrl_rows, n_modes, _boundary_points)
@@ -300,7 +304,8 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
             f"control on T_ctrl = (1 - eps) T = {T_ctrl:g} is refused: {exc}") from exc
 
     # modal Duhamel on [-L, L] with both boundary traces:
-    #   vdot_j = -lam_j v_j + e_j'(-L) b_-(t') - e_j'(L) b_+(t')
+    #   vdot_j = -lam_j v_j + e_j'(-L) b_-(t') - e_j'(L) b_+(t'),
+    # stepped as g (e_j'(-L) - e_j'(L)) - f (e_j'(-L) + e_j'(L)), b-/+ = g -/+ f
     e_prime_mL, e_prime_pL = _end_slopes(modes)
 
     t_rows_free = np.linspace(0.0, t_free, n_free)
@@ -310,7 +315,8 @@ def fundamental_solution(T: float, L: float, eps: float = 0.2,
     v_modal = np.empty((len(times), J))
     v_modal[:n_free] = e0[None, :] * np.exp(-np.outer(t_rows_free, lam))
     v_modal[n_free:] = _boundary_rows(
-        lam, v_smooth, [(ctrl.b_minus, e_prime_mL), (ctrl.b_plus, -e_prime_pL)], n_ctrl_rows)[1:]
+        lam, v_smooth, [(ctrl.g_even, e_prime_mL - e_prime_pL),
+                        (ctrl.f_odd, -(e_prime_mL + e_prime_pL))], n_ctrl_rows)[1:]
     b_minus_rows, b_plus_rows = (np.concatenate([np.zeros(n_free), b.eval(rc)])
                                  for b in (ctrl.b_minus, ctrl.b_plus))
 

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -304,9 +305,7 @@ def test_signal_csv_round_trip(families):
 
 
 def test_family_manifest_json(families):
-    doc = families[1.0].manifest_json()
-    import json
-    parsed = json.loads(doc)
+    parsed = json.loads(json.dumps(families[1.0].manifest()))
     assert parsed["kind"] == "multiplier"
     assert len(parsed["lambdas"]) == 12
     assert parsed["window"] == [-0.5, 0.5]

@@ -394,16 +394,6 @@ def test_type_sum_budget_over_range():
             assert total <= budget + 1e-9
 
 
-def test_counting_function_structure():
-    sp = make_multiplier(math.pi + 0.3, 1.0)
-    rs = np.linspace(0.1, 40 * sp.a0, 5000)
-    N = sp.counting_function(rs)
-    assert np.all(N[rs < sp.a0] == 0)
-    above = rs >= sp.a0
-    assert np.all(N[above] >= np.floor(sp.A * np.sqrt(rs[above])) - 1e-9)
-    assert np.all(N[above] <= sp.A * np.sqrt(rs[above]) + 1.0 + 1e-9)
-
-
 def test_log_M_basic_values():
     sp = make_multiplier(math.pi + 0.3, 1.0)
     assert _log_M_imag(sp, np.array([0.0]))[0] == 0.0

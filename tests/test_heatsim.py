@@ -4,6 +4,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from heatctrl.biorthogonal import ControlSignal, MpBlock, assemble_control
@@ -13,7 +14,9 @@ from heatctrl.heatsim import (
     _ROW_STEPS,
     ObservationRegion,
     Trajectory,
+    _boundary_points,
     _boundary_rows,
+    _fine_grid,
     distance_to_region,
     evolve_free,
     heat_kernel_eval,
@@ -23,6 +26,7 @@ from heatctrl.heatsim import (
     simulate_interior_control,
     terminal_states,
 )
+from heatctrl.quadrature import exp_trapezoid
 from heatctrl.spectral import HeatState, build_interval_basis
 from heatctrl.transmute import fundamental_solution
 
@@ -107,6 +111,66 @@ def test_boundary_rows_sum_two_constant_drives(basis64):
     scale = np.abs(c0) + (np.abs(0.6 * gain_a) + np.abs(1.7 * gain_b)) / lam
     assert rows.shape == (n_rows + 1, n)
     assert np.all(np.abs(rows - want) <= 1e-13 * scale)
+
+
+def _summed_drive_rows(lam, start, drives, n_rows):
+    """_boundary_rows as one summed drive and one batched integral of every
+    control over every rate, the formula it keeps."""
+    controls = [g for g, _ in drives]
+    lo, hi = controls[0].window
+    points, stride = _fine_grid(n_rows, len(lam), _boundary_points)
+    us = np.linspace(0.0, hi - lo, points)
+    drive = sum(np.outer(g.eval(us + lo), gain) for g, gain in drives)
+    rows = np.concatenate([start[None], exp_trapezoid(lam, us, drive, stride, start)])
+    weights = ControlSignal.integrals(controls, lam, ref=hi)
+    terms = [gain * w for (_, gain), w in zip(drives, weights)]
+    rows[-1] = sum(terms, start * np.exp(-lam * (hi - lo)))
+    return rows, np.abs(start * np.exp(-lam * (hi - lo))) + sum(np.abs(t) for t in terms)
+
+
+@st.composite
+def boundary_cases(draw):
+    """Rates, a start and one to three drives on one window: constant or
+    exponential controls, sometimes the zero control, each with a gain that
+    is zero on a random subset of the rates."""
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(0.1, 400.0, n))
+    start = rng.standard_normal(n)
+    lo = draw(st.floats(-1.0, 1.0))
+    hi = lo + draw(st.floats(0.05, 1.5))
+    drives = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["constant", "exponential", "zero"]))
+        blocks = [] if kind == "zero" else [MpBlock(
+            coeffs=(mp.mpf(float(rng.standard_normal())),),
+            rates=(mp.mpf(0 if kind == "constant" else float(rng.uniform(-8.0, 8.0))),),
+            origin=lo, dps=30)]
+        gain = rng.standard_normal(n) * (rng.random(n) < draw(st.floats(0.0, 1.0)))
+        drives.append((ControlSignal(window=(lo, hi), blocks=blocks), gain))
+    return lam, start, drives, draw(st.integers(1, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary_cases())
+def test_boundary_rows_integrate_only_the_reached_rates(case):
+    # the rows kept for a drive's live rates match the summed drive and the
+    # batched kernel over every rate: bit for bit but the last row, which
+    # only sums its terms without the zeros
+    lam, start, drives, n_rows = case
+    rows = _boundary_rows(lam, start, drives, n_rows)
+    want, terms = _summed_drive_rows(lam, start, drives, n_rows)
+    assert rows.shape == want.shape
+    assert np.array_equal(rows[:-1], want[:-1])
+    assert np.all(np.abs(rows[-1] - want[-1]) <= 4 * 2.0 ** -53 * terms)
+
+
+def test_boundary_rows_refuse_drives_on_two_windows(basis64):
+    lam = basis64.lambdas[:4]
+    with pytest.raises(ConfigurationError, match="one window"):
+        _boundary_rows(lam, np.ones(4), [(_constant(1.0, (0.0, 0.5)), np.ones(4)),
+                                         (_constant(1.0, (0.1, 0.6)), np.ones(4))], 4)
 
 
 def test_boundary_control_zero_is_free_decay(basis64):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from heatctrl.biorthogonal import ControlSignal, MpBlock
 from heatctrl.errors import ConfigurationError, InvariantViolation, NumericError
+from heatctrl.heatsim import evolve_free, simulate_boundary_control
 from heatctrl.spectral import (
     HeatState,
     ParabolicProblem,
@@ -281,15 +282,18 @@ def test_parseval_oversampled(basis64):
         # 10x oversampling relative to the highest retained wavelength
         n_pts = 10 * 16 * 4
         xs = np.linspace(0.0, math.pi, n_pts)
-        u = st.reconstruct(basis64, xs)
+        u = c @ basis64.eigfun_matrix(xs, count=16)
         norm_sq = np.trapezoid(u * u, xs)
         assert norm_sq == pytest.approx(float(np.sum(c * c)), rel=1e-4)
 
 
 def test_state_basis_mismatch(basis64):
     st = HeatState(np.ones(3), "other")
-    with pytest.raises(ConfigurationError):
-        st.reconstruct(basis64, np.linspace(0, math.pi, 10))
+    with pytest.raises(ConfigurationError, match="state/basis mismatch"):
+        evolve_free(basis64, st, 0.1)
+    g = ControlSignal(window=(0.0, 0.5), blocks=[])
+    with pytest.raises(ConfigurationError, match="state/basis mismatch"):
+        simulate_boundary_control(basis64, st, g, 0.5)
 
 
 def test_lam_extended_uses_tail(basis64):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from heatctrl.biorthogonal import GridBlock, MpBlock
+from heatctrl.biorthogonal import ControlSignal, GridBlock, MpBlock
 from heatctrl.errors import ConfigurationError, IllConditionedError
-from heatctrl.heatsim import ObservationRegion, region_mass_matrix, simulate_interior_control
+from heatctrl.heatsim import (ObservationRegion, _boundary_rows, region_mass_matrix,
+                              simulate_interior_control)
 from heatctrl.quadrature import gauss_legendre_panels
 from heatctrl import transmute
 from heatctrl.spectral import HeatState, build_interval_basis
@@ -337,6 +338,42 @@ def test_fundamental_end_slopes_from_traces(L):
     d = (j * math.pi / (2.0 * L)) / math.sqrt(L)
     assert np.allclose(minus, d, rtol=1e-13, atol=0.0)
     assert np.allclose(plus, (-1.0) ** j * d, rtol=1e-13, atol=0.0)
+
+
+def test_fundamental_parity_drives_integrate_the_odd_rates(monkeypatch):
+    # the Dirac mass is even: f_odd has no blocks and g's gain vanishes at
+    # even j, so the exact last row integrates g at the 16 odd-j rates only;
+    # the stepped rows and the norm are those of the b-/+ drives bit for bit
+    seen = []
+    integrals = ControlSignal.integrals
+
+    def recorded(signals, ws, ref=0.0):
+        seen.append(np.array(ws))
+        return integrals(signals, ws, ref)
+
+    monkeypatch.setattr(ControlSignal, "integrals", staticmethod(recorded))
+    T, L, eps = 0.2, 1.2, 0.2
+    v = fundamental_solution(T, L, eps=eps, n_modes=32, method="gram")
+    lam = v.modes.lambdas
+    assert len(seen) == 1 and np.array_equal(seen[0], lam[0::2])
+
+    ctrl = v.boundary
+    assert not ctrl.f_odd.blocks
+    n_free = int(np.sum(v.times <= eps * T))
+    minus, plus = transmute._end_slopes(v.modes)
+    old = _boundary_rows(lam, v.v_modal[n_free - 1], [(ctrl.b_minus, minus),
+                                                      (ctrl.b_plus, -plus)],
+                         len(v.times) - n_free)[1:]
+    assert np.array_equal(v.v_modal[n_free:-1], old[:-1])
+    rc = np.linspace(0.0, v.meta["T_ctrl"], len(v.times) - n_free + 1)[1:]
+    for rows, b in ((v.b_minus, ctrl.b_minus), (v.b_plus, ctrl.b_plus)):
+        assert np.array_equal(rows, np.concatenate([np.zeros(n_free), b.eval(rc)]))
+    v_old = np.concatenate([v.v_modal[:n_free], old])
+    e0, t_free = v.v_modal[0], eps * T
+    free_sq = float(np.sum(e0 ** 2 * (1.0 - np.exp(-2.0 * lam * t_free)) / (2.0 * lam)))
+    mask = v.times >= t_free
+    ctrl_sq = float(np.trapezoid(np.sum(v_old[mask] ** 2, axis=1), v.times[mask]))
+    assert v.norm == math.sqrt(free_sq + ctrl_sq)
 
 
 def test_transmute_chain_builds_each_basis_once(monkeypatch):
